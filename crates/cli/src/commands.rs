@@ -11,6 +11,7 @@ use pangraph::lean::LeanGraph;
 use pangraph::stats::GraphStats;
 use pangraph::{parse_gfa_reader, write_gfa, VariationGraph};
 use pgio::{layout_to_tsv, load_lay, save_lay};
+use pgl_service::cluster::client;
 use pgl_service::{
     run_batch, BatchOptions, EngineRegistry, HttpConfig, HttpServer, JobState, LayoutService,
     Priority, ServiceConfig,
@@ -77,8 +78,8 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
              \u{20}         [--max-conns N] [--keep-alive SECS] [--rate-limit REQ_PER_SEC]\n\
              \u{20}         [--join COORD_ADDR] [--advertise HOST:PORT] [--heartbeat-ms N]\n\
              \u{20}         [--log-level debug|info|warn|error|off] [--log-json]\n\
-             Serve layouts over HTTP. The API is versioned under /v1 (unversioned\n\
-             paths remain as deprecated aliases). Upload-once workflow: POST\n\
+             Serve layouts over HTTP. The API is versioned under /v1 (any other\n\
+             path answers 404). Upload-once workflow: POST\n\
              /v1/graphs (GFA body) parses the graph once and returns {graph_id,...};\n\
              then POST /v1/jobs?graph=<id> lays it out by reference (engine=cpu|\n\
              batch|gpu|gpu-a100, iters, threads, seed, batch, soa, precision=f32|\n\
@@ -96,13 +97,13 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
              GET /v1/stats, /v1/metrics, /v1/engines, /v1/healthz as before.\n\
              --preload-graphs DIR interns every .gfa/.lean in DIR at startup so a\n\
              fresh server answers by-reference requests immediately (counted in\n\
-             /stats as graphs.preloaded). Identical requests are answered from the\n\
+             /v1/stats as graphs.preloaded). Identical requests are answered from the\n\
              content-addressed layout cache (capacity --cache, default 64); --graphs\n\
              bounds resident parsed graphs (default 16, 0 = unbounded); --cache-dir\n\
              adds disk tiers for both that survive restarts, each capped at\n\
              --cache-max-bytes (oldest spills evicted first; 0 = unbounded) and\n\
              aged out by --cache-ttl seconds (0 = keep forever; expiries are\n\
-             counted in /stats as disk_ttl_evictions). --graph-quota N caps\n\
+             counted in /v1/stats as disk_ttl_evictions). --graph-quota N caps\n\
              concurrently running jobs per graph (0 = unlimited), so one hot\n\
              graph cannot monopolize the worker pool.\n\
              Connections are bounded: --max-conns handler threads (default 64) plus\n\
@@ -128,8 +129,10 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
             "pgl coordinator [--addr HOST] [--port N] [--heartbeat-ms N] [--max-conns N]\n\
              \u{20}               [--graph-quota N] [--journal-dir DIR] [--vault-max-bytes N]\n\
              \u{20}               [--log-level debug|info|warn|error|off] [--log-json]\n\
-             Run the cluster coordinator: speaks the same /v1 surface as pgl serve\n\
-             and routes each job across a fleet of pgl serve --join workers.\n\
+             Run the cluster coordinator: speaks the same /v1 surface as pgl serve,\n\
+             through the same HTTP server (--max-conns handler threads; every\n\
+             response closes its connection), and routes each job across a\n\
+             fleet of pgl serve --join workers.\n\
              Placement is rendezvous (consistent) hashing on the job's graph\n\
              content hash, so every job for a graph lands on the worker whose\n\
              caches already hold it, and membership changes remap only ~1/N of\n\
@@ -596,30 +599,10 @@ fn server_addr(p: &ArgParser) -> Result<String, String> {
     ))
 }
 
-/// Minimal query-component escaping for client-supplied strings.
-fn encode_query(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for b in value.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
-/// Pull `"field":<digits>` out of a flat JSON body.
-fn json_u64_field(json: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let at = json.find(&needle)? + needle.len();
-    let digits: String = json[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
+/// Read/write deadline for `pgl submit`'s upload: the server parses an
+/// inline GFA before it answers `202`, far longer than a control-plane
+/// round trip may take.
+const SUBMIT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(60);
 
 /// `pgl submit` — send one job to a running server over the /v1 API.
 pub fn submit(p: ArgParser) -> CmdResult {
@@ -628,19 +611,19 @@ pub fn submit(p: ArgParser) -> CmdResult {
     let gfa = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
     let mut query = vec![format!(
         "engine={}",
-        encode_query(p.value("--engine").unwrap_or("cpu"))
+        client::encode_query(p.value("--engine").unwrap_or("cpu"))
     )];
     for flag in ["--iters", "--threads", "--seed", "--batch"] {
         if let Some(v) = p.value(flag) {
-            query.push(format!("{}={}", &flag[2..], encode_query(v)));
+            query.push(format!("{}={}", &flag[2..], client::encode_query(v)));
         }
     }
     if let Some(v) = p.value("--term-block") {
-        query.push(format!("term_block={}", encode_query(v)));
+        query.push(format!("term_block={}", client::encode_query(v)));
     }
     for (flag, param) in [("--simd", "simd"), ("--write-shard", "write_shard")] {
         if let Some(v) = p.value(flag) {
-            query.push(format!("{param}={}", encode_query(v)));
+            query.push(format!("{param}={}", client::encode_query(v)));
         }
     }
     if p.has("--soa") {
@@ -651,21 +634,21 @@ pub fn submit(p: ArgParser) -> CmdResult {
     }
     query.push(format!("priority={}", parse_priority(&p)?.as_str()));
     if let Some(client) = p.value("--client") {
-        query.push(format!("client={}", encode_query(client)));
+        query.push(format!("client={}", client::encode_query(client)));
     }
     if let Some(ttl) = p.value("--ttl-ms") {
-        query.push(format!("ttl_ms={}", encode_query(ttl)));
+        query.push(format!("ttl_ms={}", client::encode_query(ttl)));
     }
     let path = format!("/v1/jobs?{}", query.join("&"));
-    let (status, body) = crate::client::request(&addr, "POST", &path, &gfa)?;
+    let (status, body) = client::request_with_timeout(&addr, "POST", &path, &gfa, SUBMIT_TIMEOUT)?;
     let text = String::from_utf8_lossy(&body);
     if status != 202 {
         return Err(format!("server answered {status}: {}", text.trim()));
     }
     println!("{}", text.trim());
     if p.has("--watch") {
-        let job =
-            json_u64_field(&text, "job").ok_or_else(|| format!("no job id in response: {text}"))?;
+        let job = client::json_u64(&text, "job")
+            .ok_or_else(|| format!("no job id in response: {text}"))?;
         return watch_job(&addr, job, 0);
     }
     Ok(())
@@ -681,38 +664,29 @@ pub fn watch(p: ArgParser) -> CmdResult {
     watch_job(&addr, job, p.parse_or("--from", 0u64)?)
 }
 
-fn json_state(json: &str) -> Option<String> {
-    let at = json.find("\"state\":\"")?;
-    Some(
-        json[at + 9..]
-            .chars()
-            .take_while(|c| *c != '"')
-            .collect::<String>(),
-    )
-}
-
 fn watch_job(addr: &str, job: u64, from: u64) -> CmdResult {
     let path = format!("/v1/jobs/{job}/events?from={from}");
     let mut last_state = String::new();
-    crate::client::stream_lines(addr, &path, &mut |line| {
+    client::stream_lines(addr, &path, &mut |line| {
         if !line.contains("\"event\":\"heartbeat\"") {
             println!("{line}");
         }
-        if let Some(state) = json_state(line) {
+        if let Some(state) = client::json_field_str(line, "state") {
             last_state = state;
         }
+        true
     })?;
     if last_state.is_empty() {
         // The stream replayed nothing — e.g. a --from cursor past the
         // terminal event after a dropped connection. The job's status
         // still knows how it ended.
-        let (status, body) = crate::client::request(addr, "GET", &format!("/v1/jobs/{job}"), b"")?;
+        let (status, body) = client::request(addr, "GET", &format!("/v1/jobs/{job}"), b"")?;
         let text = String::from_utf8_lossy(&body);
         if status != 200 {
             return Err(format!("server answered {status}: {}", text.trim()));
         }
         println!("{}", text.trim());
-        last_state = json_state(&text).unwrap_or_default();
+        last_state = client::json_field_str(&text, "state").unwrap_or_default();
     }
     match last_state.as_str() {
         "done" => Ok(()),

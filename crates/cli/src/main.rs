@@ -20,7 +20,6 @@
 //! ```
 
 mod args;
-mod client;
 mod commands;
 
 use args::ArgParser;

@@ -1,8 +1,7 @@
-//! A minimal HTTP/1.1 client for coordinator↔worker traffic — the same
-//! shape as the CLI's `pgl submit` client (one request per connection,
-//! `Content-Length` bodies, chunked-transfer decoding for event
-//! streams), kept inside this crate because the service cannot depend
-//! on the binary that depends on it.
+//! The system's one HTTP/1.1 client: coordinator↔worker traffic, worker
+//! heartbeats, and the CLI's `pgl submit` / `pgl watch`. One request
+//! per connection, `Content-Length` bodies, chunked-transfer decoding
+//! for event streams, connect and I/O deadlines, and jittered retry.
 
 use crate::cluster::fault::{self, Fault};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -24,15 +23,28 @@ const CONTROL_TIMEOUT: Duration = Duration::from_secs(10);
 /// peer is gone.
 const STREAM_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// One blocking request; returns `(status, body)`. The connection is
-/// closed afterwards (`Connection: close`). Consults the process-wide
-/// [`fault`] plan first, so chaos runs can refuse, stall, or sever any
-/// outbound cluster request deterministically.
+/// One blocking request under the control-plane deadline; returns
+/// `(status, body)`. The connection is closed afterwards
+/// (`Connection: close`). Consults the process-wide [`fault`] plan
+/// first, so chaos runs can refuse, stall, or sever any outbound
+/// cluster request deterministically.
 pub fn request(
     addr: &str,
     method: &str,
     path_and_query: &str,
     body: &[u8],
+) -> Result<(u16, Vec<u8>), String> {
+    request_with_timeout(addr, method, path_and_query, body, CONTROL_TIMEOUT)
+}
+
+/// [`request`] with a caller-chosen read/write deadline, for requests
+/// the server may take long to answer.
+pub fn request_with_timeout(
+    addr: &str,
+    method: &str,
+    path_and_query: &str,
+    body: &[u8],
+    io_timeout: Duration,
 ) -> Result<(u16, Vec<u8>), String> {
     let mut sever_response = false;
     match fault::next() {
@@ -48,7 +60,7 @@ pub fn request(
         Some(Fault::DropMidBody) => sever_response = true,
         None => {}
     }
-    let mut stream = connect(addr, CONTROL_TIMEOUT)?;
+    let mut stream = connect(addr, io_timeout)?;
     let head = format!(
         "{method} {path_and_query} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
          Connection: close\r\n\r\n",

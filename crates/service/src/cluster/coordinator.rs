@@ -13,6 +13,11 @@
 //!
 //! Design decisions, in one place:
 //!
+//! * **One front end.** The coordinator's routes are a
+//!   [`crate::http::Router`] served by the same HTTP server as a
+//!   worker's, so parsing, the handler pool, shedding, metrics and the
+//!   `/v1` checks are shared. It differs only in closing every
+//!   connection after its answer (see [`KEEP_ALIVE`]).
 //! * **The typed [`JobSpec`] is the wire format.** Forwarding a job is
 //!   `POST /v1/jobs?{spec.to_query()}` — the exact surface a human
 //!   client uses, so workers need zero cluster-specific code paths for
@@ -58,21 +63,20 @@ use super::client::{self, Backoff};
 use super::journal::{self, GraphRecord, JobRecordState, Journal};
 use super::ring::HashRing;
 use crate::http::{
-    read_request_body, read_request_head, write_chunk, write_response, HttpConfig, Request,
-    Response,
+    json_str, Endpoint, EventStream, HttpConfig, Request, Response, Routed, Router, Server,
+    PROMETHEUS_TEXT,
 };
+use crate::httpmetrics::HttpMetrics;
 use crate::job::{GraphSpec, JobId};
 use crate::obs;
 use crate::sched::{job_cost, FairScheduler};
-use crate::spec::{parse_job_spec, JobSpec, Priority, KNOWN_PARAMS};
+use crate::spec::{JobSpec, Priority};
 use pangraph::parse_gfa;
 use pangraph::store::{content_hash, evict_dir_to_cap, ContentHash};
 use std::collections::HashMap;
-use std::io::BufReader;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -91,7 +95,9 @@ pub struct CoordinatorConfig {
     /// (`0` = unlimited): one hot graph cannot monopolize its owning
     /// worker while other graphs' jobs wait.
     pub graph_quota: usize,
-    /// Concurrent client connections served; excess is shed with 503.
+    /// Handler threads of the coordinator's HTTP server
+    /// ([`HttpConfig::max_conns`]); connections beyond the pool and its
+    /// equal-sized queue are shed with 503.
     pub max_conns: usize,
     /// Directory for the write-ahead job journal and the on-disk graph
     /// vault. `None` (the default) keeps all state in memory — exactly
@@ -129,6 +135,15 @@ const PARK: Duration = Duration::from_millis(250);
 /// line (only reachable while the job is still queued coordinator-side;
 /// once forwarded, the worker's heartbeats flow through instead).
 const EVENT_HEARTBEAT: Duration = Duration::from_secs(15);
+
+/// The coordinator answers every request with `Connection: close`, on
+/// purpose. The shared server writes a response as head then body with
+/// Nagle on, so on a kept-alive connection a small answer waits out the
+/// peer's delayed ACK (≈44 ms on loopback). Keep-alive here was
+/// measured to nearly double fleet set-up time (perfbench `fleet`,
+/// `setup_s` median 0.28 → 0.53 s on a 2-vCPU host) and to raise
+/// `job_p90_ms` from 261 to 308 ms.
+const KEEP_ALIVE: Duration = Duration::ZERO;
 
 struct WorkerEntry {
     last_beat: Instant,
@@ -196,7 +211,11 @@ struct CoordCounters {
 struct CoordShared {
     cfg: CoordinatorConfig,
     started: Instant,
-    stop: AtomicBool,
+    /// Shared with the HTTP server: one flag stops serving, dispatch and
+    /// monitoring.
+    stop: Arc<AtomicBool>,
+    /// The HTTP server's request metrics, rendered in `/v1/metrics`.
+    http: Arc<HttpMetrics>,
     workers: Mutex<HashMap<String, WorkerEntry>>,
     vault: Mutex<HashMap<ContentHash, GraphEntry>>,
     queue: Mutex<FairScheduler>,
@@ -219,7 +238,7 @@ struct CoordShared {
 
 /// A bound-but-not-yet-serving coordinator.
 pub struct Coordinator {
-    listener: TcpListener,
+    server: Server,
     shared: Arc<CoordShared>,
 }
 
@@ -232,7 +251,13 @@ impl Coordinator {
     /// starts (adopt if the recorded owner still runs them, requeue
     /// otherwise).
     pub fn bind(addr: &str, cfg: CoordinatorConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let http = HttpConfig {
+            max_conns: cfg.max_conns,
+            keep_alive: KEEP_ALIVE,
+            ..HttpConfig::default()
+        };
+        let server = Server::bind(addr, http, Arc::clone(&stop))?;
         let mut queue = FairScheduler::with_graph_quota(cfg.graph_quota);
         let mut vault = HashMap::new();
         let mut jobs = HashMap::new();
@@ -350,7 +375,8 @@ impl Coordinator {
             queue: Mutex::new(queue),
             cfg,
             started: Instant::now(),
-            stop: AtomicBool::new(false),
+            stop,
+            http: server.metrics(),
             workers: Mutex::new(HashMap::new()),
             vault: Mutex::new(vault),
             queue_cv: Condvar::new(),
@@ -363,21 +389,19 @@ impl Coordinator {
             epoch,
             replayed,
         });
-        Ok(Self { listener, shared })
+        Ok(Self { server, shared })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener
-            .local_addr()
-            .expect("bound listener has an address")
+        self.server.local_addr()
     }
 
-    /// Serve until [`CoordinatorHandle::stop`] (or forever): accept
-    /// loop here, dispatcher + death-sweep/poll monitor on background
-    /// threads.
+    /// Serve until [`CoordinatorHandle::stop`] (or forever): the HTTP
+    /// server on this thread, dispatcher + death-sweep/poll monitor on
+    /// background threads.
     pub fn serve(self) {
-        let Self { listener, shared } = self;
+        let Self { server, shared } = self;
         let dispatcher = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -392,32 +416,7 @@ impl Coordinator {
                 .spawn(move || monitor(&shared))
                 .expect("spawn monitor")
         };
-        let active = Arc::new(AtomicUsize::new(0));
-        for stream in listener.incoming() {
-            if shared.stop.load(Ordering::Relaxed) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            if active.load(Ordering::Relaxed) >= shared.cfg.max_conns {
-                let mut stream = stream;
-                let mut resp = Response::error(503, "coordinator overloaded; retry later");
-                resp.retry_after = Some(1);
-                let _ = write_response(&mut stream, &resp, false, &HttpConfig::default());
-                continue;
-            }
-            active.fetch_add(1, Ordering::Relaxed);
-            let shared = Arc::clone(&shared);
-            let slot = Arc::clone(&active);
-            let spawned = std::thread::Builder::new()
-                .name("pgl-coord-conn".into())
-                .spawn(move || {
-                    handle_conn(stream, &shared);
-                    slot.fetch_sub(1, Ordering::Relaxed);
-                });
-            if spawned.is_err() {
-                active.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
+        server.serve(Arc::clone(&shared) as Arc<dyn Router>);
         shared.queue_cv.notify_all();
         shared.jobs_cv.notify_all();
         let _ = dispatcher.join();
@@ -478,7 +477,7 @@ impl Drop for CoordinatorHandle {
 
 // ─── dispatcher: queue → ring owner ─────────────────────────────────
 
-fn dispatcher(shared: &Arc<CoordShared>) {
+fn dispatcher(shared: &CoordShared) {
     while !shared.stop.load(Ordering::Relaxed) {
         // Don't pop (and start burning attempts) while the fleet is
         // empty: jobs queued during a total outage just wait.
@@ -533,7 +532,7 @@ enum Forward {
     Rejected(String),
 }
 
-fn dispatch_one(shared: &Arc<CoordShared>, id: JobId) {
+fn dispatch_one(shared: &CoordShared, id: JobId) {
     // Snapshot under the lock, forward outside it.
     let (query, graph, cancel) = {
         let jobs = shared.jobs.lock().unwrap();
@@ -704,7 +703,7 @@ fn journal_terminal(
 /// Put a job back in the queue (after a worker death or forward
 /// failure); `count` burns one of its attempts. Exhausted jobs fail
 /// loudly instead of looping forever.
-fn requeue(shared: &Arc<CoordShared>, id: JobId, count: bool, reason: &str) {
+fn requeue(shared: &CoordShared, id: JobId, count: bool, reason: &str) {
     let exhausted = {
         let mut jobs = shared.jobs.lock().unwrap();
         let Some(job) = jobs.get_mut(&id) else {
@@ -750,7 +749,7 @@ fn requeue(shared: &Arc<CoordShared>, id: JobId, count: bool, reason: &str) {
 
 /// Terminate a job coordinator-side (never ran, or cancelled while
 /// queued) with a synthesized status body.
-fn finish_local(shared: &Arc<CoordShared>, id: JobId, state: &str, error: Option<&str>) {
+fn finish_local(shared: &CoordShared, id: JobId, state: &str, error: Option<&str>) {
     {
         let mut jobs = shared.jobs.lock().unwrap();
         let Some(job) = jobs.get_mut(&id) else { return };
@@ -789,7 +788,7 @@ fn finish_local(shared: &Arc<CoordShared>, id: JobId, state: &str, error: Option
 
 // ─── monitor: heartbeats, death sweep, terminal-state collection ────
 
-fn monitor(shared: &Arc<CoordShared>) {
+fn monitor(shared: &CoordShared) {
     let tick = (shared.cfg.heartbeat / 2).clamp(Duration::from_millis(50), PARK);
     while !shared.stop.load(Ordering::Relaxed) {
         std::thread::sleep(tick);
@@ -798,7 +797,7 @@ fn monitor(shared: &Arc<CoordShared>) {
     }
 }
 
-fn death_sweep(shared: &Arc<CoordShared>) {
+fn death_sweep(shared: &CoordShared) {
     let deadline = shared.cfg.heartbeat * shared.cfg.dead_after;
     let newly_dead: Vec<String> = {
         let mut workers = shared.workers.lock().unwrap();
@@ -824,7 +823,7 @@ fn death_sweep(shared: &Arc<CoordShared>) {
 
 /// Mark a worker dead after a connection failure (faster than waiting
 /// out the heartbeat deadline) and requeue everything it was running.
-fn mark_dead(shared: &Arc<CoordShared>, addr: &str, err: &str) {
+fn mark_dead(shared: &CoordShared, addr: &str, err: &str) {
     let was_alive = {
         let mut workers = shared.workers.lock().unwrap();
         match workers.get_mut(addr) {
@@ -861,7 +860,7 @@ fn mark_dead(shared: &Arc<CoordShared>, addr: &str, err: &str) {
 }
 
 /// Requeue every job forwarded to a (now dead) worker.
-fn drain_worker(shared: &Arc<CoordShared>, addr: &str) {
+fn drain_worker(shared: &CoordShared, addr: &str) {
     let stranded: Vec<JobId> = {
         let jobs = shared.jobs.lock().unwrap();
         jobs.iter()
@@ -876,7 +875,7 @@ fn drain_worker(shared: &Arc<CoordShared>, addr: &str) {
 
 /// Poll every forwarded job's status on its worker; collect terminal
 /// snapshots, requeue jobs a restarted worker no longer knows.
-fn poll_forwarded(shared: &Arc<CoordShared>) {
+fn poll_forwarded(shared: &CoordShared) {
     let targets: Vec<(JobId, String, JobId)> = {
         let jobs = shared.jobs.lock().unwrap();
         jobs.iter()
@@ -890,41 +889,8 @@ fn poll_forwarded(shared: &Arc<CoordShared>) {
         match client::request(&worker, "GET", &format!("/v1/jobs/{remote}"), b"") {
             Err(e) => mark_dead(shared, &worker, &e),
             Ok((200, body)) => {
-                let text = String::from_utf8_lossy(&body);
-                let Some(state) = client::json_field_str(&text, "state") else {
-                    continue;
-                };
-                if !TERMINAL_STATES.contains(&state.as_str()) {
-                    continue;
-                }
-                let rewritten = rewrite_job_id(text.trim(), id);
-                {
-                    let mut jobs = shared.jobs.lock().unwrap();
-                    match jobs.get_mut(&id) {
-                        // Guard against a racing requeue: only collect if
-                        // the job is still forwarded to this worker.
-                        Some(job)
-                            if matches!(&job.state, CoordJobState::Forwarded { worker: w, remote: r }
-                                if *w == worker && *r == remote) =>
-                        {
-                            job.state = CoordJobState::Terminal {
-                                worker: Some(worker.clone()),
-                                remote: Some(remote),
-                                body: rewritten,
-                            };
-                        }
-                        _ => continue,
-                    }
-                }
-                journal_terminal(shared, id, &state, Some(&worker), Some(remote));
-                let counter = match state.as_str() {
-                    "done" => &shared.counters.completed,
-                    "cancelled" => &shared.counters.cancelled,
-                    _ => &shared.counters.failed,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                release_quota(shared, id);
-                shared.jobs_cv.notify_all();
+                let text = rewrite_job_id(String::from_utf8_lossy(&body).trim(), id);
+                collect_if_terminal(shared, id, &worker, remote, text);
             }
             // The worker restarted and lost the job (its id space reset):
             // run it again somewhere.
@@ -934,127 +900,89 @@ fn poll_forwarded(shared: &Arc<CoordShared>) {
     }
 }
 
-// ─── HTTP front end ─────────────────────────────────────────────────
-
-enum CoordRouted {
-    Plain(Response),
-    Events { id: JobId },
-}
-
-fn handle_conn(stream: TcpStream, shared: &Arc<CoordShared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(60)));
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.ip().to_string())
-        .unwrap_or_else(|_| "unknown".into());
-    let mut reader = BufReader::new(stream);
-    // One request per connection: every response closes. The CLI client
-    // and curl both speak Connection: close, and control-plane traffic
-    // is light enough that handshake reuse buys nothing here.
-    let head = match read_request_head(&mut reader) {
-        Ok(Some(head)) => head,
-        Ok(None) => return,
-        Err(msg) => {
-            respond(reader.get_mut(), &Response::error(400, &msg));
-            return;
-        }
+/// Record a forwarded job as finished when `status` (the worker's
+/// status JSON, already carrying the coordinator's id) is terminal.
+/// Only a job still forwarded to `worker`/`remote` is collected, which
+/// guards against a racing requeue.
+fn collect_if_terminal(
+    shared: &CoordShared,
+    id: JobId,
+    worker: &str,
+    remote: JobId,
+    status: String,
+) {
+    let Some(state) = client::json_field_str(&status, "state") else {
+        return;
     };
-    let body = match read_request_body(&mut reader, head.content_length) {
-        Ok(body) => body,
-        Err(msg) => {
-            respond(reader.get_mut(), &Response::error(400, &msg));
-            return;
-        }
-    };
-    let mut req = Request {
-        method: head.method,
-        path: head.path,
-        query: head.query,
-        body,
-        keep_alive: false,
-        if_none_match: head.if_none_match,
-    };
-    match route_coord(&mut req, shared, &peer) {
-        CoordRouted::Plain(response) => respond(reader.get_mut(), &response),
-        CoordRouted::Events { id } => {
-            let _ = stream_proxy(reader.get_mut(), shared, id);
-        }
+    if !TERMINAL_STATES.contains(&state.as_str()) {
+        return;
     }
-}
-
-fn respond(stream: &mut TcpStream, response: &Response) {
-    let _ = write_response(stream, response, false, &HttpConfig::default());
-}
-
-fn route_coord(req: &mut Request, shared: &Arc<CoordShared>, peer: &str) -> CoordRouted {
-    let path = req.path.clone();
-    let all: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    let (v1, segments) = match all.as_slice() {
-        ["v1", rest @ ..] => (true, rest),
-        rest => (false, rest),
-    };
-    let plain = CoordRouted::Plain;
-    // Mirror the worker front end's /v1 strictness: unknown query
-    // parameters fail loudly.
-    if v1 {
-        let allowed: &[&str] = match (req.method.as_str(), segments) {
-            ("POST", ["layout"]) | ("POST", ["jobs"]) => &KNOWN_PARAMS[..],
-            ("POST", ["cluster", _]) => &["addr"],
-            ("GET", ["jobs", _, "events"]) => &["from"],
-            ("GET", ["result", _]) => &["format"],
-            _ => &[],
-        };
-        if let Some((k, _)) = req
-            .query
-            .iter()
-            .find(|(k, _)| !allowed.contains(&k.as_str()))
-        {
-            return plain(Response::error(400, &format!("unknown parameter {k:?}")));
-        }
-    }
-    match (req.method.clone().as_str(), segments) {
-        ("POST", ["cluster", "join"]) => plain(register(shared, req.param("addr"), true)),
-        ("POST", ["cluster", "heartbeat"]) => plain(register(shared, req.param("addr"), false)),
-        ("POST", ["graphs"]) => plain(intern_graph(req, shared)),
-        ("GET", ["graphs"]) => plain(list_graphs(shared)),
-        ("DELETE", ["graphs", id]) => plain(match ContentHash::from_hex(id) {
-            Some(id) => delete_graph(shared, id),
-            None => Response::error(400, "graph id must be 32 hex digits"),
-        }),
-        ("POST", ["layout"]) | ("POST", ["jobs"]) => plain(submit(req, shared, peer)),
-        ("GET", ["jobs", id, "events"]) => match id.parse::<JobId>() {
-            Ok(id) => {
-                if shared.jobs.lock().unwrap().contains_key(&id) {
-                    CoordRouted::Events { id }
-                } else {
-                    plain(Response::error(404, &format!("no such job {id}")))
-                }
+    {
+        let mut jobs = shared.jobs.lock().unwrap();
+        match jobs.get_mut(&id) {
+            Some(job)
+                if matches!(&job.state, CoordJobState::Forwarded { worker: w, remote: r }
+                    if w == worker && *r == remote) =>
+            {
+                job.state = CoordJobState::Terminal {
+                    worker: Some(worker.to_string()),
+                    remote: Some(remote),
+                    body: status,
+                };
             }
-            Err(_) => plain(Response::error(400, "job id must be a number")),
-        },
-        ("GET", ["jobs", id, "trace"]) => plain(with_job_id(id, |id| trace_proxy(shared, id))),
-        ("GET", ["jobs", id]) => plain(with_job_id(id, |id| job_status(shared, id))),
-        ("POST", ["jobs", id, "cancel"]) | ("DELETE", ["jobs", id]) => {
-            plain(with_job_id(id, |id| cancel(shared, id)))
+            _ => return,
         }
-        ("GET", ["result", id]) => {
-            let format = req.param("format").unwrap_or("tsv").to_string();
-            plain(with_job_id(id, |id| result_proxy(shared, id, &format)))
-        }
-        ("GET", ["stats"]) => plain(fleet_stats(shared)),
-        ("GET", ["metrics"]) => plain(coord_metrics(shared)),
-        ("GET", ["healthz"]) => plain(healthz(shared)),
-        ("GET", ["engines"]) => plain(engines_proxy(shared)),
-        ("GET", _) | ("POST", _) | ("DELETE", _) => plain(Response::error(404, "no such route")),
-        _ => plain(Response::error(405, "method not supported")),
     }
+    journal_terminal(shared, id, &state, Some(worker), Some(remote));
+    let counter = match state.as_str() {
+        "done" => &shared.counters.completed,
+        "cancelled" => &shared.counters.cancelled,
+        _ => &shared.counters.failed,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    release_quota(shared, id);
+    shared.jobs_cv.notify_all();
 }
 
-fn with_job_id(id: &str, f: impl FnOnce(JobId) -> Response) -> Response {
-    match id.parse::<JobId>() {
-        Ok(id) => f(id),
-        Err(_) => Response::error(400, "job id must be a number"),
+// ─── HTTP routes ────────────────────────────────────────────────────
+
+impl Router for CoordShared {
+    fn route(&self, endpoint: Endpoint, req: &mut Request) -> Routed {
+        Routed::Plain(match endpoint {
+            Endpoint::Join => register(self, req.param("addr"), true),
+            Endpoint::Heartbeat => register(self, req.param("addr"), false),
+            Endpoint::UploadGraph => intern_graph(req, self),
+            Endpoint::ListGraphs => list_graphs(self),
+            Endpoint::DeleteGraph(id) => delete_graph(self, id),
+            Endpoint::Submit => submit(req, self),
+            Endpoint::Events { job, from } => {
+                if self.jobs.lock().unwrap().contains_key(&job) {
+                    return Routed::Events { job, from };
+                }
+                Response::error(404, &format!("no such job {job}"))
+            }
+            Endpoint::Trace(id) => trace_proxy(self, id),
+            Endpoint::Status(id) => job_status(self, id),
+            Endpoint::Cancel(id) => cancel(self, id),
+            Endpoint::Result(id) => result_proxy(self, id, req.param("format").unwrap_or("tsv")),
+            Endpoint::Stats => fleet_stats(self),
+            Endpoint::Metrics => coord_metrics(self),
+            Endpoint::Healthz => healthz(self),
+            Endpoint::Engines => engines_proxy(self),
+        })
+    }
+
+    /// Relays from the start of the job's run: a worker's sequence
+    /// numbers restart with every run, so `from` has no fleet-wide
+    /// meaning.
+    fn stream_events(
+        &self,
+        job: JobId,
+        _from: u64,
+        out: &mut EventStream<'_>,
+        _stop: &AtomicBool,
+    ) -> std::io::Result<()> {
+        stream_proxy(out, self, job)
     }
 }
 
@@ -1062,7 +990,7 @@ fn with_job_id(id: &str, f: impl FnOnce(JobId) -> Response) -> Response {
 /// endpoints are idempotent upserts: a heartbeat from an unknown
 /// address is an implicit join (the coordinator may have restarted and
 /// forgotten the fleet), and a join from a known one just refreshes it.
-fn register(shared: &Arc<CoordShared>, addr: Option<&str>, is_join: bool) -> Response {
+fn register(shared: &CoordShared, addr: Option<&str>, is_join: bool) -> Response {
     let Some(addr) = addr.filter(|a| !a.is_empty() && !a.contains(char::is_whitespace)) else {
         return Response::error(400, "missing ?addr=<host:port> the coordinator can reach");
     };
@@ -1109,8 +1037,8 @@ fn register(shared: &Arc<CoordShared>, addr: Option<&str>, is_join: bool) -> Res
 /// `POST /v1/graphs` — intern a GFA document into the coordinator's
 /// vault: parse once to validate and count, keep the raw text for
 /// push-on-miss to workers.
-fn intern_graph(req: &mut Request, shared: &Arc<CoordShared>) -> Response {
-    let gfa = match String::from_utf8(std::mem::take(&mut req.body)) {
+fn intern_graph(req: &mut Request, shared: &CoordShared) -> Response {
+    let gfa = match String::from_utf8(req.take_body()) {
         Ok(s) => s,
         Err(_) => return Response::error(400, "GFA body must be UTF-8"),
     };
@@ -1139,7 +1067,7 @@ fn intern_graph(req: &mut Request, shared: &Arc<CoordShared>) -> Response {
 /// resident), journal the `G` record (fsync'd), and enforce the vault
 /// byte cap. Returns `(id, nodes, paths, steps, dedup)`.
 fn intern_gfa(
-    shared: &Arc<CoordShared>,
+    shared: &CoordShared,
     gfa: String,
 ) -> Result<(ContentHash, usize, usize, usize, bool), Response> {
     let id = content_hash(gfa.as_bytes());
@@ -1227,7 +1155,7 @@ fn enforce_vault_cap(shared: &CoordShared) {
 }
 
 /// `GET /v1/graphs` — the vault's catalog.
-fn list_graphs(shared: &Arc<CoordShared>) -> Response {
+fn list_graphs(shared: &CoordShared) -> Response {
     let vault = shared.vault.lock().unwrap();
     let mut rows: Vec<(String, String)> = vault
         .iter()
@@ -1259,7 +1187,7 @@ fn list_graphs(shared: &Arc<CoordShared>) -> Response {
 
 /// `DELETE /v1/graphs/<id>` — drop from the vault and (best effort)
 /// from every alive worker's store.
-fn delete_graph(shared: &Arc<CoordShared>, id: ContentHash) -> Response {
+fn delete_graph(shared: &CoordShared, id: ContentHash) -> Response {
     let existed = shared.vault.lock().unwrap().remove(&id).is_some();
     if !existed {
         return Response::error(404, &format!("no such graph {}", id.hex()));
@@ -1280,15 +1208,11 @@ fn delete_graph(shared: &Arc<CoordShared>, id: ContentHash) -> Response {
 /// `POST /v1/jobs` — parse the spec exactly like a worker would, intern
 /// inline GFA into the vault (converting the job to by-reference), and
 /// enqueue for dispatch.
-fn submit(req: &mut Request, shared: &Arc<CoordShared>, peer: &str) -> Response {
-    let body = std::mem::take(&mut req.body);
-    let mut spec = match parse_job_spec(&req.query, body, false) {
+fn submit(req: &mut Request, shared: &CoordShared) -> Response {
+    let mut spec = match req.job_spec() {
         Ok(spec) => spec,
         Err(e) => return Response::error(400, &e.to_string()),
     };
-    if spec.client.is_none() {
-        spec.client = Some(peer.to_string());
-    }
     let (graph, steps) = match &spec.graph {
         GraphSpec::Gfa(text) => {
             let (id, _, _, steps, _) = match intern_gfa(shared, text.as_ref().clone()) {
@@ -1358,7 +1282,7 @@ fn submit(req: &mut Request, shared: &Arc<CoordShared>, peer: &str) -> Response 
 /// Synthesized status for a job the coordinator still holds (queued or
 /// mid-failover): same field shape as a worker's status JSON.
 fn synthesize_status(
-    shared: &Arc<CoordShared>,
+    shared: &CoordShared,
     id: JobId,
     state: &str,
     worker: Option<&str>,
@@ -1387,7 +1311,7 @@ fn synthesize_status(
     )
 }
 
-fn job_state(shared: &Arc<CoordShared>, id: JobId) -> Option<CoordJobState> {
+fn job_state(shared: &CoordShared, id: JobId) -> Option<CoordJobState> {
     shared
         .jobs
         .lock()
@@ -1397,17 +1321,21 @@ fn job_state(shared: &Arc<CoordShared>, id: JobId) -> Option<CoordJobState> {
 }
 
 /// `GET /v1/jobs/<id>` — proxy to the owning worker (id rewritten), or
-/// answer locally for queued/terminal jobs.
-fn job_status(shared: &Arc<CoordShared>, id: JobId) -> Response {
+/// answer locally for queued/terminal jobs. A terminal answer is
+/// collected on the spot rather than at the monitor's next poll, so a
+/// job once reported finished is never requeued if its worker dies
+/// before that poll.
+fn job_status(shared: &CoordShared, id: JobId) -> Response {
     match job_state(shared, id) {
         None => Response::error(404, &format!("no such job {id}")),
         Some(CoordJobState::Queued) => synthesize_status(shared, id, "queued", None),
         Some(CoordJobState::Forwarded { worker, remote }) => {
             match client::request(&worker, "GET", &format!("/v1/jobs/{remote}"), b"") {
-                Ok((200, body)) => Response::json(
-                    200,
-                    rewrite_job_id(String::from_utf8_lossy(&body).trim(), id),
-                ),
+                Ok((200, body)) => {
+                    let text = rewrite_job_id(String::from_utf8_lossy(&body).trim(), id);
+                    collect_if_terminal(shared, id, &worker, remote, text.clone());
+                    Response::json(200, text)
+                }
                 // Unreachable or amnesiac worker: the monitor is about to
                 // requeue; report the job as still in flight.
                 _ => synthesize_status(shared, id, "running", Some(&worker)),
@@ -1419,53 +1347,43 @@ fn job_status(shared: &Arc<CoordShared>, id: JobId) -> Response {
 
 /// `GET /v1/jobs/<id>/trace` — proxy when a worker has (or had) the
 /// job; queued and never-ran jobs answer with an empty span list.
-fn trace_proxy(shared: &Arc<CoordShared>, id: JobId) -> Response {
-    let target = match job_state(shared, id) {
+fn trace_proxy(shared: &CoordShared, id: JobId) -> Response {
+    let state_of = |body: &str, default: &str| {
+        client::json_field_str(body, "state").unwrap_or_else(|| default.into())
+    };
+    let (worker, remote, fallback_state) = match job_state(shared, id) {
         None => return Response::error(404, &format!("no such job {id}")),
-        Some(CoordJobState::Forwarded { worker, remote }) => Some((worker, remote, "running")),
+        Some(CoordJobState::Queued) => return empty_trace(id, "queued"),
+        Some(CoordJobState::Forwarded { worker, remote }) => (worker, remote, "running".into()),
         Some(CoordJobState::Terminal {
             worker: Some(w),
             remote: Some(r),
-            ref body,
-        }) => {
-            let state = client::json_field_str(body, "state").unwrap_or_else(|| "done".into());
-            let leaked = Box::leak(state.into_boxed_str());
-            Some((w, r, &*leaked))
+            body,
+        }) => (w, r, state_of(&body, "done")),
+        Some(CoordJobState::Terminal { body, .. }) => {
+            return empty_trace(id, &state_of(&body, "failed"))
         }
-        Some(CoordJobState::Queued) => None,
-        Some(CoordJobState::Terminal { ref body, .. }) => {
-            let state = client::json_field_str(body, "state").unwrap_or_else(|| "failed".into());
-            return Response::json(
-                200,
-                format!("{{\"job\":{id},\"state\":\"{state}\",\"wall_ms\":0,\"total_us\":0,\"spans\":[]}}"),
-            );
-        }
-    };
-    let Some((worker, remote, fallback_state)) = target else {
-        return Response::json(
-            200,
-            format!(
-                "{{\"job\":{id},\"state\":\"queued\",\"wall_ms\":0,\"total_us\":0,\"spans\":[]}}"
-            ),
-        );
     };
     match client::request(&worker, "GET", &format!("/v1/jobs/{remote}/trace"), b"") {
         Ok((200, body)) => Response::json(
             200,
             rewrite_job_id(String::from_utf8_lossy(&body).trim(), id),
         ),
-        _ => Response::json(
-            200,
-            format!(
-                "{{\"job\":{id},\"state\":\"{fallback_state}\",\"wall_ms\":0,\"total_us\":0,\"spans\":[]}}"
-            ),
-        ),
+        _ => empty_trace(id, &fallback_state),
     }
+}
+
+/// A trace with no spans, for jobs no worker can answer for.
+fn empty_trace(id: JobId, state: &str) -> Response {
+    Response::json(
+        200,
+        format!("{{\"job\":{id},\"state\":\"{state}\",\"wall_ms\":0,\"total_us\":0,\"spans\":[]}}"),
+    )
 }
 
 /// `POST /v1/jobs/<id>/cancel` — cancel locally while queued, proxy to
 /// the owning worker once forwarded.
-fn cancel(shared: &Arc<CoordShared>, id: JobId) -> Response {
+fn cancel(shared: &CoordShared, id: JobId) -> Response {
     let state = {
         let mut jobs = shared.jobs.lock().unwrap();
         match jobs.get_mut(&id) {
@@ -1504,50 +1422,50 @@ fn cancel(shared: &Arc<CoordShared>, id: JobId) -> Response {
 }
 
 /// `GET /v1/result/<id>` — proxy the finished layout from the worker
-/// that computed it.
-fn result_proxy(shared: &Arc<CoordShared>, id: JobId, format: &str) -> Response {
-    let content_type: &'static str = match format {
-        "tsv" => "text/tab-separated-values",
-        "lay" => "application/octet-stream",
-        other => return Response::error(400, &format!("unknown format {other:?} (tsv, lay)")),
-    };
-    match job_state(shared, id) {
-        None => Response::error(404, &format!("no such job {id}")),
+/// that computed it. Checks run in the worker's order: unknown job,
+/// then not done, then the format.
+fn result_proxy(shared: &CoordShared, id: JobId, format: &str) -> Response {
+    let (worker, remote) = match job_state(shared, id) {
+        None => return Response::error(404, &format!("no such job {id}")),
         Some(CoordJobState::Queued) | Some(CoordJobState::Forwarded { .. }) => {
-            Response::error(409, &format!("job {id} is not done yet"))
+            return Response::error(409, &format!("job {id} is not done yet"))
         }
         Some(CoordJobState::Terminal {
             worker: Some(worker),
             remote: Some(remote),
             body,
-        }) if body.contains("\"state\":\"done\"") => {
-            match client::request(
-                &worker,
-                "GET",
-                &format!("/v1/result/{remote}?format={format}"),
-                b"",
-            ) {
-                Ok((200, bytes)) => Response::bytes(200, content_type, bytes),
-                Ok((status, bytes)) => Response::error(
-                    if status == 404 { 404 } else { 409 },
-                    &format!(
-                        "worker answered {status}: {}",
-                        String::from_utf8_lossy(&bytes).trim()
-                    ),
-                ),
-                Err(_) => Response::error(503, "worker holding the result is unreachable"),
-            }
-        }
+        }) if body.contains("\"state\":\"done\"") => (worker, remote),
         Some(CoordJobState::Terminal { body, .. }) => {
             let state = client::json_field_str(&body, "state").unwrap_or_else(|| "failed".into());
-            Response::error(409, &format!("job {id} is {state}, not done"))
+            return Response::error(409, &format!("job {id} is {state}, not done"));
         }
+    };
+    let content_type: &'static str = match format {
+        "tsv" => "text/tab-separated-values",
+        "lay" => "application/octet-stream",
+        other => return Response::error(400, &format!("unknown format {other:?} (tsv, lay)")),
+    };
+    match client::request(
+        &worker,
+        "GET",
+        &format!("/v1/result/{remote}?format={format}"),
+        b"",
+    ) {
+        Ok((200, bytes)) => Response::bytes(200, content_type, bytes),
+        Ok((status, bytes)) => Response::error(
+            if status == 404 { 404 } else { 409 },
+            &format!(
+                "worker answered {status}: {}",
+                String::from_utf8_lossy(&bytes).trim()
+            ),
+        ),
+        Err(_) => Response::error(503, "worker holding the result is unreachable"),
     }
 }
 
 /// `GET /v1/engines` — proxied from any alive worker (the fleet is
 /// homogeneous: every worker registers the same engine set).
-fn engines_proxy(shared: &Arc<CoordShared>) -> Response {
+fn engines_proxy(shared: &CoordShared) -> Response {
     let ring = alive_ring(shared);
     for worker in ring.owners(content_hash(b"engines-probe")) {
         if let Ok((200, body)) = client::request(worker, "GET", "/v1/engines", b"") {
@@ -1559,7 +1477,7 @@ fn engines_proxy(shared: &Arc<CoordShared>) -> Response {
 
 /// `GET /v1/healthz` — coordinator liveness + fleet shape + journal
 /// health (absent when running without `--journal-dir`).
-fn healthz(shared: &Arc<CoordShared>) -> Response {
+fn healthz(shared: &CoordShared) -> Response {
     let (alive, total) = worker_counts(shared);
     Response::json(
         200,
@@ -1592,7 +1510,7 @@ fn journal_health_json(shared: &CoordShared) -> String {
     )
 }
 
-fn worker_counts(shared: &Arc<CoordShared>) -> (usize, usize) {
+fn worker_counts(shared: &CoordShared) -> (usize, usize) {
     let workers = shared.workers.lock().unwrap();
     (workers.values().filter(|w| w.alive).count(), workers.len())
 }
@@ -1615,7 +1533,7 @@ struct WorkerDigest {
 /// `GET /v1/stats` — the fleet rollup: per-worker queue depth, cache
 /// behavior, and `pgl_engine_*` telemetry, plus fleet-wide sums and
 /// the coordinator's own counters.
-fn fleet_stats(shared: &Arc<CoordShared>) -> Response {
+fn fleet_stats(shared: &CoordShared) -> Response {
     let mut members: Vec<(String, bool)> = {
         let workers = shared.workers.lock().unwrap();
         workers.iter().map(|(a, w)| (a.clone(), w.alive)).collect()
@@ -1750,8 +1668,9 @@ fn prom_value(exposition: &str, name: &str) -> Option<f64> {
     })
 }
 
-/// `GET /v1/metrics` — the coordinator's own counters, Prometheus text.
-fn coord_metrics(shared: &Arc<CoordShared>) -> Response {
+/// `GET /v1/metrics` — the HTTP server's families followed by the
+/// coordinator's own counters, Prometheus text.
+fn coord_metrics(shared: &CoordShared) -> Response {
     let (alive, total) = worker_counts(shared);
     let graphs = shared.vault.lock().unwrap().len();
     let (journal_stats, journal_bytes) = match &shared.journal {
@@ -1762,7 +1681,7 @@ fn coord_metrics(shared: &Arc<CoordShared>) -> Response {
         None => (Default::default(), 0),
     };
     let c = &shared.counters;
-    let mut out = String::new();
+    let mut out = shared.http.render_prometheus();
     let counters: [(&str, &str, u64); 15] = [
         (
             "pgl_coord_jobs_submitted_total",
@@ -1869,7 +1788,7 @@ fn coord_metrics(shared: &Arc<CoordShared>) -> Response {
             "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
         ));
     }
-    Response::bytes(200, "text/plain; version=0.0.4", out.into_bytes())
+    Response::bytes(200, PROMETHEUS_TEXT, out.into_bytes())
 }
 
 // ─── event-stream proxying ──────────────────────────────────────────
@@ -1931,15 +1850,7 @@ impl StreamCursor {
 /// through with ids rewritten. If the connection to the worker drops
 /// mid-stream the proxy *stays open*, waits, and re-attaches — resuming
 /// the same run from the last relayed `seq` (see [`StreamCursor`]).
-fn stream_proxy(
-    stream: &mut TcpStream,
-    shared: &Arc<CoordShared>,
-    id: JobId,
-) -> std::io::Result<()> {
-    stream.write_all(
-        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-          Transfer-Encoding: chunked\r\nCache-Control: no-store\r\nConnection: close\r\n\r\n",
-    )?;
+fn stream_proxy(out: &mut EventStream<'_>, shared: &CoordShared, id: JobId) -> std::io::Result<()> {
     let mut emitted_queued = false;
     let mut last_activity = Instant::now();
     let mut cursor = StreamCursor::new();
@@ -1951,8 +1862,7 @@ fn stream_proxy(
             None => break,
             Some(CoordJobState::Queued) => {
                 if !emitted_queued {
-                    write_chunk(
-                        stream,
+                    out.send(
                         format!("{{\"job\":{id},\"event\":\"state\",\"state\":\"queued\"}}\n")
                             .as_bytes(),
                     )?;
@@ -1964,7 +1874,7 @@ fn stream_proxy(
                     let _ = shared.jobs_cv.wait_timeout(jobs, PARK).unwrap();
                 }
                 if last_activity.elapsed() >= EVENT_HEARTBEAT {
-                    write_chunk(stream, b"{\"event\":\"heartbeat\"}\n")?;
+                    out.send(b"{\"event\":\"heartbeat\"}\n")?;
                     last_activity = Instant::now();
                 }
             }
@@ -1979,7 +1889,7 @@ fn stream_proxy(
                             return true; // already relayed before the drop
                         }
                         let rewritten = rewrite_job_id(line, id);
-                        match write_chunk(stream, format!("{rewritten}\n").as_bytes()) {
+                        match out.send(format!("{rewritten}\n").as_bytes()) {
                             Ok(()) => true,
                             Err(e) => {
                                 write_err = Some(e);
@@ -2006,8 +1916,7 @@ fn stream_proxy(
                 let error = client::json_field_str(&body, "error")
                     .map(|e| format!(",\"error\":{}", json_str(&e)))
                     .unwrap_or_default();
-                write_chunk(
-                    stream,
+                out.send(
                     format!("{{\"job\":{id},\"event\":\"state\",\"state\":\"{state}\"{error}}}\n")
                         .as_bytes(),
                 )?;
@@ -2015,8 +1924,7 @@ fn stream_proxy(
             }
         }
     }
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
+    Ok(())
 }
 
 /// Swap the first `"job":<digits>` for the coordinator's id — the only
@@ -2039,26 +1947,6 @@ fn rewrite_job_id(line: &str, id: JobId) -> String {
         id,
         &line[digits_start + digits..]
     )
-}
-
-/// JSON string literal with escaping (the coordinator's copy of the
-/// front end's helper — both are tiny and module-private).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

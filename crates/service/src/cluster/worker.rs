@@ -1,5 +1,5 @@
 //! Worker-side cluster membership: the role a serving process plays
-//! (surfaced in `/healthz`) and the join/heartbeat loop behind
+//! (surfaced in `/v1/healthz`) and the join/heartbeat loop behind
 //! `pgl serve --join <coordinator>`.
 //!
 //! A worker is an ordinary `pgl serve` process. Joining a fleet adds
@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What this serving process is, for `/healthz`: a standalone server
+/// What this serving process is, for `/v1/healthz`: a standalone server
 /// (the default), a fleet worker (knows its coordinator and when it
 /// last heartbeated), or the coordinator itself.
 pub struct ClusterRole {
@@ -86,7 +86,7 @@ impl ClusterRole {
     }
 
     /// JSON fields describing the role, without surrounding braces —
-    /// spliced into `/healthz` next to `"ok"`. Workers also report
+    /// spliced into `/v1/healthz` next to `"ok"`. Workers also report
     /// their coordinator and the age of the last acknowledged
     /// heartbeat (`null` until the first one lands).
     pub fn json_fields(&self) -> String {

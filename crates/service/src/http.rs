@@ -1,13 +1,13 @@
-//! A minimal, dependency-free HTTP/1.1 front end over
-//! `std::net::TcpListener`, hardened for sustained traffic.
-//!
-//! The API is versioned under `/v1`; every route also exists at its
-//! historical unversioned path as a thin alias (deprecated, kept for
-//! old clients, metered separately in `/metrics`):
+//! The one HTTP/1.1 server of the system: a dependency-free front end
+//! over `std::net::TcpListener`, hardened for sustained traffic. It
+//! serves a route table its caller supplies (a [`Router`]): `pgl serve`
+//! plugs in the layout service's routes ([`HttpServer`]), and
+//! `pgl coordinator` plugs in the fleet's
+//! ([`crate::cluster::Coordinator`]). Both answer one versioned surface:
 //!
 //! | Method & `/v1` path          | Meaning                                        |
 //! |------------------------------|------------------------------------------------|
-//! | `POST /v1/jobs` (or `/v1/layout`) | submit a job: body = GFA (or `?graph=<id>`); query = typed `JobSpec` params → ticket |
+//! | `POST /v1/jobs`              | submit a job: body = GFA (or `?graph=<id>`); query = typed `JobSpec` params → ticket |
 //! | `GET /v1/jobs/<id>`          | job status JSON (state, progress, priority, …) |
 //! | `GET /v1/jobs/<id>/events`   | **chunked stream** of the job's event log      |
 //! | `GET /v1/jobs/<id>/trace`    | phase timeline: span offsets + durations       |
@@ -20,6 +20,13 @@
 //! | `GET /v1/metrics`            | Prometheus-style text exposition               |
 //! | `GET /v1/engines`            | registered engine names                        |
 //! | `GET /v1/healthz`            | liveness probe                                 |
+//! | `POST /v1/cluster/<op>`      | worker `join` / `heartbeat` (coordinator only) |
+//!
+//! Only `/v1/...` paths answer; every other path is a `404`. The server
+//! resolves each request to an [`Endpoint`] before the route table sees
+//! it, so the `/v1` prefix, the path-id checks and the unknown-parameter
+//! allowlist exist once, here: a typo like `?frm=5` is a `400` on every
+//! route instead of being silently ignored.
 //!
 //! Submission query parameters (parsed into one validated
 //! [`crate::spec::JobSpec`]): `engine` (default `cpu`), `iters`,
@@ -28,8 +35,6 @@
 //! dimensions `priority=interactive|normal|bulk`, `client=<key>` (the
 //! fair-share identity; defaults to the peer IP the rate limiter also
 //! uses), and `ttl_ms=<n>` (fail the job if still queued after `n` ms).
-//! Under `/v1` unknown parameters are a `400`; the legacy routes keep
-//! ignoring them.
 //!
 //! `GET /v1/jobs/<id>/events?from=<seq>` answers with
 //! `Transfer-Encoding: chunked` and writes one NDJSON line per job
@@ -55,31 +60,32 @@
 //! the idle timeout [`HttpConfig::keep_alive`] expires, or a per-
 //! connection request cap is reached. `pgl batch`-style clients thus pay
 //! one TCP handshake for a whole polling session, not one per request.
+//! A zero idle timeout closes after every response, which is how the
+//! coordinator runs.
 //!
 //! Every answered request lands in [`HttpMetrics`]: per-route counters
 //! plus log2-bucketed latency histograms, surfaced through both
-//! `GET /stats` (JSON) and `GET /metrics` (Prometheus text). Legacy
-//! aliases and `/v1` routes are metered under distinct labels so the
-//! deprecation is observable.
+//! `GET /v1/stats` (JSON) and `GET /v1/metrics` (Prometheus text).
 //!
 //! With [`HttpConfig::rate_limit`] set, a per-client-IP token bucket
 //! ([`crate::ratelimit::RateLimiter`]) throttles request processing:
 //! clients over their budget get `429 Too Many Requests` +
-//! `Retry-After`, counted in `/metrics` as
+//! `Retry-After`, counted in `/v1/metrics` as
 //! `pgl_http_rate_limited_total`.
 
+use crate::cluster::ClusterRole;
 use crate::httpmetrics::{route_index, HttpMetrics, OTHER_ROUTE};
 use crate::job::{EventKind, JobEvent, JobId};
 use crate::obs;
 use crate::ratelimit::RateLimiter;
 use crate::service::{LayoutService, SubmitError};
-use crate::spec::parse_job_spec;
+use crate::spec::{parse_job_spec, JobSpec, SpecError};
 use pangraph::store::{content_hash, ContentHash};
 use pgio::{layout_to_tsv, write_lay};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -109,6 +115,9 @@ const SLOW_REQUEST_WARN: Duration = Duration::from_secs(1);
 /// heartbeat line (which doubles as dead-client detection: the write
 /// fails once the peer is gone).
 const EVENT_HEARTBEAT: Duration = Duration::from_secs(15);
+
+/// Content type of the Prometheus text exposition.
+pub(crate) const PROMETHEUS_TEXT: &str = "text/plain; version=0.0.4";
 
 /// Ceiling on concurrent event streams as a fraction of the handler
 /// pool: streams pin handler threads for a job's whole lifetime, so
@@ -147,133 +156,307 @@ impl Default for HttpConfig {
     }
 }
 
-/// A bound-but-not-yet-serving HTTP server.
-pub struct HttpServer {
-    listener: TcpListener,
-    service: Arc<LayoutService>,
-    stop: Arc<AtomicBool>,
-    cfg: HttpConfig,
-    metrics: Arc<HttpMetrics>,
-    role: Arc<crate::cluster::ClusterRole>,
+/// A route table served by [`Server`]. Requests reach it parsed, past
+/// the rate limiter, and resolved to one [`Endpoint`].
+pub(crate) trait Router: Send + Sync + 'static {
+    /// Answer one request: a plain response, or a job event stream.
+    fn route(&self, endpoint: Endpoint, req: &mut Request) -> Routed;
+
+    /// Write `job`'s event log from sequence `from` to `out`, one NDJSON
+    /// line per chunk, until the job is terminal or `stop` is set. Only
+    /// called after [`Router::route`] answered [`Routed::Events`].
+    fn stream_events(
+        &self,
+        job: JobId,
+        from: u64,
+        out: &mut EventStream<'_>,
+        stop: &AtomicBool,
+    ) -> std::io::Result<()>;
 }
 
-impl HttpServer {
-    /// Bind to `addr` (e.g. `127.0.0.1:7878`, port 0 for ephemeral) with
-    /// the default [`HttpConfig`].
-    pub fn bind(addr: &str, service: Arc<LayoutService>) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        Ok(Self {
-            listener,
-            service,
-            stop: Arc::new(AtomicBool::new(false)),
+/// One `/v1` endpoint, its path ids already parsed (see [`resolve`]).
+/// Both route tables answer the same set; only the coordinator answers
+/// `Join` and `Heartbeat`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Endpoint {
+    /// `POST /v1/jobs`
+    Submit,
+    /// `GET /v1/jobs/<id>`
+    Status(JobId),
+    /// `POST /v1/jobs/<id>/cancel` or `DELETE /v1/jobs/<id>`
+    Cancel(JobId),
+    /// `GET /v1/jobs/<id>/events?from=<seq>`
+    Events { job: JobId, from: u64 },
+    /// `GET /v1/jobs/<id>/trace`
+    Trace(JobId),
+    /// `GET /v1/result/<id>`
+    Result(JobId),
+    /// `POST /v1/graphs`
+    UploadGraph,
+    /// `GET /v1/graphs`
+    ListGraphs,
+    /// `DELETE /v1/graphs/<id>`
+    DeleteGraph(ContentHash),
+    /// `GET /v1/stats`
+    Stats,
+    /// `GET /v1/metrics`
+    Metrics,
+    /// `GET /v1/engines`
+    Engines,
+    /// `GET /v1/healthz`
+    Healthz,
+    /// `POST /v1/cluster/join`
+    Join,
+    /// `POST /v1/cluster/heartbeat`
+    Heartbeat,
+}
+
+/// Resolve a request to its endpoint, or to the error that answers it:
+/// a path outside `/v1` or an unknown route is a `404` (`405` for an
+/// unsupported method), a malformed path id a `400`, and so is a query
+/// parameter the endpoint does not define. Submissions are the one
+/// exception: [`parse_job_spec`] checks their parameters against the
+/// spec's own list.
+fn resolve(req: &Request) -> Result<Endpoint, Response> {
+    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+    let ["v1", segments @ ..] = segments.as_slice() else {
+        return Err(Response::error(404, "no such route"));
+    };
+    let job = |id: &str| {
+        id.parse::<JobId>()
+            .map_err(|_| Response::error(400, "job id must be a number"))
+    };
+    let endpoint = match (req.method.as_str(), segments) {
+        ("POST", ["jobs"]) => return Ok(Endpoint::Submit),
+        ("GET", ["jobs", id]) => Endpoint::Status(job(id)?),
+        ("POST", ["jobs", id, "cancel"]) | ("DELETE", ["jobs", id]) => Endpoint::Cancel(job(id)?),
+        ("GET", ["jobs", id, "events"]) => Endpoint::Events {
+            job: job(id)?,
+            from: match req.param("from").map(str::parse) {
+                None => 0,
+                Some(Ok(n)) => n,
+                Some(Err(_)) => return Err(Response::error(400, "from must be a sequence number")),
+            },
+        },
+        ("GET", ["jobs", id, "trace"]) => Endpoint::Trace(job(id)?),
+        ("GET", ["result", id]) => Endpoint::Result(job(id)?),
+        ("POST", ["graphs"]) => Endpoint::UploadGraph,
+        ("GET", ["graphs"]) => Endpoint::ListGraphs,
+        ("DELETE", ["graphs", id]) => match ContentHash::from_hex(id) {
+            Some(id) => Endpoint::DeleteGraph(id),
+            None => return Err(Response::error(400, "graph id must be 32 hex digits")),
+        },
+        ("GET", ["stats"]) => Endpoint::Stats,
+        ("GET", ["metrics"]) => Endpoint::Metrics,
+        ("GET", ["engines"]) => Endpoint::Engines,
+        ("GET", ["healthz"]) => Endpoint::Healthz,
+        ("POST", ["cluster", "join"]) => Endpoint::Join,
+        ("POST", ["cluster", "heartbeat"]) => Endpoint::Heartbeat,
+        ("GET" | "POST" | "DELETE", _) => return Err(Response::error(404, "no such route")),
+        _ => return Err(Response::error(405, "method not supported")),
+    };
+    let allowed: &[&str] = match endpoint {
+        Endpoint::Events { .. } => &["from"],
+        Endpoint::Result(_) => &["format"],
+        Endpoint::Join | Endpoint::Heartbeat => &["addr"],
+        _ => &[],
+    };
+    match req
+        .query
+        .iter()
+        .find(|(k, _)| !allowed.contains(&k.as_str()))
+    {
+        Some((k, _)) => Err(Response::error(400, &format!("unknown parameter {k:?}"))),
+        None => Ok(endpoint),
+    }
+}
+
+/// One parsed request, as a [`Router`] sees it.
+pub(crate) struct Request {
+    method: String,
+    path: String,
+    query: Vec<(String, String)>,
+    body: Vec<u8>,
+    /// Client-side keep-alive verdict (version default + `Connection`).
+    keep_alive: bool,
+    /// `If-None-Match` value, for `ETag` revalidation on `GET /v1/graphs`.
+    if_none_match: Option<String>,
+    /// The peer's IP: the rate limiter's bucket and the default
+    /// fair-share client key.
+    peer: IpAddr,
+}
+
+impl Request {
+    /// The value of query parameter `name`, if present.
+    pub(crate) fn param(&self, name: &str) -> Option<&str> {
+        self.query
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Move the body out: cloning would double peak memory for large
+    /// GFA uploads.
+    pub(crate) fn take_body(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.body)
+    }
+
+    /// The submission this request carries (`POST /v1/jobs`), parsed
+    /// strictly. The fair-share client key defaults to the peer IP, the
+    /// same identity the rate limiter buckets by.
+    pub(crate) fn job_spec(&mut self) -> Result<JobSpec, SpecError> {
+        let mut spec = parse_job_spec(&self.query, std::mem::take(&mut self.body))?;
+        if spec.client.is_none() {
+            spec.client = Some(self.peer.to_string());
+        }
+        Ok(spec)
+    }
+}
+
+/// A plain (non-streaming) answer.
+pub(crate) struct Response {
+    status: u16,
+    content_type: &'static str,
+    body: Vec<u8>,
+    /// Seconds for a `Retry-After` header (rate-limit 429s).
+    retry_after: Option<u32>,
+    /// `ETag` header value (already quoted), when the resource has one.
+    etag: Option<String>,
+}
+
+impl Response {
+    pub(crate) fn json(status: u16, body: String) -> Self {
+        Self::bytes(status, "application/json", body.into_bytes())
+    }
+
+    pub(crate) fn bytes(status: u16, content_type: &'static str, body: Vec<u8>) -> Self {
+        Self {
+            status,
+            content_type,
+            body,
+            retry_after: None,
+            etag: None,
+        }
+    }
+
+    pub(crate) fn error(status: u16, message: &str) -> Self {
+        Self::json(status, format!("{{\"error\":{}}}", json_str(message)))
+    }
+}
+
+/// How a [`Router`] wants a request answered: a plain response, or a
+/// long-lived chunked event stream that takes over the connection.
+pub(crate) enum Routed {
+    Plain(Response),
+    /// Stream `job`'s event log from sequence `from` until terminal.
+    Events {
+        job: JobId,
+        from: u64,
+    },
+}
+
+/// The body of a chunked NDJSON event stream, handed to
+/// [`Router::stream_events`].
+pub(crate) struct EventStream<'a>(&'a mut TcpStream);
+
+impl EventStream<'_> {
+    /// Send one NDJSON line as its own chunk.
+    pub(crate) fn send(&mut self, line: &[u8]) -> std::io::Result<()> {
+        write_chunk(self.0, line)
+    }
+}
+
+/// A bound listener with its traffic configuration, request metrics and
+/// stop flag: everything a served route table runs behind. Both
+/// [`HttpServer`] and the coordinator wrap one.
+pub(crate) struct Server {
+    listener: TcpListener,
+    cfg: HttpConfig,
+    metrics: Arc<HttpMetrics>,
+    stop: Arc<AtomicBool>,
+}
+
+impl Server {
+    /// Bind to `addr`; serving stops once `stop` is set (and a
+    /// connection wakes the acceptor).
+    pub(crate) fn bind(
+        addr: &str,
+        cfg: HttpConfig,
+        stop: Arc<AtomicBool>,
+    ) -> std::io::Result<Self> {
+        let mut server = Self {
+            listener: TcpListener::bind(addr)?,
             cfg: HttpConfig::default(),
             metrics: Arc::new(HttpMetrics::new()),
-            role: crate::cluster::ClusterRole::standalone(),
-        })
+            stop,
+        };
+        server.set_config(cfg);
+        Ok(server)
     }
 
-    /// Set the cluster role surfaced in `/healthz` (builder style).
-    /// Defaults to standalone; `pgl serve --join` passes a worker role.
-    pub fn with_role(mut self, role: Arc<crate::cluster::ClusterRole>) -> Self {
-        self.role = role;
-        self
-    }
-
-    /// Replace the traffic configuration (builder style).
-    pub fn with_config(mut self, cfg: HttpConfig) -> Self {
+    fn set_config(&mut self, cfg: HttpConfig) {
         self.cfg = HttpConfig {
             max_conns: cfg.max_conns.max(1),
             ..cfg
         };
-        self
     }
 
     /// The server's request metrics (shared with the handler pool).
-    pub fn metrics(&self) -> Arc<HttpMetrics> {
+    pub(crate) fn metrics(&self) -> Arc<HttpMetrics> {
         Arc::clone(&self.metrics)
     }
 
     /// The bound address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
+    pub(crate) fn local_addr(&self) -> SocketAddr {
         self.listener
             .local_addr()
             .expect("bound listener has an address")
     }
 
-    /// Serve until [`ServerHandle::stop`] is called (or forever).
-    pub fn serve(self) {
+    /// Serve `router` until the stop flag is set: accept on this thread,
+    /// answer on the handler pool, then sever live connections and join
+    /// the pool.
+    pub(crate) fn serve(self, router: Arc<dyn Router>) {
         let Self {
             listener,
-            service,
-            stop,
             cfg,
             metrics,
-            role,
+            stop,
         } = self;
-        let limiter = RateLimiter::maybe(cfg.rate_limit).map(Arc::new);
-        let queue = Arc::new(ConnQueue::new(cfg.max_conns));
-        // Live event-stream count, shared by the handler pool (see
-        // `max_event_streams`).
-        let streams = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        // One slot per handler holding a clone of the connection it is
-        // serving, so shutdown can sever blocked reads instead of
-        // waiting out keep-alive idle timeouts.
-        let active: Arc<Vec<Mutex<Option<TcpStream>>>> =
-            Arc::new((0..cfg.max_conns).map(|_| Mutex::new(None)).collect());
-        let handlers: Vec<_> = (0..cfg.max_conns)
+        let pool = Arc::new(Pool {
+            router,
+            limiter: RateLimiter::maybe(cfg.rate_limit),
+            queue: ConnQueue::new(cfg.max_conns),
+            active: (0..cfg.max_conns).map(|_| Mutex::new(None)).collect(),
+            streams: AtomicUsize::new(0),
+            cfg,
+            metrics,
+            stop,
+        });
+        let handlers: Vec<_> = (0..pool.cfg.max_conns)
             .map(|i| {
-                let queue = Arc::clone(&queue);
-                let active = Arc::clone(&active);
-                let service = Arc::clone(&service);
-                let metrics = Arc::clone(&metrics);
-                let cfg = cfg.clone();
-                let stop = Arc::clone(&stop);
-                let limiter = limiter.clone();
-                let streams = Arc::clone(&streams);
-                let role = Arc::clone(&role);
+                let pool = Arc::clone(&pool);
                 std::thread::Builder::new()
                     .name(format!("pgl-http-{i}"))
-                    .spawn(move || {
-                        while let Some(stream) = queue.pop() {
-                            *active[i].lock().unwrap() = stream.try_clone().ok();
-                            // Re-check stop after publishing the slot:
-                            // the sever pass may have scanned it in the
-                            // instant before this connection landed.
-                            if stop.load(Ordering::Relaxed) {
-                                *active[i].lock().unwrap() = None;
-                                break;
-                            }
-                            handle_connection(
-                                stream,
-                                &service,
-                                &metrics,
-                                &cfg,
-                                limiter.as_deref(),
-                                &stop,
-                                &streams,
-                                &role,
-                            );
-                            *active[i].lock().unwrap() = None;
-                        }
-                    })
+                    .spawn(move || pool.run_handler(i))
                     .expect("spawn http handler")
             })
             .collect();
         for stream in listener.incoming() {
-            if stop.load(Ordering::Relaxed) {
+            if pool.stop.load(Ordering::Relaxed) {
                 break;
             }
             let Ok(stream) = stream else { continue };
-            match queue.try_push(stream) {
-                Ok(()) => metrics.record_accepted(),
+            match pool.queue.try_push(stream) {
+                Ok(()) => pool.metrics.record_accepted(),
                 Err(stream) => {
-                    metrics.record_rejected();
-                    reject_overloaded(stream, &cfg);
+                    pool.metrics.record_rejected();
+                    reject_overloaded(stream, &pool.cfg);
                 }
             }
         }
-        queue.close();
-        for slot in active.iter() {
+        pool.queue.close();
+        for slot in pool.active.iter() {
             if let Some(stream) = slot.lock().unwrap().as_ref() {
                 let _ = stream.shutdown(std::net::Shutdown::Both);
             }
@@ -282,11 +465,260 @@ impl HttpServer {
             let _ = h.join();
         }
     }
+}
+
+/// What every handler thread of one serving [`Server`] shares.
+struct Pool {
+    router: Arc<dyn Router>,
+    cfg: HttpConfig,
+    metrics: Arc<HttpMetrics>,
+    limiter: Option<RateLimiter>,
+    stop: Arc<AtomicBool>,
+    queue: ConnQueue,
+    /// One slot per handler holding a clone of the connection it is
+    /// serving, so shutdown can sever blocked reads instead of waiting
+    /// out keep-alive idle timeouts.
+    active: Vec<Mutex<Option<TcpStream>>>,
+    /// Live event streams (see [`max_event_streams`]).
+    streams: AtomicUsize,
+}
+
+impl Pool {
+    /// Handler `i`: serve queued connections until the queue closes.
+    fn run_handler(&self, i: usize) {
+        while let Some(stream) = self.queue.pop() {
+            *self.active[i].lock().unwrap() = stream.try_clone().ok();
+            // Re-check stop after publishing the slot: the sever pass
+            // may have scanned it in the instant before this connection
+            // landed.
+            if self.stop.load(Ordering::Relaxed) {
+                *self.active[i].lock().unwrap() = None;
+                break;
+            }
+            self.handle_connection(stream);
+            *self.active[i].lock().unwrap() = None;
+        }
+    }
+
+    /// Serve sequential requests on one connection until the client
+    /// closes, goes idle past the keep-alive timeout, asks to close, or
+    /// the server is stopping.
+    fn handle_connection(&self, stream: TcpStream) {
+        let _ = stream.set_write_timeout(Some(REQUEST_TIMEOUT));
+        // Rate limiting keys on the peer IP; an unreadable peer address
+        // (vanishingly rare) shares one fallback bucket rather than
+        // bypassing the limiter. The same identity is the default
+        // fair-share client key for submissions.
+        let peer = stream
+            .peer_addr()
+            .map(|a| a.ip())
+            .unwrap_or(IpAddr::V4(std::net::Ipv4Addr::UNSPECIFIED));
+        let mut reader = BufReader::new(stream);
+        let idle = if self.cfg.keep_alive.is_zero() {
+            REQUEST_TIMEOUT
+        } else {
+            self.cfg.keep_alive
+        };
+        for served in 0..MAX_REQUESTS_PER_CONN {
+            if reader.get_ref().set_read_timeout(Some(idle)).is_err() {
+                return;
+            }
+            let Some((response, keep)) = self.answer(&mut reader, peer, served) else {
+                return;
+            };
+            if write_response(reader.get_mut(), &response, keep, &self.cfg).is_err() || !keep {
+                return;
+            }
+        }
+    }
+
+    /// Read and answer one request: the response to write and whether
+    /// the connection stays open after it. `None` when the connection is
+    /// finished with nothing left to write — the peer closed or idled
+    /// out, an event stream ran, or a throttled upload was refused.
+    fn answer(
+        &self,
+        reader: &mut BufReader<TcpStream>,
+        peer: IpAddr,
+        served: u64,
+    ) -> Option<(Response, bool)> {
+        let head = match read_request_head(reader) {
+            Ok(None) => return None, // clean close or idle timeout
+            Ok(Some(head)) => head,
+            Err(msg) => return Some((self.bad_request(&msg), false)),
+        };
+        if served > 0 {
+            self.metrics.record_keepalive_reuse();
+        }
+        let started = Instant::now();
+        let route_idx = route_index(&head.path);
+        let keep = |client_keep_alive: bool| {
+            client_keep_alive
+                && !self.cfg.keep_alive.is_zero()
+                && served + 1 < MAX_REQUESTS_PER_CONN
+                && !self.stop.load(Ordering::Relaxed)
+        };
+        // The rate limiter is consulted *before* the body is read, so a
+        // throttled client cannot make the server receive (and buffer) a
+        // multi-gigabyte upload just to be told 429.
+        if self.limiter.as_ref().is_some_and(|l| !l.allow(peer)) {
+            self.metrics.record_rate_limited();
+            self.metrics.observe_idx(route_idx, 429, started.elapsed());
+            let response = self.retry_later(429, "rate limit exceeded; retry later");
+            if head.content_length <= RATE_LIMIT_DRAIN_MAX
+                && read_request_body(reader, head.content_length).is_ok()
+            {
+                // Small body consumed: the connection stays usable for
+                // the client's retry.
+                return Some((response, keep(head.keep_alive)));
+            }
+            // A payload not worth receiving just to refuse: answer, FIN
+            // our side, drain a bounded amount so the kernel does not RST
+            // the 429 away, and close.
+            let stream = reader.get_mut();
+            let _ = write_response(stream, &response, false, &self.cfg);
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            drain_briefly(stream);
+            return None;
+        }
+        let body = match read_request_body(reader, head.content_length) {
+            Ok(body) => body,
+            Err(msg) => return Some((self.bad_request(&msg), false)),
+        };
+        let mut req = Request {
+            method: head.method,
+            path: head.path,
+            query: head.query,
+            body,
+            keep_alive: head.keep_alive,
+            if_none_match: head.if_none_match,
+            peer,
+        };
+        let routed = match resolve(&req) {
+            Ok(endpoint) => self.router.route(endpoint, &mut req),
+            Err(response) => Routed::Plain(response),
+        };
+        let response = match routed {
+            Routed::Plain(response) => response,
+            Routed::Events { job, from } => {
+                // Streams pin this handler thread until the job's log
+                // completes; shed beyond the pool-share cap.
+                if self.streams.fetch_add(1, Ordering::Relaxed) < max_event_streams(&self.cfg) {
+                    let outcome = self.stream_events(reader.get_mut(), job, from);
+                    self.streams.fetch_sub(1, Ordering::Relaxed);
+                    let status = if outcome.is_ok() { 200 } else { 408 };
+                    self.metrics
+                        .observe_idx(route_idx, status, started.elapsed());
+                    // The connection closes after a stream (Connection:
+                    // close sent).
+                    return None;
+                }
+                self.streams.fetch_sub(1, Ordering::Relaxed);
+                self.retry_later(503, "too many concurrent event streams; retry later")
+            }
+        };
+        let elapsed = started.elapsed();
+        self.metrics
+            .observe_idx(route_idx, response.status, elapsed);
+        if elapsed >= SLOW_REQUEST_WARN {
+            obs::warn(
+                "http",
+                "slow request",
+                &[
+                    ("method", req.method.clone()),
+                    ("path", req.path.clone()),
+                    ("status", response.status.to_string()),
+                    ("ms", elapsed.as_millis().to_string()),
+                ],
+            );
+        }
+        Some((response, keep(req.keep_alive)))
+    }
+
+    /// A malformed request: counted, then answered `400` and closed.
+    fn bad_request(&self, msg: &str) -> Response {
+        self.metrics.record_bad_request();
+        self.metrics.observe_idx(OTHER_ROUTE, 400, Duration::ZERO);
+        Response::error(400, msg)
+    }
+
+    /// A refusal the client should retry: `status` + `Retry-After`.
+    fn retry_later(&self, status: u16, msg: &str) -> Response {
+        let mut response = Response::error(status, msg);
+        response.retry_after = Some(self.cfg.retry_after_secs.max(1));
+        response
+    }
+
+    /// Answer with `job`'s event stream: the chunked head, the router's
+    /// lines, then the terminating chunk.
+    fn stream_events(&self, stream: &mut TcpStream, job: JobId, from: u64) -> std::io::Result<()> {
+        stream.write_all(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+              Transfer-Encoding: chunked\r\nCache-Control: no-store\r\nConnection: close\r\n\r\n",
+        )?;
+        self.router
+            .stream_events(job, from, &mut EventStream(stream), &self.stop)?;
+        stream.write_all(b"0\r\n\r\n")?;
+        stream.flush()
+    }
+}
+
+/// The layout service's HTTP server, as `pgl serve` runs it: a bound
+/// [`Server`] with the service's route table.
+pub struct HttpServer {
+    server: Server,
+    service: Arc<LayoutService>,
+    role: Arc<ClusterRole>,
+}
+
+impl HttpServer {
+    /// Bind to `addr` (e.g. `127.0.0.1:7878`, port 0 for ephemeral) with
+    /// the default [`HttpConfig`].
+    pub fn bind(addr: &str, service: Arc<LayoutService>) -> std::io::Result<Self> {
+        Ok(Self {
+            server: Server::bind(addr, HttpConfig::default(), Arc::default())?,
+            service,
+            role: ClusterRole::standalone(),
+        })
+    }
+
+    /// Set the cluster role surfaced in `/v1/healthz` (chainable).
+    /// Defaults to standalone; `pgl serve --join` passes a worker role.
+    pub fn with_role(mut self, role: Arc<ClusterRole>) -> Self {
+        self.role = role;
+        self
+    }
+
+    /// Replace the traffic configuration (chainable).
+    pub fn with_config(mut self, cfg: HttpConfig) -> Self {
+        self.server.set_config(cfg);
+        self
+    }
+
+    /// The server's request metrics (shared with the handler pool).
+    pub fn metrics(&self) -> Arc<HttpMetrics> {
+        self.server.metrics()
+    }
+
+    /// The bound address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.server.local_addr()
+    }
+
+    /// Serve until [`ServerHandle::stop`] is called (or forever).
+    pub fn serve(self) {
+        let routes = LayoutRoutes {
+            metrics: self.server.metrics(),
+            service: self.service,
+            role: self.role,
+        };
+        self.server.serve(Arc::new(routes));
+    }
 
     /// Serve on a background thread; the returned handle stops it.
     pub fn spawn(self) -> ServerHandle {
         let addr = self.local_addr();
-        let stop = Arc::clone(&self.stop);
+        let stop = Arc::clone(&self.server.stop);
         let handle = std::thread::Builder::new()
             .name("pgl-http-accept".into())
             .spawn(move || self.serve())
@@ -394,73 +826,6 @@ impl Drop for ServerHandle {
     }
 }
 
-pub(crate) struct Request {
-    pub(crate) method: String,
-    pub(crate) path: String,
-    pub(crate) query: Vec<(String, String)>,
-    pub(crate) body: Vec<u8>,
-    /// Client-side keep-alive verdict (version default + `Connection`).
-    pub(crate) keep_alive: bool,
-    /// `If-None-Match` value, for `ETag` revalidation on `GET /graphs`.
-    pub(crate) if_none_match: Option<String>,
-}
-
-impl Request {
-    pub(crate) fn param(&self, name: &str) -> Option<&str> {
-        self.query
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-pub(crate) struct Response {
-    pub(crate) status: u16,
-    pub(crate) content_type: &'static str,
-    pub(crate) body: Vec<u8>,
-    /// Seconds for a `Retry-After` header (rate-limit 429s).
-    pub(crate) retry_after: Option<u32>,
-    /// `ETag` header value (already quoted), when the resource has one.
-    pub(crate) etag: Option<String>,
-}
-
-impl Response {
-    pub(crate) fn json(status: u16, body: String) -> Self {
-        Self {
-            status,
-            content_type: "application/json",
-            body: body.into_bytes(),
-            retry_after: None,
-            etag: None,
-        }
-    }
-
-    pub(crate) fn bytes(status: u16, content_type: &'static str, body: Vec<u8>) -> Self {
-        Self {
-            status,
-            content_type,
-            body,
-            retry_after: None,
-            etag: None,
-        }
-    }
-
-    pub(crate) fn error(status: u16, message: &str) -> Self {
-        Self::json(status, format!("{{\"error\":{}}}", json_str(message)))
-    }
-}
-
-/// How the dispatcher wants a request answered: a plain response, or a
-/// long-lived chunked event stream that takes over the connection.
-enum Routed {
-    Plain(Response),
-    /// Stream `job`'s event log from sequence `from` until terminal.
-    Events {
-        job: JobId,
-        from: u64,
-    },
-}
-
 /// Reason phrases for every status the server can emit. Unknown codes
 /// fall back to a neutral `"Error"` — never a misleading
 /// `"Internal Server Error"` on, say, an overload 503.
@@ -489,7 +854,7 @@ const MAX_CONCURRENT_REJECTS: usize = 32;
 /// handler thread — and without stalling the acceptor: the write and
 /// the drain below run on a short-lived, count-bounded thread.
 fn reject_overloaded(stream: TcpStream, cfg: &HttpConfig) {
-    static ACTIVE_REJECTS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    static ACTIVE_REJECTS: AtomicUsize = AtomicUsize::new(0);
     if ACTIVE_REJECTS.fetch_add(1, Ordering::Relaxed) >= MAX_CONCURRENT_REJECTS {
         ACTIVE_REJECTS.fetch_sub(1, Ordering::Relaxed);
         return; // flood: drop without ceremony
@@ -524,174 +889,6 @@ fn write_503(mut stream: TcpStream, retry_after_secs: u32) {
     drain_briefly(&mut stream);
 }
 
-/// Serve sequential requests on one connection until the client closes,
-/// goes idle past the keep-alive timeout, asks to close, or the server
-/// is stopping.
-#[allow(clippy::too_many_arguments)]
-fn handle_connection(
-    stream: TcpStream,
-    service: &LayoutService,
-    metrics: &HttpMetrics,
-    cfg: &HttpConfig,
-    limiter: Option<&RateLimiter>,
-    stop: &AtomicBool,
-    streams: &std::sync::atomic::AtomicUsize,
-    role: &Arc<crate::cluster::ClusterRole>,
-) {
-    let _ = stream.set_write_timeout(Some(REQUEST_TIMEOUT));
-    // Rate limiting keys on the peer IP; an unreadable peer address
-    // (vanishingly rare) shares one fallback bucket rather than
-    // bypassing the limiter. The same identity is the default
-    // fair-share client key for submissions.
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.ip())
-        .unwrap_or(IpAddr::V4(std::net::Ipv4Addr::UNSPECIFIED));
-    let mut reader = BufReader::new(stream);
-    let mut served = 0u64;
-    loop {
-        let idle = if cfg.keep_alive.is_zero() {
-            REQUEST_TIMEOUT
-        } else {
-            cfg.keep_alive
-        };
-        if reader.get_ref().set_read_timeout(Some(idle)).is_err() {
-            return;
-        }
-        let (response, keep) = match read_request_head(&mut reader) {
-            Ok(None) => return, // clean close or idle timeout
-            Ok(Some(head)) => {
-                if served > 0 {
-                    metrics.record_keepalive_reuse();
-                }
-                let started = Instant::now();
-                let route_idx = route_index(&head.path);
-                // The rate limiter is consulted *before* the body is
-                // read, so a throttled client cannot make the server
-                // receive (and buffer) a multi-gigabyte upload just to
-                // be told 429.
-                if limiter.is_some_and(|l| !l.allow(peer)) {
-                    metrics.record_rate_limited();
-                    metrics.observe_idx(route_idx, 429, started.elapsed());
-                    let mut response = Response::error(429, "rate limit exceeded; retry later");
-                    response.retry_after = Some(cfg.retry_after_secs.max(1));
-                    if head.content_length <= RATE_LIMIT_DRAIN_MAX
-                        && read_request_body(&mut reader, head.content_length).is_ok()
-                    {
-                        // Small body consumed: the connection stays
-                        // usable for the client's retry.
-                        let keep = head.keep_alive
-                            && !cfg.keep_alive.is_zero()
-                            && served + 1 < MAX_REQUESTS_PER_CONN
-                            && !stop.load(Ordering::Relaxed);
-                        (response, keep)
-                    } else {
-                        // A payload not worth receiving just to refuse:
-                        // answer, FIN our side, drain a bounded amount so
-                        // the kernel does not RST the 429 away, and close.
-                        let _ = write_response(reader.get_mut(), &response, false, cfg);
-                        let stream = reader.get_mut();
-                        let _ = stream.shutdown(std::net::Shutdown::Write);
-                        drain_briefly(stream);
-                        return;
-                    }
-                } else {
-                    match read_request_body(&mut reader, head.content_length) {
-                        Ok(body) => {
-                            let mut req = Request {
-                                method: head.method,
-                                path: head.path,
-                                query: head.query,
-                                body,
-                                keep_alive: head.keep_alive,
-                                if_none_match: head.if_none_match,
-                            };
-                            match route(&mut req, service, metrics, peer, role) {
-                                Routed::Plain(response) => {
-                                    let elapsed = started.elapsed();
-                                    metrics.observe_idx(route_idx, response.status, elapsed);
-                                    if elapsed >= SLOW_REQUEST_WARN {
-                                        obs::warn(
-                                            "http",
-                                            "slow request",
-                                            &[
-                                                ("method", req.method.clone()),
-                                                ("path", req.path.clone()),
-                                                ("status", response.status.to_string()),
-                                                ("ms", elapsed.as_millis().to_string()),
-                                            ],
-                                        );
-                                    }
-                                    let keep = req.keep_alive
-                                        && !cfg.keep_alive.is_zero()
-                                        && served + 1 < MAX_REQUESTS_PER_CONN
-                                        && !stop.load(Ordering::Relaxed);
-                                    (response, keep)
-                                }
-                                Routed::Events { job, from } => {
-                                    // Streams pin this handler thread
-                                    // until the job's log completes;
-                                    // shed beyond the pool-share cap.
-                                    if streams.fetch_add(1, Ordering::Relaxed)
-                                        >= max_event_streams(cfg)
-                                    {
-                                        streams.fetch_sub(1, Ordering::Relaxed);
-                                        let mut response = Response::error(
-                                            503,
-                                            "too many concurrent event streams; retry later",
-                                        );
-                                        response.retry_after = Some(cfg.retry_after_secs.max(1));
-                                        metrics.observe_idx(route_idx, 503, started.elapsed());
-                                        let keep = req.keep_alive
-                                            && !cfg.keep_alive.is_zero()
-                                            && served + 1 < MAX_REQUESTS_PER_CONN
-                                            && !stop.load(Ordering::Relaxed);
-                                        (response, keep)
-                                    } else {
-                                        let outcome = stream_job_events(
-                                            reader.get_mut(),
-                                            service,
-                                            job,
-                                            from,
-                                            stop,
-                                        );
-                                        streams.fetch_sub(1, Ordering::Relaxed);
-                                        metrics.observe_idx(
-                                            route_idx,
-                                            if outcome.is_ok() { 200 } else { 408 },
-                                            started.elapsed(),
-                                        );
-                                        // The connection closes after a
-                                        // stream (Connection: close sent).
-                                        return;
-                                    }
-                                }
-                            }
-                        }
-                        Err(msg) => {
-                            metrics.record_bad_request();
-                            metrics.observe_idx(OTHER_ROUTE, 400, Duration::ZERO);
-                            (Response::error(400, &msg), false)
-                        }
-                    }
-                }
-            }
-            Err(msg) => {
-                metrics.record_bad_request();
-                metrics.observe_idx(OTHER_ROUTE, 400, Duration::ZERO);
-                (Response::error(400, &msg), false)
-            }
-        };
-        if write_response(reader.get_mut(), &response, keep, cfg).is_err() {
-            return;
-        }
-        if !keep {
-            return;
-        }
-        served += 1;
-    }
-}
-
 /// Briefly drain whatever the client already sent (bounded in bytes and
 /// time): closing a socket with unread bytes in the receive buffer makes
 /// the kernel send RST, which can destroy the response in flight.
@@ -707,7 +904,11 @@ fn drain_briefly(stream: &mut TcpStream) {
     }
 }
 
-pub(crate) fn write_response(
+/// Write one response: the head, then the body. Two writes with Nagle
+/// on cost a small answer one delayed-ACK round trip (≈44 ms on
+/// loopback, see the findings in `perfbench/README.md`); the fix waits
+/// for a benchmark that can observe it.
+fn write_response(
     stream: &mut TcpStream,
     response: &Response,
     keep: bool,
@@ -741,103 +942,11 @@ pub(crate) fn write_response(
 }
 
 /// Write one chunk of a `Transfer-Encoding: chunked` response.
-pub(crate) fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> std::io::Result<()> {
+fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> std::io::Result<()> {
     write!(stream, "{:x}\r\n", data.len())?;
     stream.write_all(data)?;
     stream.write_all(b"\r\n")?;
     stream.flush()
-}
-
-/// How often a parked event stream re-checks the server stop flag. A
-/// stream waits on the *service's* condvar, which severing its socket
-/// cannot interrupt, so this slice — not the heartbeat interval — is
-/// what bounds shutdown latency (PR 2's prompt-stop guarantee).
-const STREAM_STOP_CHECK: Duration = Duration::from_millis(250);
-
-/// Serve `GET /v1/jobs/<id>/events`: a chunked NDJSON stream of the
-/// job's event log from sequence `from`, blocking for new events and
-/// ending (0-chunk, connection close) once the job is terminal or the
-/// server is stopping. The route handler has already verified the job
-/// exists.
-fn stream_job_events(
-    stream: &mut TcpStream,
-    service: &LayoutService,
-    job: JobId,
-    mut from: u64,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    stream.write_all(
-        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-          Transfer-Encoding: chunked\r\nCache-Control: no-store\r\nConnection: close\r\n\r\n",
-    )?;
-    let mut last_activity = Instant::now();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        match service.wait_events(job, from, STREAM_STOP_CHECK) {
-            // Job evicted from the retention window mid-stream: its log
-            // is gone, so the stream honestly ends.
-            None => break,
-            Some((events, terminal)) => {
-                for event in &events {
-                    write_chunk(stream, event_json(service, job, event).as_bytes())?;
-                    from = event.seq + 1;
-                    last_activity = Instant::now();
-                }
-                if terminal {
-                    break;
-                }
-                if events.is_empty() && last_activity.elapsed() >= EVENT_HEARTBEAT {
-                    // Nothing new within the heartbeat window: emit a
-                    // keep-alive line (and learn whether the client is
-                    // still there — a dead peer fails this write).
-                    write_chunk(stream, b"{\"event\":\"heartbeat\"}\n")?;
-                    last_activity = Instant::now();
-                }
-            }
-        }
-    }
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
-}
-
-/// One NDJSON line for a job event. Failed-state events carry the
-/// job's error message when it is still available.
-fn event_json(service: &LayoutService, job: JobId, event: &JobEvent) -> String {
-    match &event.kind {
-        EventKind::State(state) => {
-            let error = match state {
-                crate::job::JobState::Failed => service
-                    .status(job)
-                    .and_then(|s| s.error)
-                    .map(|e| format!(",\"error\":{}", json_str(&e)))
-                    .unwrap_or_default(),
-                _ => String::new(),
-            };
-            format!(
-                "{{\"job\":{},\"seq\":{},\"event\":\"state\",\"state\":\"{}\"{}}}\n",
-                job,
-                event.seq,
-                state.as_str(),
-                error
-            )
-        }
-        EventKind::Progress(p) => format!(
-            "{{\"job\":{},\"seq\":{},\"event\":\"progress\",\"progress\":{:.3}}}\n",
-            job, event.seq, p
-        ),
-        EventKind::Metrics {
-            terms_applied,
-            updates_per_sec,
-            iteration,
-            iteration_max,
-        } => format!(
-            "{{\"job\":{},\"seq\":{},\"event\":\"metrics\",\"terms_applied\":{},\
-             \"updates_per_sec\":{:.1},\"iteration\":{},\"iteration_max\":{}}}\n",
-            job, event.seq, terms_applied, updates_per_sec, iteration, iteration_max
-        ),
-    }
 }
 
 /// Read one CRLF-terminated line with a hard length cap, so an endless
@@ -867,13 +976,13 @@ fn read_capped_line(
 
 /// Request line + headers, parsed before any body byte is read — the
 /// point where rate limiting can refuse cheaply.
-pub(crate) struct RequestHead {
-    pub(crate) method: String,
-    pub(crate) path: String,
-    pub(crate) query: Vec<(String, String)>,
-    pub(crate) keep_alive: bool,
-    pub(crate) content_length: usize,
-    pub(crate) if_none_match: Option<String>,
+struct RequestHead {
+    method: String,
+    path: String,
+    query: Vec<(String, String)>,
+    keep_alive: bool,
+    content_length: usize,
+    if_none_match: Option<String>,
 }
 
 /// Largest body still drained (rather than the connection closed) when
@@ -882,9 +991,7 @@ const RATE_LIMIT_DRAIN_MAX: usize = 64 * 1024;
 
 /// Read one request's line and headers. `Ok(None)` = connection closed /
 /// idle timeout before a request arrived; `Err` = malformed (answer 400).
-pub(crate) fn read_request_head(
-    reader: &mut BufReader<TcpStream>,
-) -> Result<Option<RequestHead>, String> {
+fn read_request_head(reader: &mut BufReader<TcpStream>) -> Result<Option<RequestHead>, String> {
     let Some(line) = read_capped_line(reader, "request line")? else {
         return Ok(None);
     };
@@ -977,7 +1084,7 @@ pub(crate) fn read_request_head(
 /// Read the announced body. Read via `take` so memory grows with bytes
 /// actually received, not with whatever Content-Length a client merely
 /// claims.
-pub(crate) fn read_request_body(
+fn read_request_body(
     reader: &mut BufReader<TcpStream>,
     content_length: usize,
 ) -> Result<Vec<u8>, String> {
@@ -995,113 +1102,135 @@ pub(crate) fn read_request_body(
     Ok(body)
 }
 
-/// Dispatch one request. `/v1/...` is the canonical surface; the same
-/// paths without the prefix are the deprecated legacy aliases (identical
-/// behavior except for `/v1`'s strict query-parameter validation).
-fn route(
-    req: &mut Request,
-    service: &LayoutService,
-    metrics: &HttpMetrics,
-    peer: IpAddr,
-    role: &crate::cluster::ClusterRole,
-) -> Routed {
-    let path = req.path.clone();
-    let all: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    let (v1, segments) = match all.as_slice() {
-        ["v1", rest @ ..] => (true, rest),
-        rest => (false, rest),
-    };
-    let plain = |r: Response| Routed::Plain(r);
-    // /v1 validates query parameters strictly on EVERY route — a typo
-    // like `?frm=5` fails loudly instead of being silently ignored.
-    // The legacy aliases keep their historical lenient behavior.
-    if v1 {
-        let allowed: &[&str] = match (req.method.as_str(), segments) {
-            ("POST", ["layout"]) | ("POST", ["jobs"]) => &crate::spec::KNOWN_PARAMS[..],
-            ("GET", ["jobs", _, "events"]) => &["from"],
-            ("GET", ["result", _]) => &["format"],
-            _ => &[],
-        };
-        if let Some((k, _)) = req
-            .query
-            .iter()
-            .find(|(k, _)| !allowed.contains(&k.as_str()))
-        {
-            return plain(Response::error(400, &format!("unknown parameter {k:?}")));
-        }
-    }
-    match (req.method.clone().as_str(), segments) {
-        // POST /v1/jobs is the canonical submission; /layout is kept on
-        // both surfaces for continuity with the original API.
-        ("POST", ["layout"]) | ("POST", ["jobs"]) => plain(post_layout(req, service, peer)),
-        ("POST", ["graphs"]) => plain(post_graph(req, service)),
-        ("GET", ["graphs"]) => plain(list_graphs(service, req.if_none_match.as_deref())),
-        ("DELETE", ["graphs", id]) => plain(match ContentHash::from_hex(id) {
-            Some(id) => delete_graph(id, service),
-            None => Response::error(400, "graph id must be 32 hex digits"),
-        }),
-        ("GET", ["jobs", id, "events"]) => match parse_id(id) {
-            Some(job) => {
-                let from = match req.param("from").map(str::parse::<u64>) {
-                    None => 0,
-                    Some(Ok(n)) => n,
-                    Some(Err(_)) => {
-                        return plain(Response::error(400, "from must be a sequence number"))
-                    }
-                };
-                if service.status(job).is_none() {
-                    return plain(Response::error(404, &format!("no such job {job}")));
-                }
-                Routed::Events { job, from }
+// ─── the layout service's routes ────────────────────────────────────
+
+/// What `pgl serve` answers: a [`LayoutService`] plus the process's
+/// cluster role.
+struct LayoutRoutes {
+    service: Arc<LayoutService>,
+    role: Arc<ClusterRole>,
+    metrics: Arc<HttpMetrics>,
+}
+
+impl Router for LayoutRoutes {
+    fn route(&self, endpoint: Endpoint, req: &mut Request) -> Routed {
+        let service = &*self.service;
+        Routed::Plain(match endpoint {
+            Endpoint::Submit => post_layout(req, service),
+            Endpoint::Status(id) => job_status(id, service),
+            Endpoint::Cancel(id) => cancel_job(id, service),
+            Endpoint::Events { job, from } => match service.status(job) {
+                Some(_) => return Routed::Events { job, from },
+                None => Response::error(404, &format!("no such job {job}")),
+            },
+            Endpoint::Trace(id) => job_trace(id, service),
+            Endpoint::Result(id) => job_result(id, req.param("format").unwrap_or("tsv"), service),
+            Endpoint::UploadGraph => post_graph(req, service),
+            Endpoint::ListGraphs => list_graphs(service, req.if_none_match.as_deref()),
+            Endpoint::DeleteGraph(id) => delete_graph(id, service),
+            Endpoint::Stats => stats(service, &self.metrics),
+            Endpoint::Metrics => {
+                // One exposition: HTTP front-end families followed by the
+                // service's job/engine/cache families.
+                let mut text = self.metrics.render_prometheus();
+                text.push_str(&service.metrics_prometheus());
+                Response::bytes(200, PROMETHEUS_TEXT, text.into_bytes())
             }
-            None => plain(Response::error(400, "job id must be a number")),
-        },
-        ("GET", ["jobs", id, "trace"]) => plain(match parse_id(id) {
-            Some(id) => job_trace(id, service),
-            None => Response::error(400, "job id must be a number"),
-        }),
-        ("GET", ["jobs", id]) => plain(match parse_id(id) {
-            Some(id) => job_status(id, service),
-            None => Response::error(400, "job id must be a number"),
-        }),
-        ("POST", ["jobs", id, "cancel"]) | ("DELETE", ["jobs", id]) => plain(match parse_id(id) {
-            Some(id) => cancel_job(id, service),
-            None => Response::error(400, "job id must be a number"),
-        }),
-        ("GET", ["result", id]) => plain(match parse_id(id) {
-            Some(id) => job_result(id, req.param("format").unwrap_or("tsv"), service),
-            None => Response::error(400, "job id must be a number"),
-        }),
-        ("GET", ["stats"]) => plain(stats(service, metrics)),
-        ("GET", ["metrics"]) => {
-            // One exposition: HTTP front-end families followed by the
-            // service's job/engine/cache families.
-            let mut text = metrics.render_prometheus();
-            text.push_str(&service.metrics_prometheus());
-            plain(Response::bytes(
-                200,
-                "text/plain; version=0.0.4",
-                text.into_bytes(),
-            ))
+            Endpoint::Engines => {
+                let names: Vec<String> =
+                    service.engine_names().iter().map(|n| json_str(n)).collect();
+                Response::json(200, format!("{{\"engines\":[{}]}}", names.join(",")))
+            }
+            Endpoint::Healthz => healthz(service, &self.role),
+            // Fleet membership is the coordinator's business.
+            Endpoint::Join | Endpoint::Heartbeat => Response::error(404, "no such route"),
+        })
+    }
+
+    /// The job's event log from the service: blocks for new events and
+    /// ends once the job is terminal, evicted, or the server stops.
+    fn stream_events(
+        &self,
+        job: JobId,
+        mut from: u64,
+        out: &mut EventStream<'_>,
+        stop: &AtomicBool,
+    ) -> std::io::Result<()> {
+        let mut last_activity = Instant::now();
+        while !stop.load(Ordering::Relaxed) {
+            // Job evicted from the retention window mid-stream: its log
+            // is gone, so the stream honestly ends.
+            let Some((events, terminal)) = self.service.wait_events(job, from, STREAM_STOP_CHECK)
+            else {
+                break;
+            };
+            for event in &events {
+                out.send(event_json(&self.service, job, event).as_bytes())?;
+                from = event.seq + 1;
+                last_activity = Instant::now();
+            }
+            if terminal {
+                break;
+            }
+            if events.is_empty() && last_activity.elapsed() >= EVENT_HEARTBEAT {
+                // Nothing new within the heartbeat window: emit a
+                // keep-alive line (and learn whether the client is still
+                // there — a dead peer fails this write).
+                out.send(b"{\"event\":\"heartbeat\"}\n")?;
+                last_activity = Instant::now();
+            }
         }
-        ("GET", ["engines"]) => {
-            let names: Vec<String> = service.engine_names().iter().map(|n| json_str(n)).collect();
-            plain(Response::json(
-                200,
-                format!("{{\"engines\":[{}]}}", names.join(",")),
-            ))
-        }
-        ("GET", ["healthz"]) => plain(healthz(service, role)),
-        ("GET", _) | ("POST", _) | ("DELETE", _) => plain(Response::error(404, "no such route")),
-        _ => plain(Response::error(405, "method not supported")),
+        Ok(())
     }
 }
 
-/// `POST /graphs` — intern one GFA document as a server-side artifact.
+/// How often a parked event stream re-checks the server stop flag. A
+/// stream waits on the *service's* condvar, which severing its socket
+/// cannot interrupt, so this slice — not the heartbeat interval — is
+/// what bounds shutdown latency.
+const STREAM_STOP_CHECK: Duration = Duration::from_millis(250);
+
+/// One NDJSON line for a job event. Failed-state events carry the
+/// job's error message when it is still available.
+fn event_json(service: &LayoutService, job: JobId, event: &JobEvent) -> String {
+    match &event.kind {
+        EventKind::State(state) => {
+            let error = match state {
+                crate::job::JobState::Failed => service
+                    .status(job)
+                    .and_then(|s| s.error)
+                    .map(|e| format!(",\"error\":{}", json_str(&e)))
+                    .unwrap_or_default(),
+                _ => String::new(),
+            };
+            format!(
+                "{{\"job\":{},\"seq\":{},\"event\":\"state\",\"state\":\"{}\"{}}}\n",
+                job,
+                event.seq,
+                state.as_str(),
+                error
+            )
+        }
+        EventKind::Progress(p) => format!(
+            "{{\"job\":{},\"seq\":{},\"event\":\"progress\",\"progress\":{:.3}}}\n",
+            job, event.seq, p
+        ),
+        EventKind::Metrics {
+            terms_applied,
+            updates_per_sec,
+            iteration,
+            iteration_max,
+        } => format!(
+            "{{\"job\":{},\"seq\":{},\"event\":\"metrics\",\"terms_applied\":{},\
+             \"updates_per_sec\":{:.1},\"iteration\":{},\"iteration_max\":{}}}\n",
+            job, event.seq, terms_applied, updates_per_sec, iteration, iteration_max
+        ),
+    }
+}
+
+/// `POST /v1/graphs` — intern one GFA document as a server-side artifact.
 fn post_graph(req: &mut Request, service: &LayoutService) -> Response {
-    // Consume the body in place: cloning would double peak memory for
-    // large GFA uploads.
-    let gfa = match String::from_utf8(std::mem::take(&mut req.body)) {
+    let gfa = match String::from_utf8(req.take_body()) {
         Ok(s) => s,
         Err(_) => return Response::error(400, "GFA body must be UTF-8"),
     };
@@ -1122,7 +1251,7 @@ fn post_graph(req: &mut Request, service: &LayoutService) -> Response {
     }
 }
 
-/// `GET /graphs` — list stored graphs, with an `ETag` over the listing
+/// `GET /v1/graphs` — list stored graphs, with an `ETag` over the listing
 /// so pollers revalidate with `If-None-Match` → `304` instead of
 /// re-downloading an unchanged catalog.
 fn list_graphs(service: &LayoutService, if_none_match: Option<&str>) -> Response {
@@ -1168,7 +1297,7 @@ fn etag_matches(header: &str, etag: &str) -> bool {
     })
 }
 
-/// `DELETE /graphs/<id>` — drop a stored graph from every tier.
+/// `DELETE /v1/graphs/<id>` — drop a stored graph from every tier.
 fn delete_graph(id: ContentHash, service: &LayoutService) -> Response {
     if service.delete_graph(id) {
         Response::json(200, format!("{{\"deleted\":{}}}", json_str(&id.hex())))
@@ -1177,23 +1306,13 @@ fn delete_graph(id: ContentHash, service: &LayoutService) -> Response {
     }
 }
 
-/// `POST /v1/jobs` / `POST /layout` — parse the query + body into one
-/// typed [`crate::spec::JobSpec`] and submit it. The fair-share client
-/// key defaults to the peer IP (the same identity the rate limiter
-/// buckets by) when `?client=` is absent. Unknown-parameter strictness
-/// is owned by [`route`]'s `/v1` allowlist check, so the parse here is
-/// always lenient.
-fn post_layout(req: &mut Request, service: &LayoutService, peer: IpAddr) -> Response {
-    // Consume the body in place: cloning would double peak memory for
-    // large GFA uploads.
-    let body = std::mem::take(&mut req.body);
-    let mut spec = match parse_job_spec(&req.query, body, false) {
+/// `POST /v1/jobs` — parse the query + body into one typed
+/// [`crate::spec::JobSpec`] (see [`Request::job_spec`]) and submit it.
+fn post_layout(req: &mut Request, service: &LayoutService) -> Response {
+    let spec = match req.job_spec() {
         Ok(spec) => spec,
         Err(e) => return Response::error(400, &e.to_string()),
     };
-    if spec.client.is_none() {
-        spec.client = Some(peer.to_string());
-    }
     match service.submit_spec(spec) {
         Ok(ticket) => {
             let state = if ticket.cached { "done" } else { "queued" };
@@ -1260,8 +1379,8 @@ fn job_trace(id: JobId, service: &LayoutService) -> Response {
 }
 
 /// The feature axes this build serves: registered engines and the
-/// precisions the layout kernels support. Shared by `/healthz` and
-/// `/stats` so probes and dashboards see one truth.
+/// precisions the layout kernels support. Shared by `/v1/healthz` and
+/// `/v1/stats` so probes and dashboards see one truth.
 fn features_json(service: &LayoutService) -> String {
     let engines: Vec<String> = service.engine_names().iter().map(|n| json_str(n)).collect();
     format!(
@@ -1270,10 +1389,10 @@ fn features_json(service: &LayoutService) -> String {
     )
 }
 
-/// `GET /healthz` — liveness plus enough identity for a probe log:
+/// `GET /v1/healthz` — liveness plus enough identity for a probe log:
 /// version, uptime, feature axes, and the process's cluster role
 /// (workers also report their coordinator and last-heartbeat age).
-fn healthz(service: &LayoutService, role: &crate::cluster::ClusterRole) -> Response {
+fn healthz(service: &LayoutService, role: &ClusterRole) -> Response {
     let s = service.stats();
     Response::json(
         200,
@@ -1420,10 +1539,6 @@ fn status_json(s: &crate::job::JobStatus) -> String {
     )
 }
 
-fn parse_id(s: &str) -> Option<JobId> {
-    s.parse().ok()
-}
-
 /// Minimal percent-decoding (`%XX` and `+` → space).
 fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
@@ -1460,7 +1575,7 @@ fn percent_decode(s: &str) -> String {
 }
 
 /// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -18,37 +18,20 @@
 //! cumulative (Prometheus counter semantics). Counters are exposed two
 //! ways:
 //!
-//! * `GET /stats` — a compact JSON block (via [`HttpMetrics::snapshot`]),
-//! * `GET /metrics` — a Prometheus-style text exposition
+//! * `GET /v1/stats` — a compact JSON block (via [`HttpMetrics::snapshot`]),
+//! * `GET /v1/metrics` — a Prometheus-style text exposition
 //!   (via [`HttpMetrics::render_prometheus`]), validated by
 //!   [`validate_exposition`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// Normalized route labels. Parameterized segments collapse (`/jobs/17`
-/// and `/jobs/99` are the same route), so cardinality stays fixed no
-/// matter what clients request. The API is versioned: the first
-/// [`V1_OFFSET`] labels are the legacy unversioned aliases, the next
-/// block their `/v1` counterparts (tracked separately so alias traffic
-/// is observable while the deprecation runs), and `"other"` catches the
-/// rest. This table and [`route_index`] are the single authority on
-/// route naming; the HTTP dispatcher resolves paths through them.
-pub const ROUTES: [&str; 27] = [
-    "/layout",
-    "/graphs",
-    "/graphs/{id}",
-    "/jobs",
-    "/jobs/{id}",
-    "/jobs/{id}/cancel",
-    "/jobs/{id}/events",
-    "/jobs/{id}/trace",
-    "/result/{id}",
-    "/stats",
-    "/metrics",
-    "/engines",
-    "/healthz",
-    "/v1/layout",
+/// Normalized route labels. Parameterized segments collapse
+/// (`/v1/jobs/17` and `/v1/jobs/99` are the same route), so cardinality
+/// stays fixed no matter what clients request; `"other"` catches every
+/// path the API does not define. This table and [`route_index`] are the
+/// single authority on route naming.
+pub const ROUTES: [&str; 14] = [
     "/v1/graphs",
     "/v1/graphs/{id}",
     "/v1/jobs",
@@ -61,48 +44,36 @@ pub const ROUTES: [&str; 27] = [
     "/v1/metrics",
     "/v1/engines",
     "/v1/healthz",
+    "/v1/cluster/{op}",
     "other",
 ];
-
-/// Distance from a legacy route label to its `/v1` twin in [`ROUTES`].
-const V1_OFFSET: usize = 13;
 
 /// Index of the catch-all `"other"` route.
 pub const OTHER_ROUTE: usize = ROUTES.len() - 1;
 
 /// Collapse a request path to its [`ROUTES`] index (fixed cardinality).
-/// `/v1/...` paths resolve to their own labels.
 pub fn route_index(path: &str) -> usize {
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    let (v1, rest) = match segments.as_slice() {
-        ["v1", rest @ ..] => (true, rest),
-        rest => (false, rest),
-    };
-    let label = match rest {
-        ["layout"] => "/layout",
-        ["graphs"] => "/graphs",
-        ["graphs", _] => "/graphs/{id}",
-        ["jobs"] => "/jobs",
-        ["jobs", _, "cancel"] => "/jobs/{id}/cancel",
-        ["jobs", _, "events"] => "/jobs/{id}/events",
-        ["jobs", _, "trace"] => "/jobs/{id}/trace",
-        ["jobs", _] => "/jobs/{id}",
-        ["result", _] => "/result/{id}",
-        ["stats"] => "/stats",
-        ["metrics"] => "/metrics",
-        ["engines"] => "/engines",
-        ["healthz"] => "/healthz",
+    let label = match segments.as_slice() {
+        ["v1", "graphs"] => "/v1/graphs",
+        ["v1", "graphs", _] => "/v1/graphs/{id}",
+        ["v1", "jobs"] => "/v1/jobs",
+        ["v1", "jobs", _, "cancel"] => "/v1/jobs/{id}/cancel",
+        ["v1", "jobs", _, "events"] => "/v1/jobs/{id}/events",
+        ["v1", "jobs", _, "trace"] => "/v1/jobs/{id}/trace",
+        ["v1", "jobs", _] => "/v1/jobs/{id}",
+        ["v1", "result", _] => "/v1/result/{id}",
+        ["v1", "stats"] => "/v1/stats",
+        ["v1", "metrics"] => "/v1/metrics",
+        ["v1", "engines"] => "/v1/engines",
+        ["v1", "healthz"] => "/v1/healthz",
+        ["v1", "cluster", _] => "/v1/cluster/{op}",
         _ => return OTHER_ROUTE,
     };
-    let base = ROUTES
+    ROUTES
         .iter()
         .position(|r| *r == label)
-        .unwrap_or(OTHER_ROUTE);
-    if v1 {
-        base + V1_OFFSET
-    } else {
-        base
-    }
+        .unwrap_or(OTHER_ROUTE)
 }
 
 /// Histogram buckets: bucket `i < LAST` holds latencies `≤ 2^i` µs; the
@@ -290,7 +261,7 @@ pub struct HttpStatsSnapshot {
     pub requests: u64,
 }
 
-/// Shared metrics for one [`crate::http::HttpServer`].
+/// Shared metrics for one HTTP server (a worker's or the coordinator's).
 pub struct HttpMetrics {
     routes: [RouteMetrics; ROUTES.len()],
     accepted: AtomicU64,
@@ -735,15 +706,15 @@ mod tests {
     #[test]
     fn observe_classifies_status_and_counts() {
         let m = HttpMetrics::new();
-        m.observe("/layout", 202, Duration::from_micros(3));
-        m.observe("/layout", 400, Duration::from_micros(100));
-        m.observe("/layout", 503, Duration::from_micros(9));
+        m.observe("/v1/jobs", 202, Duration::from_micros(3));
+        m.observe("/v1/jobs", 400, Duration::from_micros(100));
+        m.observe("/v1/jobs", 503, Duration::from_micros(9));
         m.observe("/no-such-route", 200, Duration::ZERO); // falls into "other"
         assert_eq!(m.snapshot().requests, 4);
         let text = m.render_prometheus();
-        assert!(text.contains("pgl_http_requests_total{route=\"/layout\",class=\"2xx\"} 1"));
-        assert!(text.contains("pgl_http_requests_total{route=\"/layout\",class=\"4xx\"} 1"));
-        assert!(text.contains("pgl_http_requests_total{route=\"/layout\",class=\"5xx\"} 1"));
+        assert!(text.contains("pgl_http_requests_total{route=\"/v1/jobs\",class=\"2xx\"} 1"));
+        assert!(text.contains("pgl_http_requests_total{route=\"/v1/jobs\",class=\"4xx\"} 1"));
+        assert!(text.contains("pgl_http_requests_total{route=\"/v1/jobs\",class=\"5xx\"} 1"));
         assert!(text.contains("pgl_http_requests_total{route=\"other\",class=\"2xx\"} 1"));
     }
 
@@ -752,40 +723,46 @@ mod tests {
         let m = HttpMetrics::new();
         // 9 fast requests, 1 slow one: p50 is small, p99 is the outlier.
         for _ in 0..9 {
-            m.observe("/healthz", 200, Duration::from_micros(2));
+            m.observe("/v1/healthz", 200, Duration::from_micros(2));
         }
-        m.observe("/healthz", 200, Duration::from_micros(5000));
-        assert_eq!(m.quantile_us("/healthz", 0.5), Some(2));
-        assert_eq!(m.quantile_us("/healthz", 0.99), Some(8192));
-        assert_eq!(m.quantile_us("/stats", 0.5), None, "no traffic, no value");
+        m.observe("/v1/healthz", 200, Duration::from_micros(5000));
+        assert_eq!(m.quantile_us("/v1/healthz", 0.5), Some(2));
+        assert_eq!(m.quantile_us("/v1/healthz", 0.99), Some(8192));
+        assert_eq!(
+            m.quantile_us("/v1/stats", 0.5),
+            None,
+            "no traffic, no value"
+        );
     }
 
     #[test]
     fn histogram_is_cumulative_and_ends_at_inf() {
         let m = HttpMetrics::new();
-        m.observe("/stats", 200, Duration::from_micros(1));
-        m.observe("/stats", 200, Duration::from_micros(1_000_000_000));
+        m.observe("/v1/stats", 200, Duration::from_micros(1));
+        m.observe("/v1/stats", 200, Duration::from_micros(1_000_000_000));
         let text = m.render_prometheus();
-        assert!(text.contains("pgl_http_request_duration_us_bucket{route=\"/stats\",le=\"1\"} 1"));
         assert!(
-            text.contains("pgl_http_request_duration_us_bucket{route=\"/stats\",le=\"+Inf\"} 2")
+            text.contains("pgl_http_request_duration_us_bucket{route=\"/v1/stats\",le=\"1\"} 1")
         );
-        assert!(text.contains("pgl_http_request_duration_us_count{route=\"/stats\"} 2"));
+        assert!(
+            text.contains("pgl_http_request_duration_us_bucket{route=\"/v1/stats\",le=\"+Inf\"} 2")
+        );
+        assert!(text.contains("pgl_http_request_duration_us_count{route=\"/v1/stats\"} 2"));
     }
 
     #[test]
     fn old_samples_age_out_of_the_window() {
         let m = HttpMetrics::new();
-        let idx = route_index("/healthz");
+        let idx = route_index("/v1/healthz");
         // A burst of slow requests in slot 0 dominates p99...
         for _ in 0..20 {
             m.observe_idx_at(idx, 200, Duration::from_micros(100_000), 0);
         }
-        assert_eq!(m.quantile_us_at("/healthz", 0.99, 0), Some(131_072));
+        assert_eq!(m.quantile_us_at("/v1/healthz", 0.99, 0), Some(131_072));
         // ...and stays pinned on the p99 for as long as slot 0 is inside
         // the sliding window.
         assert_eq!(
-            m.quantile_us_at("/healthz", 0.99, WINDOW_SLOTS as u64 - 1),
+            m.quantile_us_at("/v1/healthz", 0.99, WINDOW_SLOTS as u64 - 1),
             Some(131_072),
             "stale burst still in window"
         );
@@ -796,7 +773,7 @@ mod tests {
             m.observe_idx_at(idx, 200, Duration::from_micros(4), later);
         }
         assert_eq!(
-            m.quantile_us_at("/healthz", 0.99, later),
+            m.quantile_us_at("/v1/healthz", 0.99, later),
             Some(4),
             "burst aged out; p99 reflects current traffic"
         );
@@ -818,63 +795,58 @@ mod tests {
 
     #[test]
     fn route_index_matches_the_route_table() {
-        assert_eq!(ROUTES[route_index("/layout")], "/layout");
-        assert_eq!(ROUTES[route_index("/graphs")], "/graphs");
-        assert_eq!(ROUTES[route_index("/graphs/abc123")], "/graphs/{id}");
-        assert_eq!(ROUTES[route_index("/jobs")], "/jobs");
-        assert_eq!(ROUTES[route_index("/jobs/17")], "/jobs/{id}");
-        assert_eq!(ROUTES[route_index("/jobs/99/cancel")], "/jobs/{id}/cancel");
-        assert_eq!(ROUTES[route_index("/jobs/99/events")], "/jobs/{id}/events");
-        assert_eq!(ROUTES[route_index("/jobs/99/trace")], "/jobs/{id}/trace");
-        assert_eq!(ROUTES[route_index("/result/3")], "/result/{id}");
-        assert_eq!(ROUTES[route_index("/stats")], "/stats");
-        assert_eq!(ROUTES[route_index("/metrics")], "/metrics");
-        assert_eq!(ROUTES[route_index("/engines")], "/engines");
-        assert_eq!(ROUTES[route_index("/healthz")], "/healthz");
-        assert_eq!(route_index("/jobs/1/2/3"), OTHER_ROUTE);
+        assert_eq!(ROUTES[route_index("/v1/graphs")], "/v1/graphs");
+        assert_eq!(ROUTES[route_index("/v1/graphs/abc123")], "/v1/graphs/{id}");
+        assert_eq!(ROUTES[route_index("/v1/jobs")], "/v1/jobs");
+        assert_eq!(ROUTES[route_index("/v1/jobs/17")], "/v1/jobs/{id}");
+        assert_eq!(
+            ROUTES[route_index("/v1/jobs/99/cancel")],
+            "/v1/jobs/{id}/cancel"
+        );
+        assert_eq!(
+            ROUTES[route_index("/v1/jobs/99/events")],
+            "/v1/jobs/{id}/events"
+        );
+        assert_eq!(
+            ROUTES[route_index("/v1/jobs/99/trace")],
+            "/v1/jobs/{id}/trace"
+        );
+        assert_eq!(ROUTES[route_index("/v1/result/3")], "/v1/result/{id}");
+        assert_eq!(ROUTES[route_index("/v1/stats")], "/v1/stats");
+        assert_eq!(ROUTES[route_index("/v1/metrics")], "/v1/metrics");
+        assert_eq!(ROUTES[route_index("/v1/engines")], "/v1/engines");
+        assert_eq!(ROUTES[route_index("/v1/healthz")], "/v1/healthz");
+        assert_eq!(
+            ROUTES[route_index("/v1/cluster/heartbeat")],
+            "/v1/cluster/{op}"
+        );
+        assert_eq!(route_index("/v1/jobs/1/2/3"), OTHER_ROUTE);
         assert_eq!(route_index("/"), OTHER_ROUTE);
         assert_eq!(route_index("/v1"), OTHER_ROUTE);
     }
 
     #[test]
     fn v1_routes_resolve_to_their_own_labels() {
-        // Every legacy label has a /v1 twin exactly V1_OFFSET away, and
-        // route_index finds it.
-        for (i, label) in ROUTES.iter().enumerate().take(V1_OFFSET) {
-            assert_eq!(
-                ROUTES[i + V1_OFFSET],
-                format!("/v1{label}"),
-                "table layout: {label}"
-            );
+        // Every label but "other" is reachable, and only under /v1.
+        for label in &ROUTES[..OTHER_ROUTE] {
+            let path = label.replace("{id}", "7").replace("{op}", "join");
+            assert_eq!(ROUTES[route_index(&path)], *label, "{path}");
+            let unversioned = path.strip_prefix("/v1").unwrap();
+            assert_eq!(route_index(unversioned), OTHER_ROUTE, "{unversioned}");
         }
-        assert_eq!(ROUTES[route_index("/v1/layout")], "/v1/layout");
-        assert_eq!(ROUTES[route_index("/v1/jobs")], "/v1/jobs");
-        assert_eq!(ROUTES[route_index("/v1/jobs/4")], "/v1/jobs/{id}");
-        assert_eq!(
-            ROUTES[route_index("/v1/jobs/4/events")],
-            "/v1/jobs/{id}/events"
-        );
-        assert_eq!(
-            ROUTES[route_index("/v1/jobs/4/trace")],
-            "/v1/jobs/{id}/trace"
-        );
-        assert_eq!(
-            ROUTES[route_index("/v1/jobs/4/cancel")],
-            "/v1/jobs/{id}/cancel"
-        );
-        assert_eq!(ROUTES[route_index("/v1/graphs/ff")], "/v1/graphs/{id}");
-        assert_eq!(ROUTES[route_index("/v1/healthz")], "/v1/healthz");
+        // The retired second name for job submission is not a route.
+        assert_eq!(route_index("/v1/layout"), OTHER_ROUTE);
         assert_eq!(route_index("/v1/no/such"), OTHER_ROUTE);
     }
 
     #[test]
     fn observe_by_index_and_by_label_agree() {
         let m = HttpMetrics::new();
-        m.observe_idx(route_index("/layout"), 202, Duration::from_micros(2));
-        m.observe("/layout", 202, Duration::from_micros(2));
+        m.observe_idx(route_index("/v1/jobs"), 202, Duration::from_micros(2));
+        m.observe("/v1/jobs", 202, Duration::from_micros(2));
         m.observe_idx(usize::MAX, 200, Duration::ZERO); // clamps to "other"
         let text = m.render_prometheus();
-        assert!(text.contains("pgl_http_requests_total{route=\"/layout\",class=\"2xx\"} 2"));
+        assert!(text.contains("pgl_http_requests_total{route=\"/v1/jobs\",class=\"2xx\"} 2"));
         assert!(text.contains("pgl_http_requests_total{route=\"other\",class=\"2xx\"} 1"));
     }
 
@@ -903,10 +875,10 @@ mod tests {
     fn rendered_exposition_passes_the_validator() {
         let m = HttpMetrics::new();
         m.record_accepted();
-        m.observe("/layout", 202, Duration::from_micros(3));
-        m.observe("/jobs/17", 200, Duration::from_micros(900));
-        m.observe("/v1/jobs", 202, Duration::from_micros(40));
-        m.observe("/healthz", 200, Duration::from_micros(1));
+        m.observe("/v1/jobs", 202, Duration::from_micros(3));
+        m.observe("/v1/jobs/17", 200, Duration::from_micros(900));
+        m.observe("/v1/metrics", 200, Duration::from_micros(40));
+        m.observe("/v1/healthz", 200, Duration::from_micros(1));
         validate_exposition(&m.render_prometheus()).unwrap();
     }
 

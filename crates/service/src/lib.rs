@@ -10,10 +10,10 @@
 //!
 //! ```text
 //!                 ┌─────────────────────────────────────────────────┐
-//!  POST /graphs ─►│ GraphStore: content hash ─► parse ONCE ─►       │
+//! POST /v1/graphs►│ GraphStore: content hash ─► parse ONCE ─►       │
 //!                 │   Arc<LeanGraph>  (LRU + .lean disk tier)       │
 //!                 │        ▲ shared by every job referencing it     │
-//!  POST /layout ─►│ LayoutService                                   │
+//! POST /v1/jobs ─►│ LayoutService                                   │
 //!  pgl batch ────►│  submit ──► content-addressed LayoutCache       │
 //!                 │     │ miss     (graph hash + config, LRU+disk)  │
 //!                 │     ▼                                           │
@@ -29,7 +29,7 @@
 //! * [`registry::EngineRegistry`] — engines addressable by name; one
 //!   fresh engine per job, so jobs never share mutable state.
 //! * [`pangraph::GraphStore`] (owned by the service) — graphs are
-//!   **upload-once, content-addressed artifacts**: `POST /graphs`
+//!   **upload-once, content-addressed artifacts**: `POST /v1/graphs`
 //!   interns the GFA (hash → parse → `Arc<LeanGraph>`), and every
 //!   subsequent layout request — across engines, configs, and even
 //!   server restarts via the `.lean` disk tier — shares the single
@@ -57,24 +57,26 @@
 //!   files so a restarted server keeps hitting on old work; both it
 //!   and the graph tier are size-bounded by
 //!   `ServiceConfig::cache_max_bytes` (oldest spills evicted first).
-//! * [`http::HttpServer`] — a dependency-free HTTP/1.1 front end over
-//!   `std::net`, wired into the CLI as `pgl serve`. The API is
-//!   versioned under `/v1` (`POST /v1/jobs`, `GET /v1/jobs/<id>`,
-//!   chunked `GET /v1/jobs/<id>/events` streaming, `POST /v1/graphs`,
-//!   `GET /v1/result/<id>`, …) with the historical unversioned routes
-//!   preserved as thin aliases. Hardened for real
-//!   traffic: a bounded connection queue drained by a fixed handler
-//!   pool (overload ⇒ `503` + `Retry-After`), HTTP/1.1 keep-alive,
-//!   per-client token-bucket rate limiting
+//! * [`http`] — the one dependency-free HTTP/1.1 server over
+//!   `std::net`. It serves a route table supplied by its caller: the
+//!   layout service's ([`http::HttpServer`], wired into the CLI as
+//!   `pgl serve`) or the coordinator's. The API is `/v1` only
+//!   (`POST /v1/jobs`, `GET /v1/jobs/<id>`, chunked
+//!   `GET /v1/jobs/<id>/events` streaming, `POST /v1/graphs`,
+//!   `GET /v1/result/<id>`, …); any other path is a `404`. Hardened for
+//!   real traffic: a bounded connection queue drained by a fixed
+//!   handler pool (overload ⇒ `503` + `Retry-After`), HTTP/1.1
+//!   keep-alive, per-client token-bucket rate limiting
 //!   ([`ratelimit::RateLimiter`], over-budget ⇒ `429`), and per-route
 //!   latency histograms ([`httpmetrics::HttpMetrics`]).
 //!   [`batchrun::run_batch`] is the same pool driven
 //!   filesystem-to-filesystem as `pgl batch` — parsing each input
 //!   exactly once even when fanned across multiple engines.
 //! * [`cluster`] — multi-node scale-out: `pgl coordinator` speaks the
-//!   same `/v1` surface and routes each job to the `pgl serve --join`
-//!   worker that owns its graph under rendezvous hashing
-//!   ([`cluster::HashRing`]), pushing graph bodies on first miss,
+//!   same `/v1` surface through the same server (answering every
+//!   request with `Connection: close`) and routes each job to the
+//!   `pgl serve --join` worker that owns its graph under rendezvous
+//!   hashing ([`cluster::HashRing`]), pushing graph bodies on first miss,
 //!   heartbeat-detecting dead workers, and requeueing their jobs.
 //!   With `--journal-dir` the coordinator is **durable**: accepted
 //!   jobs and vaulted graphs are written to an fsync'd append-only

@@ -186,7 +186,7 @@ pub struct SubmitTicket {
 /// Receipt for one graph upload ([`LayoutService::upload_graph`]).
 #[derive(Debug, Clone, Copy)]
 pub struct GraphUpload {
-    /// The graph's content-addressed id — what `POST /layout?graph=`
+    /// The graph's content-addressed id — what `POST /v1/jobs?graph=`
     /// references.
     pub id: ContentHash,
     /// Node count.

@@ -10,11 +10,9 @@
 //! per-parameter parsing the front end used to do; the CLI and
 //! `batchrun` construct specs directly.
 //!
-//! `/v1` requests are parsed **strictly** — an unknown parameter is a
-//! `400`, so typos like `?prioritiy=bulk` fail loudly instead of
-//! silently running at the default priority. The legacy unversioned
-//! routes keep their historical lenient behavior (unknown parameters
-//! ignored).
+//! Requests are parsed **strictly** — an unknown parameter is a `400`,
+//! so typos like `?prioritiy=bulk` fail loudly instead of silently
+//! running at the default priority.
 
 use crate::job::GraphSpec;
 use layout_core::{DataLayout, LayoutConfig, Precision, Toggle};
@@ -210,7 +208,7 @@ impl JobSpec {
                 None => (decode_component(p), String::new()),
             })
             .collect();
-        parse_job_spec(&params, Vec::new(), true)
+        parse_job_spec(&params, Vec::new())
     }
 }
 
@@ -256,7 +254,7 @@ fn decode_component(s: &str) -> String {
 /// to HTTP `400`; the distinction is for clients and tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
-    /// `/v1` strict mode: a query parameter the API does not define.
+    /// A query parameter the submission API does not define.
     UnknownParam(String),
     /// A parameter's value failed to parse.
     BadValue {
@@ -297,10 +295,9 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// Query parameters the job-submission routes define. Anything else is
-/// a [`SpecError::UnknownParam`] under `/v1` (the HTTP dispatcher uses
-/// this as the submission routes' allowlist).
-pub(crate) const KNOWN_PARAMS: [&str; 14] = [
+/// Query parameters the job-submission route defines. Anything else is
+/// a [`SpecError::UnknownParam`].
+const KNOWN_PARAMS: [&str; 14] = [
     "engine",
     "iters",
     "threads",
@@ -318,20 +315,13 @@ pub(crate) const KNOWN_PARAMS: [&str; 14] = [
 ];
 
 /// Build a validated [`JobSpec`] from a request's query parameters and
-/// body. `strict` is the `/v1` behavior (unknown parameters rejected);
-/// the legacy routes pass `false` and keep ignoring them.
-pub fn parse_job_spec(
-    params: &[(String, String)],
-    body: Vec<u8>,
-    strict: bool,
-) -> Result<JobSpec, SpecError> {
-    if strict {
-        if let Some((k, _)) = params
-            .iter()
-            .find(|(k, _)| !KNOWN_PARAMS.contains(&k.as_str()))
-        {
-            return Err(SpecError::UnknownParam(k.clone()));
-        }
+/// body. A parameter outside [`KNOWN_PARAMS`] is rejected.
+pub fn parse_job_spec(params: &[(String, String)], body: Vec<u8>) -> Result<JobSpec, SpecError> {
+    if let Some((k, _)) = params
+        .iter()
+        .find(|(k, _)| !KNOWN_PARAMS.contains(&k.as_str()))
+    {
+        return Err(SpecError::UnknownParam(k.clone()));
     }
     let get = |name: &str| {
         params
@@ -489,7 +479,7 @@ mod tests {
             ("client", "alice"),
             ("ttl_ms", "1500"),
         ]);
-        let spec = parse_job_spec(&params, Vec::new(), true).unwrap();
+        let spec = parse_job_spec(&params, Vec::new()).unwrap();
         assert_eq!(spec.engine, "gpu");
         assert_eq!(spec.config.iter_max, 12);
         assert_eq!(spec.config.threads, 2);
@@ -507,7 +497,7 @@ mod tests {
 
     #[test]
     fn defaults_match_the_legacy_surface() {
-        let spec = parse_job_spec(&[], b"S\t1\tA\n".to_vec(), true).unwrap();
+        let spec = parse_job_spec(&[], b"S\t1\tA\n".to_vec()).unwrap();
         assert_eq!(spec.engine, "cpu");
         assert_eq!(spec.batch_size, 1024);
         assert_eq!(spec.priority, Priority::Normal);
@@ -517,18 +507,12 @@ mod tests {
     }
 
     #[test]
-    fn strict_mode_rejects_unknown_params_lenient_ignores() {
+    fn unknown_params_are_rejected() {
         let params = q(&[("prioritiy", "bulk")]); // the typo strictness exists for
-        match parse_job_spec(&params, Vec::new(), true).unwrap_err() {
+        match parse_job_spec(&params, Vec::new()).unwrap_err() {
             SpecError::UnknownParam(p) => assert_eq!(p, "prioritiy"),
             other => panic!("expected UnknownParam, got {other:?}"),
         }
-        let spec = parse_job_spec(&params, Vec::new(), false).unwrap();
-        assert_eq!(
-            spec.priority,
-            Priority::Normal,
-            "legacy routes ignore typos"
-        );
     }
 
     #[test]
@@ -545,7 +529,7 @@ mod tests {
             ("term_block", "many"),
             ("term_block", "99999999999"),
         ] {
-            let err = parse_job_spec(&q(&[(name, value)]), Vec::new(), true).unwrap_err();
+            let err = parse_job_spec(&q(&[(name, value)]), Vec::new()).unwrap_err();
             match err {
                 SpecError::BadValue {
                     param, value: v, ..
@@ -557,20 +541,19 @@ mod tests {
             }
         }
         assert!(matches!(
-            parse_job_spec(&q(&[("graph", "zz")]), Vec::new(), true).unwrap_err(),
+            parse_job_spec(&q(&[("graph", "zz")]), Vec::new()).unwrap_err(),
             SpecError::BadGraphId(_)
         ));
         assert_eq!(
             parse_job_spec(
                 &q(&[("graph", &pangraph::store::content_hash(b"g").hex())]),
                 b"S\t1\tA\n".to_vec(),
-                true,
             )
             .unwrap_err(),
             SpecError::InlineAndReference
         );
         assert_eq!(
-            parse_job_spec(&[], vec![0xff, 0xfe], true).unwrap_err(),
+            parse_job_spec(&[], vec![0xff, 0xfe]).unwrap_err(),
             SpecError::BodyNotUtf8
         );
     }
@@ -602,7 +585,7 @@ mod tests {
                 (decode(k), decode(v))
             })
             .collect();
-        parse_job_spec(&params, Vec::new(), true).expect("to_query emits only known params")
+        parse_job_spec(&params, Vec::new()).expect("to_query emits only known params")
     }
 
     #[test]
@@ -677,7 +660,7 @@ mod tests {
 
     #[test]
     fn empty_client_param_means_transport_identity() {
-        let spec = parse_job_spec(&q(&[("client", "")]), Vec::new(), true).unwrap();
+        let spec = parse_job_spec(&q(&[("client", "")]), Vec::new()).unwrap();
         assert_eq!(spec.client, None);
     }
 

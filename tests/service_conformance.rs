@@ -1,0 +1,315 @@
+//! Conformance of the two `/v1` front ends: one conversation replayed
+//! against a standalone `pgl serve`-shaped server and against a
+//! coordinator fronting one worker must get the same status codes, an
+//! `"error"` field on every 4xx, and byte-identical results for a
+//! deterministic job. The coordinator's own extras — its metrics
+//! exposition, overload shedding and `Connection: close` answers — are
+//! checked alone.
+
+use rapid_pangenome_layout::prelude::*;
+use rapid_pangenome_layout::service::{
+    spawn_heartbeat, validate_exposition, ClusterRole, Coordinator, CoordinatorConfig,
+};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// One blocking HTTP/1.1 exchange; returns (status, head, body).
+fn http(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, String, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body).unwrap();
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("read response");
+    let header_end = response
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .expect("complete header");
+    let head = String::from_utf8_lossy(&response[..header_end]).into_owned();
+    let status: u16 = head
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status code");
+    (status, head, response[header_end + 4..].to_vec())
+}
+
+fn text(body: &[u8]) -> String {
+    String::from_utf8_lossy(body).into_owned()
+}
+
+/// Pull `"field":<digits>` out of a flat JSON body.
+fn json_u64(json: &str, field: &str) -> Option<u64> {
+    let needle = format!("\"{field}\":");
+    let at = json.find(&needle)? + needle.len();
+    let digits: String = json[at..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit())
+        .collect();
+    digits.parse().ok()
+}
+
+/// Pull `"field":"<string>"` out of a flat JSON body.
+fn json_string(json: &str, field: &str) -> Option<String> {
+    let needle = format!("\"{field}\":\"");
+    let at = json.find(&needle)? + needle.len();
+    Some(json[at..].chars().take_while(|c| *c != '"').collect())
+}
+
+/// What one front end answered to the conversation.
+struct Transcript {
+    /// `(step, status)` in conversation order.
+    statuses: Vec<(&'static str, u16)>,
+    /// The finished job's `?format=lay` bytes.
+    lay: Vec<u8>,
+}
+
+/// Replay the conversation against `front`. Every 4xx must carry an
+/// `"error"` field.
+fn converse(front: SocketAddr) -> Transcript {
+    let gfa = write_gfa(&generate(&PangenomeSpec::basic("conform", 40, 3, 5)));
+    let mut statuses = Vec::new();
+    let mut step = |name: &'static str, method: &str, path: &str, body: &[u8]| {
+        let (status, _, body) = http(front, method, path, body);
+        if (400..500).contains(&status) {
+            assert!(
+                text(&body).contains("\"error\":"),
+                "{name}: a {status} without an error field: {}",
+                text(&body)
+            );
+        }
+        statuses.push((name, status));
+        body
+    };
+
+    let upload = text(&step("upload", "POST", "/v1/graphs", gfa.as_bytes()));
+    let graph = json_string(&upload, "graph_id").expect("graph id");
+    step("upload again", "POST", "/v1/graphs", gfa.as_bytes());
+    let submit = format!("/v1/jobs?graph={graph}&engine=cpu&iters=5&threads=1&seed=7");
+    let job = json_u64(
+        &text(&step("submit by reference", "POST", &submit, b"")),
+        "job",
+    )
+    .expect("job id");
+    let status_path = format!("/v1/jobs/{job}");
+    step("status", "GET", &status_path, b"");
+    // The stream blocks until the job is terminal; its last state is done.
+    let events = text(&step(
+        "events",
+        "GET",
+        &format!("/v1/jobs/{job}/events"),
+        b"",
+    ));
+    let last = events.rfind("\"state\":\"").expect("a state event");
+    assert!(events[last..].starts_with("\"state\":\"done\""), "{events}");
+    // A coordinator serves the result once its status says done, which
+    // can trail the stream's last line by one monitor poll.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !text(&http(front, "GET", &status_path, b"").2).contains("\"state\":\"done\"") {
+        assert!(Instant::now() < deadline, "job {job} never reported done");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    step("trace", "GET", &format!("/v1/jobs/{job}/trace"), b"");
+    let lay = step(
+        "result as lay",
+        "GET",
+        &format!("/v1/result/{job}?format=lay"),
+        b"",
+    );
+    step(
+        "bad format",
+        "GET",
+        &format!("/v1/result/{job}?format=svg"),
+        b"",
+    );
+    step("unknown job", "GET", "/v1/jobs/999999", b"");
+    step("non-numeric id", "GET", "/v1/jobs/banana", b"");
+    step(
+        "unknown parameter",
+        "POST",
+        &format!("{submit}&bogus=1"),
+        b"",
+    );
+    let unknown_graph = "/v1/jobs?graph=00000000000000000000000000000000&engine=cpu";
+    step("unknown graph", "POST", unknown_graph, b"");
+    step("retired /v1/layout", "POST", "/v1/layout", gfa.as_bytes());
+    step("unversioned healthz", "GET", "/healthz", b"");
+    step("unversioned job", "GET", &format!("/jobs/{job}"), b"");
+    step("PUT", "PUT", &status_path, b"");
+    Transcript { statuses, lay }
+}
+
+const EXPECTED: [(&str, u16); 16] = [
+    ("upload", 201),
+    ("upload again", 200),
+    ("submit by reference", 202),
+    ("status", 200),
+    ("events", 200),
+    ("trace", 200),
+    ("result as lay", 200),
+    ("bad format", 400),
+    ("unknown job", 404),
+    ("non-numeric id", 400),
+    ("unknown parameter", 400),
+    ("unknown graph", 404),
+    ("retired /v1/layout", 404),
+    ("unversioned healthz", 404),
+    ("unversioned job", 404),
+    ("PUT", 405),
+];
+
+fn one_worker_service() -> Arc<LayoutService> {
+    Arc::new(LayoutService::start(
+        EngineRegistry::with_default_engines(),
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    ))
+}
+
+#[test]
+fn standalone_server_and_coordinator_answer_the_same_conversation() {
+    let standalone = HttpServer::bind("127.0.0.1:0", one_worker_service())
+        .expect("bind server")
+        .spawn();
+    let alone = converse(standalone.addr());
+    standalone.stop();
+
+    let coordinator = Coordinator::bind(
+        "127.0.0.1:0",
+        CoordinatorConfig {
+            heartbeat: Duration::from_millis(100),
+            ..CoordinatorConfig::default()
+        },
+    )
+    .expect("bind coordinator");
+    let coord = coordinator.local_addr();
+    let coordinator = coordinator.spawn();
+    let role = ClusterRole::worker(coord.to_string());
+    let worker = HttpServer::bind("127.0.0.1:0", one_worker_service())
+        .expect("bind worker")
+        .with_role(Arc::clone(&role))
+        .spawn();
+    let beat_stop = Arc::new(AtomicBool::new(false));
+    let beat = spawn_heartbeat(
+        coord.to_string(),
+        worker.addr().to_string(),
+        Duration::from_millis(100),
+        role,
+        Arc::clone(&beat_stop),
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while json_u64(
+        &text(&http(coord, "GET", "/v1/healthz", b"").2),
+        "workers_alive",
+    ) != Some(1)
+    {
+        assert!(Instant::now() < deadline, "worker never joined");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let fleet = converse(coord);
+    beat_stop.store(true, Ordering::Relaxed);
+    let _ = beat.join();
+    worker.stop();
+    coordinator.stop();
+
+    assert_eq!(alone.statuses, EXPECTED, "standalone server");
+    assert_eq!(fleet.statuses, alone.statuses, "coordinator vs server");
+    assert!(!alone.lay.is_empty());
+    assert!(
+        fleet.lay == alone.lay,
+        "the same deterministic job gives the same .lay bytes"
+    );
+}
+
+#[test]
+fn coordinator_metrics_shedding_and_connection_close() {
+    let coordinator = Coordinator::bind(
+        "127.0.0.1:0",
+        CoordinatorConfig {
+            max_conns: 1,
+            ..CoordinatorConfig::default()
+        },
+    )
+    .expect("bind coordinator");
+    let addr = coordinator.local_addr();
+    let handle = coordinator.spawn();
+
+    // Every answer closes its connection, even when the client asks to
+    // keep it open.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\nConnection: keep-alive\r\n\r\n")
+        .unwrap();
+    let mut answer = String::new();
+    stream.read_to_string(&mut answer).expect("read to EOF");
+    assert!(answer.starts_with("HTTP/1.1 200"), "{answer}");
+    assert!(answer.contains("Connection: close"), "{answer}");
+
+    // The HTTP server's families lead the coordinator's own counters.
+    let (status, _, body) = http(addr, "GET", "/v1/metrics", b"");
+    assert_eq!(status, 200);
+    let metrics = text(&body);
+    validate_exposition(&metrics).unwrap_or_else(|e| panic!("{e}\n{metrics}"));
+    assert!(
+        metrics.contains("pgl_http_requests_total{route=\"/v1/healthz\",class=\"2xx\"} 1"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("pgl_coord_jobs_submitted_total 0"),
+        "{metrics}"
+    );
+
+    // One handler and a one-slot queue: A holds the handler mid-upload,
+    // B waits in the queue, and C is shed with 503 + Retry-After.
+    let gfa = write_gfa(&generate(&PangenomeSpec::basic("shed", 30, 2, 4)));
+    let (first_half, second_half) = gfa.as_bytes().split_at(gfa.len() / 2);
+    let mut a = TcpStream::connect(addr).expect("connect A");
+    a.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    a.write_all(
+        format!(
+            "POST /v1/graphs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+            gfa.len()
+        )
+        .as_bytes(),
+    )
+    .unwrap();
+    a.write_all(first_half).unwrap();
+    std::thread::sleep(Duration::from_millis(300)); // the handler takes A
+    let b = TcpStream::connect(addr).expect("connect B");
+    std::thread::sleep(Duration::from_millis(150)); // B fills the queue
+    let (status, head, body) = {
+        let mut c = TcpStream::connect(addr).expect("connect C");
+        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut answer = Vec::new();
+        c.read_to_end(&mut answer).expect("read 503");
+        let answer = text(&answer);
+        let (head, body) = answer.split_once("\r\n\r\n").expect("complete answer");
+        let status: u16 = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+        (status, head.to_string(), body.to_string())
+    };
+    assert_eq!(status, 503, "{body}");
+    assert!(head.contains("Retry-After:"), "{head}");
+    assert!(body.contains("\"error\":"), "{body}");
+
+    // A finishes its upload and is served normally.
+    a.write_all(second_half).unwrap();
+    let mut answer = String::new();
+    a.read_to_string(&mut answer).expect("read A");
+    assert!(answer.starts_with("HTTP/1.1 201"), "{answer}");
+    drop(b);
+    handle.stop();
+}

@@ -1,7 +1,7 @@
 //! End-to-end tests of the upload-once graph store workflow over HTTP:
-//! `POST /graphs` parses a GFA exactly once, `POST /layout?graph=<id>`
+//! `POST /v1/graphs` parses a GFA exactly once, `POST /v1/jobs?graph=<id>`
 //! lays it out by reference (sub-kilobyte requests, any engine),
-//! `DELETE /graphs/<id>` drops it without sinking in-flight jobs, and
+//! `DELETE /v1/graphs/<id>` drops it without sinking in-flight jobs, and
 //! the `.lean` disk tier serves references across server restarts
 //! without a single re-parse.
 
@@ -74,7 +74,7 @@ fn json_str_field(json: &str, field: &str) -> Option<String> {
 fn poll_done(addr: SocketAddr, job: u64) {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let (status, body) = http(addr, "GET", &format!("/jobs/{job}"), b"");
+        let (status, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
         assert_eq!(status, 200);
         let text = body_text(&body);
         if text.contains("\"state\":\"done\"") {
@@ -118,7 +118,7 @@ fn upload_once_serves_many_layouts_across_engines_with_one_parse() {
     assert!(gfa.len() > 1024, "graph text is itself larger than 1 KB");
 
     // Upload once: 201 Created with the parsed metadata.
-    let (status, body) = http(addr, "POST", "/graphs", gfa.as_bytes());
+    let (status, body) = http(addr, "POST", "/v1/graphs", gfa.as_bytes());
     let text = body_text(&body);
     assert_eq!(status, 201, "{text}");
     let id = json_str_field(&text, "graph_id").expect("graph id");
@@ -128,12 +128,12 @@ fn upload_once_serves_many_layouts_across_engines_with_one_parse() {
     assert!(text.contains("\"dedup\":false"));
 
     // Re-upload dedupes without a parse.
-    let (status, body) = http(addr, "POST", "/graphs", gfa.as_bytes());
+    let (status, body) = http(addr, "POST", "/v1/graphs", gfa.as_bytes());
     assert_eq!(status, 200);
     assert!(body_text(&body).contains("\"dedup\":true"));
 
     // The store lists it.
-    let (status, body) = http(addr, "GET", "/graphs", b"");
+    let (status, body) = http(addr, "GET", "/v1/graphs", b"");
     assert_eq!(status, 200);
     let listing = body_text(&body);
     assert!(listing.contains(&id), "{listing}");
@@ -143,7 +143,7 @@ fn upload_once_serves_many_layouts_across_engines_with_one_parse() {
     // request (line + headers + empty body) stays under 1 KB.
     let mut tsvs = Vec::new();
     for (engine, iters) in [("cpu", 4), ("cpu", 5), ("batch", 4), ("gpu", 3)] {
-        let path = format!("/layout?graph={id}&engine={engine}&iters={iters}&threads=1");
+        let path = format!("/v1/jobs?graph={id}&engine={engine}&iters={iters}&threads=1");
         let (status, body, request_bytes) = http_sized(addr, "POST", &path, b"");
         let text = body_text(&body);
         assert_eq!(status, 202, "{text}");
@@ -154,7 +154,7 @@ fn upload_once_serves_many_layouts_across_engines_with_one_parse() {
         assert!(text.contains(&format!("\"graph\":\"{id}\"")), "{text}");
         let job = json_u64(&text, "job").expect("job id");
         poll_done(addr, job);
-        let (status, tsv) = http(addr, "GET", &format!("/result/{job}"), b"");
+        let (status, tsv) = http(addr, "GET", &format!("/v1/result/{job}"), b"");
         assert_eq!(status, 200);
         tsvs.push(tsv);
     }
@@ -164,7 +164,7 @@ fn upload_once_serves_many_layouts_across_engines_with_one_parse() {
     );
 
     // The whole exchange parsed the GFA exactly once.
-    let (status, body) = http(addr, "GET", "/stats", b"");
+    let (status, body) = http(addr, "GET", "/v1/stats", b"");
     assert_eq!(status, 200);
     let stats = body_text(&body);
     assert_eq!(json_u64(&stats, "parses"), Some(1), "{stats}");
@@ -188,10 +188,10 @@ fn identical_by_reference_requests_hit_the_layout_cache() {
     let handle = spawn(&service);
     let addr = handle.addr();
     let gfa = write_gfa(&generate(&PangenomeSpec::basic("cache", 40, 2, 13)));
-    let (_, body) = http(addr, "POST", "/graphs", gfa.as_bytes());
+    let (_, body) = http(addr, "POST", "/v1/graphs", gfa.as_bytes());
     let id = json_str_field(&body_text(&body), "graph_id").unwrap();
 
-    let path = format!("/layout?graph={id}&engine=cpu&iters=4&threads=1");
+    let path = format!("/v1/jobs?graph={id}&engine=cpu&iters=4&threads=1");
     let (_, body) = http(addr, "POST", &path, b"");
     let job = json_u64(&body_text(&body), "job").unwrap();
     poll_done(addr, job);
@@ -219,21 +219,21 @@ fn delete_of_an_in_use_graph_does_not_sink_the_running_job() {
     let handle = spawn(&service);
     let addr = handle.addr();
     let gfa = write_gfa(&generate(&PangenomeSpec::basic("del", 120, 4, 17)));
-    let (_, body) = http(addr, "POST", "/graphs", gfa.as_bytes());
+    let (_, body) = http(addr, "POST", "/v1/graphs", gfa.as_bytes());
     let id = json_str_field(&body_text(&body), "graph_id").unwrap();
 
     // A long-running by-reference job…
     let (status, body) = http(
         addr,
         "POST",
-        &format!("/layout?graph={id}&engine=cpu&iters=100000&threads=1"),
+        &format!("/v1/jobs?graph={id}&engine=cpu&iters=100000&threads=1"),
         b"",
     );
     assert_eq!(status, 202);
     let job = json_u64(&body_text(&body), "job").unwrap();
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        let (_, body) = http(addr, "GET", &format!("/jobs/{job}"), b"");
+        let (_, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
         if body_text(&body).contains("\"state\":\"running\"") {
             break;
         }
@@ -242,9 +242,9 @@ fn delete_of_an_in_use_graph_does_not_sink_the_running_job() {
     }
 
     // …survives deletion of its graph (shared Arc keeps the data),
-    let (status, body) = http(addr, "DELETE", &format!("/graphs/{id}"), b"");
+    let (status, body) = http(addr, "DELETE", &format!("/v1/graphs/{id}"), b"");
     assert_eq!(status, 200, "{}", body_text(&body));
-    let (_, body) = http(addr, "GET", &format!("/jobs/{job}"), b"");
+    let (_, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
     let text = body_text(&body);
     assert!(
         text.contains("\"state\":\"running\""),
@@ -255,19 +255,19 @@ fn delete_of_an_in_use_graph_does_not_sink_the_running_job() {
     let (status, _) = http(
         addr,
         "POST",
-        &format!("/layout?graph={id}&engine=cpu&iters=2"),
+        &format!("/v1/jobs?graph={id}&engine=cpu&iters=2"),
         b"",
     );
     assert_eq!(status, 404);
-    let (status, _) = http(addr, "DELETE", &format!("/graphs/{id}"), b"");
+    let (status, _) = http(addr, "DELETE", &format!("/v1/graphs/{id}"), b"");
     assert_eq!(status, 404);
     // Bad ids are 400, unknown well-formed ids are 404.
-    let (status, _) = http(addr, "DELETE", "/graphs/nothex", b"");
+    let (status, _) = http(addr, "DELETE", "/v1/graphs/nothex", b"");
     assert_eq!(status, 400);
-    let (status, _) = http(addr, "POST", "/layout?graph=zzz&engine=cpu", b"");
+    let (status, _) = http(addr, "POST", "/v1/jobs?graph=zzz&engine=cpu", b"");
     assert_eq!(status, 400);
 
-    let (status, _) = http(addr, "POST", &format!("/jobs/{job}/cancel"), b"");
+    let (status, _) = http(addr, "POST", &format!("/v1/jobs/{job}/cancel"), b"");
     assert_eq!(status, 200);
     handle.stop();
 }
@@ -292,7 +292,7 @@ fn graph_disk_tier_serves_references_across_restart_without_reparsing() {
             cfg(),
         ));
         let handle = spawn(&service);
-        let (status, body) = http(handle.addr(), "POST", "/graphs", gfa.as_bytes());
+        let (status, body) = http(handle.addr(), "POST", "/v1/graphs", gfa.as_bytes());
         assert_eq!(status, 201);
         let id = json_str_field(&body_text(&body), "graph_id").unwrap();
         handle.stop();
@@ -307,7 +307,7 @@ fn graph_disk_tier_serves_references_across_restart_without_reparsing() {
     ));
     let handle = spawn(&service);
     let addr = handle.addr();
-    let (status, body) = http(addr, "GET", "/graphs", b"");
+    let (status, body) = http(addr, "GET", "/v1/graphs", b"");
     assert_eq!(status, 200);
     assert_eq!(
         json_u64(&body_text(&body), "count"),
@@ -317,14 +317,14 @@ fn graph_disk_tier_serves_references_across_restart_without_reparsing() {
     let (status, body) = http(
         addr,
         "POST",
-        &format!("/layout?graph={id}&engine=cpu&iters=4&threads=1"),
+        &format!("/v1/jobs?graph={id}&engine=cpu&iters=4&threads=1"),
         b"",
     );
     let text = body_text(&body);
     assert_eq!(status, 202, "{text}");
     let job = json_u64(&text, "job").unwrap();
     poll_done(addr, job);
-    let (_, body) = http(addr, "GET", "/stats", b"");
+    let (_, body) = http(addr, "GET", "/v1/stats", b"");
     let stats = body_text(&body);
     assert_eq!(json_u64(&stats, "parses"), Some(0), "no re-parse: {stats}");
     handle.stop();
@@ -348,7 +348,7 @@ fn zero_segment_inline_bodies_are_rejected_before_enqueueing() {
     let (status, body) = http(
         addr,
         "POST",
-        "/layout?engine=cpu",
+        "/v1/jobs?engine=cpu",
         b"H\tVN:Z:1.0\nnot a record\n",
     );
     assert_eq!(status, 400);
@@ -358,10 +358,10 @@ fn zero_segment_inline_bodies_are_rejected_before_enqueueing() {
         body_text(&body)
     );
     // Same for POST /graphs.
-    let (status, _) = http(addr, "POST", "/graphs", b"only garbage\n");
+    let (status, _) = http(addr, "POST", "/v1/graphs", b"only garbage\n");
     assert_eq!(status, 400);
 
-    let (_, body) = http(addr, "GET", "/stats", b"");
+    let (_, body) = http(addr, "GET", "/v1/stats", b"");
     let stats = body_text(&body);
     assert_eq!(
         json_u64(&stats, "submitted"),

@@ -70,12 +70,12 @@ fn layout_jobs_round_trip_over_http_and_hit_the_cache() {
     let addr = handle.addr();
 
     let gfa = write_gfa(&generate(&PangenomeSpec::basic("http", 50, 3, 7)));
-    let post_path = "/layout?engine=cpu&iters=4&threads=1&seed=42";
+    let post_path = "/v1/jobs?engine=cpu&iters=4&threads=1&seed=42";
 
     // Health and stats respond before any work.
-    let (status, body) = http(addr, "GET", "/healthz", b"");
+    let (status, body) = http(addr, "GET", "/v1/healthz", b"");
     assert_eq!(status, 200, "{}", body_text(&body));
-    let (status, _) = http(addr, "GET", "/stats", b"");
+    let (status, _) = http(addr, "GET", "/v1/stats", b"");
     assert_eq!(status, 200);
 
     // Submit the first job.
@@ -91,7 +91,7 @@ fn layout_jobs_round_trip_over_http_and_hit_the_cache() {
     // Poll to completion.
     let deadline = Instant::now() + Duration::from_secs(120);
     let final_status = loop {
-        let (status, body) = http(addr, "GET", &format!("/jobs/{job}"), b"");
+        let (status, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
         assert_eq!(status, 200);
         let text = body_text(&body);
         if text.contains("\"state\":\"done\"") {
@@ -110,7 +110,7 @@ fn layout_jobs_round_trip_over_http_and_hit_the_cache() {
     );
 
     // Fetch the TSV result.
-    let (status, tsv_bytes) = http(addr, "GET", &format!("/result/{job}"), b"");
+    let (status, tsv_bytes) = http(addr, "GET", &format!("/v1/result/{job}"), b"");
     assert_eq!(status, 200);
     let tsv = body_text(&tsv_bytes);
     assert!(
@@ -131,7 +131,7 @@ fn layout_jobs_round_trip_over_http_and_hit_the_cache() {
     assert!(text.contains("\"state\":\"done\""), "{text}");
     let job2 = json_u64(&text, "job").expect("job id");
     assert_ne!(job, job2);
-    let (status, body2) = http(addr, "GET", &format!("/result/{job2}"), b"");
+    let (status, body2) = http(addr, "GET", &format!("/v1/result/{job2}"), b"");
     assert_eq!(status, 200);
     assert_eq!(tsv_bytes, body2, "cached layout is byte-identical");
 
@@ -139,25 +139,25 @@ fn layout_jobs_round_trip_over_http_and_hit_the_cache() {
     let (status, body) = http(
         addr,
         "POST",
-        "/layout?engine=cpu&iters=5&threads=1&seed=42",
+        "/v1/jobs?engine=cpu&iters=5&threads=1&seed=42",
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
     assert!(body_text(&body).contains("\"cached\":false"));
 
     // Stats agree: one hit so far.
-    let (status, body) = http(addr, "GET", "/stats", b"");
+    let (status, body) = http(addr, "GET", "/v1/stats", b"");
     assert_eq!(status, 200);
     let stats = body_text(&body);
     assert_eq!(json_u64(&stats, "hits"), Some(1), "{stats}");
     assert!(json_u64(&stats, "submitted").unwrap() >= 3, "{stats}");
 
     // Error paths: unknown job, result of unknown job, bad engine, 404s.
-    let (status, _) = http(addr, "GET", "/jobs/99999", b"");
+    let (status, _) = http(addr, "GET", "/v1/jobs/99999", b"");
     assert_eq!(status, 404);
-    let (status, _) = http(addr, "GET", "/result/99999", b"");
+    let (status, _) = http(addr, "GET", "/v1/result/99999", b"");
     assert_eq!(status, 404);
-    let (status, body) = http(addr, "POST", "/layout?engine=quantum", gfa.as_bytes());
+    let (status, body) = http(addr, "POST", "/v1/jobs?engine=quantum", gfa.as_bytes());
     assert_eq!(status, 400);
     assert!(body_text(&body).contains("quantum"));
     let (status, _) = http(addr, "GET", "/no/such/route", b"");
@@ -185,7 +185,7 @@ fn http_cancellation_stops_a_running_job() {
     let (status, body) = http(
         addr,
         "POST",
-        "/layout?engine=cpu&iters=100000&threads=1",
+        "/v1/jobs?engine=cpu&iters=100000&threads=1",
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
@@ -194,18 +194,18 @@ fn http_cancellation_stops_a_running_job() {
     // Wait until it is running, cancel, then confirm the terminal state.
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        let (_, body) = http(addr, "GET", &format!("/jobs/{job}"), b"");
+        let (_, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
         if body_text(&body).contains("\"state\":\"running\"") {
             break;
         }
         assert!(Instant::now() < deadline, "job never started running");
         std::thread::sleep(Duration::from_millis(5));
     }
-    let (status, _) = http(addr, "POST", &format!("/jobs/{job}/cancel"), b"");
+    let (status, _) = http(addr, "POST", &format!("/v1/jobs/{job}/cancel"), b"");
     assert_eq!(status, 200);
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        let (_, body) = http(addr, "GET", &format!("/jobs/{job}"), b"");
+        let (_, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
         let text = body_text(&body);
         if text.contains("\"state\":\"cancelled\"") {
             break;
@@ -214,7 +214,7 @@ fn http_cancellation_stops_a_running_job() {
         std::thread::sleep(Duration::from_millis(5));
     }
     // No result for a cancelled job.
-    let (status, _) = http(addr, "GET", &format!("/result/{job}"), b"");
+    let (status, _) = http(addr, "GET", &format!("/v1/result/{job}"), b"");
     assert_eq!(status, 409);
 
     handle.stop();
@@ -303,7 +303,7 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
 
     // Three requests ride the same TCP connection.
     for _ in 0..3 {
-        send_request(&mut stream, "GET", "/healthz", "", b"");
+        send_request(&mut stream, "GET", "/v1/healthz", "", b"");
         let (status, head, body) = read_response(&mut stream);
         assert_eq!(status, 200, "{}", body_text(&body));
         assert!(
@@ -315,17 +315,17 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
 
     // The metrics endpoint (request 4 on the same socket) has seen the
     // reuses and the per-route histogram.
-    send_request(&mut stream, "GET", "/metrics", "", b"");
+    send_request(&mut stream, "GET", "/v1/metrics", "", b"");
     let (status, _, body) = read_response(&mut stream);
     assert_eq!(status, 200);
     let text = body_text(&body);
     assert!(text.contains("pgl_http_keepalive_reuses_total 3"), "{text}");
     assert!(
-        text.contains("pgl_http_requests_total{route=\"/healthz\",class=\"2xx\"} 3"),
+        text.contains("pgl_http_requests_total{route=\"/v1/healthz\",class=\"2xx\"} 3"),
         "{text}"
     );
     assert!(
-        text.contains("pgl_http_request_duration_us_bucket{route=\"/healthz\",le=\"+Inf\"} 3"),
+        text.contains("pgl_http_request_duration_us_bucket{route=\"/v1/healthz\",le=\"+Inf\"} 3"),
         "{text}"
     );
     assert!(
@@ -334,7 +334,13 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     );
 
     // `Connection: close` is honored: the server answers and hangs up.
-    send_request(&mut stream, "GET", "/healthz", "Connection: close\r\n", b"");
+    send_request(
+        &mut stream,
+        "GET",
+        "/v1/healthz",
+        "Connection: close\r\n",
+        b"",
+    );
     let (status, head, _) = read_response(&mut stream);
     assert_eq!(status, 200);
     assert!(head.to_lowercase().contains("connection: close"), "{head}");
@@ -368,7 +374,7 @@ fn overloaded_server_sheds_load_with_503_and_retry_after() {
     a.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     a.write_all(
         format!(
-            "POST /layout?engine=cpu&iters=2&threads=1 HTTP/1.1\r\nHost: x\r\n\
+            "POST /v1/jobs?engine=cpu&iters=2&threads=1 HTTP/1.1\r\nHost: x\r\n\
              Content-Length: {}\r\nConnection: close\r\n\r\n",
             gfa.len()
         )
@@ -405,7 +411,7 @@ fn overloaded_server_sheds_load_with_503_and_retry_after() {
     // The shed connection shows up in the stats.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let (status, body) = http(addr, "GET", "/stats", b"");
+        let (status, body) = http(addr, "GET", "/v1/stats", b"");
         assert_eq!(status, 200);
         if json_u64(&body_text(&body), "rejected_503") == Some(1) {
             break;
@@ -427,7 +433,7 @@ fn disk_cache_hit_survives_a_server_restart() {
         ..ServiceConfig::default()
     };
     let gfa = write_gfa(&generate(&PangenomeSpec::basic("disk", 50, 3, 9)));
-    let post_path = "/layout?engine=cpu&iters=4&threads=1&seed=7";
+    let post_path = "/v1/jobs?engine=cpu&iters=4&threads=1&seed=7";
 
     // First server computes the layout and spills it to the disk tier.
     let first_tsv = {
@@ -444,7 +450,7 @@ fn disk_cache_hit_survives_a_server_restart() {
         let job = json_u64(&text, "job").unwrap();
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
-            let (_, body) = http(addr, "GET", &format!("/jobs/{job}"), b"");
+            let (_, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
             let text = body_text(&body);
             if text.contains("\"state\":\"done\"") {
                 break;
@@ -452,7 +458,7 @@ fn disk_cache_hit_survives_a_server_restart() {
             assert!(Instant::now() < deadline, "job never finished: {text}");
             std::thread::sleep(Duration::from_millis(10));
         }
-        let (status, tsv) = http(addr, "GET", &format!("/result/{job}"), b"");
+        let (status, tsv) = http(addr, "GET", &format!("/v1/result/{job}"), b"");
         assert_eq!(status, 200);
         handle.stop();
         tsv
@@ -474,10 +480,10 @@ fn disk_cache_hit_survives_a_server_restart() {
         "restarted server hits the disk tier: {text}"
     );
     let job = json_u64(&text, "job").unwrap();
-    let (status, tsv) = http(addr, "GET", &format!("/result/{job}"), b"");
+    let (status, tsv) = http(addr, "GET", &format!("/v1/result/{job}"), b"");
     assert_eq!(status, 200);
     assert_eq!(tsv, first_tsv, "disk tier serves the identical layout");
-    let (_, stats) = http(addr, "GET", "/stats", b"");
+    let (_, stats) = http(addr, "GET", "/v1/stats", b"");
     assert_eq!(json_u64(&body_text(&stats), "disk_hits"), Some(1));
 
     handle.stop();
@@ -521,7 +527,7 @@ fn conflicting_content_length_headers_are_rejected() {
         .unwrap();
     probe
         .write_all(
-            b"POST /layout HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\
+            b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\
               Content-Length: 6\r\nConnection: close\r\n\r\nabcd",
         )
         .unwrap();
@@ -539,7 +545,7 @@ fn conflicting_content_length_headers_are_rejected() {
     dup.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     dup.write_all(
         format!(
-            "POST /layout?iters=2&threads=1 HTTP/1.1\r\nHost: x\r\nContent-Length: {len}\r\n\
+            "POST /v1/jobs?iters=2&threads=1 HTTP/1.1\r\nHost: x\r\nContent-Length: {len}\r\n\
              Content-Length: {len}\r\nConnection: close\r\n\r\n{gfa}",
             len = gfa.len()
         )
@@ -553,7 +559,7 @@ fn conflicting_content_length_headers_are_rejected() {
     let mut te = TcpStream::connect(addr).expect("connect");
     te.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     te.write_all(
-        b"POST /layout HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\
+        b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\
           Connection: close\r\n\r\n0\r\n\r\n",
     )
     .unwrap();

@@ -193,35 +193,36 @@ fn metrics_exposition_merges_http_and_service_families_and_validates() {
     let job = json_u64(&body_text(&body), "job").expect("job id");
     poll_done(addr, job);
 
-    for path in ["/metrics", "/v1/metrics"] {
-        let (status, body) = http(addr, "GET", path, b"");
-        assert_eq!(status, 200);
-        let text = body_text(&body);
-        validate_exposition(&text).unwrap_or_else(|e| panic!("{path}: {e}\n{text}"));
-        // HTTP families.
-        assert!(text.contains("pgl_http_requests_total"), "{path}");
-        assert!(
-            text.contains("pgl_http_request_duration_us_bucket"),
-            "{path}"
-        );
-        // Service families: phase + queue-wait histograms, engine
-        // gauges, scheduler and cache-tier gauges.
-        assert!(text.contains("pgl_job_phase_us_bucket"), "{path}");
-        assert!(text.contains("pgl_job_queue_wait_us_bucket"), "{path}");
-        assert!(text.contains("pgl_engine_terms_applied_total"), "{path}");
-        assert!(text.contains("pgl_engine_updates_per_sec"), "{path}");
-        assert!(text.contains("pgl_engine_running_jobs"), "{path}");
-        assert!(
-            text.contains("pgl_queue_depth{band=\"interactive\"}"),
-            "{path}"
-        );
-        assert!(text.contains("pgl_jobs_total{outcome=\"done\"}"), "{path}");
-        assert!(
-            text.contains("pgl_cache_hit_ratio{tier=\"layout\"}"),
-            "{path}"
-        );
-        assert!(text.contains("pgl_cache_entries{tier=\"graph\"}"), "{path}");
-    }
+    let (status, _) = http(addr, "GET", "/metrics", b"");
+    assert_eq!(status, 404, "only the /v1 surface answers");
+    let path = "/v1/metrics";
+    let (status, body) = http(addr, "GET", path, b"");
+    assert_eq!(status, 200);
+    let text = body_text(&body);
+    validate_exposition(&text).unwrap_or_else(|e| panic!("{path}: {e}\n{text}"));
+    // HTTP families.
+    assert!(text.contains("pgl_http_requests_total"), "{path}");
+    assert!(
+        text.contains("pgl_http_request_duration_us_bucket"),
+        "{path}"
+    );
+    // Service families: phase + queue-wait histograms, engine
+    // gauges, scheduler and cache-tier gauges.
+    assert!(text.contains("pgl_job_phase_us_bucket"), "{path}");
+    assert!(text.contains("pgl_job_queue_wait_us_bucket"), "{path}");
+    assert!(text.contains("pgl_engine_terms_applied_total"), "{path}");
+    assert!(text.contains("pgl_engine_updates_per_sec"), "{path}");
+    assert!(text.contains("pgl_engine_running_jobs"), "{path}");
+    assert!(
+        text.contains("pgl_queue_depth{band=\"interactive\"}"),
+        "{path}"
+    );
+    assert!(text.contains("pgl_jobs_total{outcome=\"done\"}"), "{path}");
+    assert!(
+        text.contains("pgl_cache_hit_ratio{tier=\"layout\"}"),
+        "{path}"
+    );
+    assert!(text.contains("pgl_cache_entries{tier=\"graph\"}"), "{path}");
 
     // The finished job's work is visible in the counters: a layout
     // phase observation and a nonzero terms-applied total.
@@ -311,17 +312,18 @@ fn healthz_and_stats_expose_version_uptime_and_features() {
     let (_service, handle) = start_server();
     let addr = handle.addr();
 
-    for path in ["/healthz", "/v1/healthz"] {
-        let (status, body) = http(addr, "GET", path, b"");
-        assert_eq!(status, 200);
-        let text = body_text(&body);
-        assert!(text.contains("\"ok\":true"), "{text}");
-        assert!(text.contains("\"version\":\""), "{text}");
-        assert!(text.contains("\"uptime_s\":"), "{text}");
-        assert!(text.contains("\"engines\":["), "{text}");
-        assert!(text.contains("\"cpu\""), "{text}");
-        assert!(text.contains("\"precisions\":[\"f32\",\"f64\"]"), "{text}");
-    }
+    let (status, _) = http(addr, "GET", "/healthz", b"");
+    assert_eq!(status, 404, "only the /v1 surface answers");
+    let path = "/v1/healthz";
+    let (status, body) = http(addr, "GET", path, b"");
+    assert_eq!(status, 200);
+    let text = body_text(&body);
+    assert!(text.contains("\"ok\":true"), "{text}");
+    assert!(text.contains("\"version\":\""), "{text}");
+    assert!(text.contains("\"uptime_s\":"), "{text}");
+    assert!(text.contains("\"engines\":["), "{text}");
+    assert!(text.contains("\"cpu\""), "{text}");
+    assert!(text.contains("\"precisions\":[\"f32\",\"f64\"]"), "{text}");
 
     let (status, body) = http(addr, "GET", "/v1/stats", b"");
     assert_eq!(status, 200);

@@ -90,7 +90,7 @@ fn over_budget_clients_get_429_with_retry_after() {
     let mut limited = 0usize;
     let mut saw_retry_after = false;
     for _ in 0..15 {
-        send_get(&mut stream, "/healthz");
+        send_get(&mut stream, "/v1/healthz");
         let (status, head, body) = read_response(&mut stream);
         match status {
             200 => ok += 1,
@@ -112,7 +112,7 @@ fn over_budget_clients_get_429_with_retry_after() {
     // After a refill pause, the same client is served again — and the
     // rejections are visible in /metrics and /stats.
     std::thread::sleep(Duration::from_millis(1200));
-    send_get(&mut stream, "/metrics");
+    send_get(&mut stream, "/v1/metrics");
     let (status, _, body) = read_response(&mut stream);
     assert_eq!(status, 200, "bucket refilled");
     let metrics = String::from_utf8_lossy(&body).into_owned();
@@ -124,7 +124,7 @@ fn over_budget_clients_get_429_with_retry_after() {
     assert_eq!(counted, limited as u64, "{metrics}");
 
     std::thread::sleep(Duration::from_millis(400));
-    send_get(&mut stream, "/stats");
+    send_get(&mut stream, "/v1/stats");
     let (status, _, body) = read_response(&mut stream);
     assert_eq!(status, 200);
     let stats = String::from_utf8_lossy(&body).into_owned();
@@ -150,12 +150,12 @@ fn rate_limited_requests_keep_the_connection_alive() {
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    send_get(&mut stream, "/healthz");
+    send_get(&mut stream, "/v1/healthz");
     let (status, _, _) = read_response(&mut stream);
     assert_eq!(status, 200);
     // The throttled request is answered on the same connection, which
     // stays usable for the client's (eventual) retry.
-    send_get(&mut stream, "/healthz");
+    send_get(&mut stream, "/v1/healthz");
     let (status, head, _) = read_response(&mut stream);
     assert_eq!(status, 429);
     assert!(
@@ -163,7 +163,7 @@ fn rate_limited_requests_keep_the_connection_alive() {
         "429 does not hang up: {head}"
     );
     std::thread::sleep(Duration::from_millis(1100));
-    send_get(&mut stream, "/healthz");
+    send_get(&mut stream, "/v1/healthz");
     let (status, _, _) = read_response(&mut stream);
     assert_eq!(status, 200, "retry on the same connection succeeds");
     drop(stream);
@@ -179,11 +179,11 @@ fn disabled_rate_limit_never_throttles() {
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     for _ in 0..20 {
-        send_get(&mut stream, "/healthz");
+        send_get(&mut stream, "/v1/healthz");
         let (status, _, _) = read_response(&mut stream);
         assert_eq!(status, 200);
     }
-    send_get(&mut stream, "/metrics");
+    send_get(&mut stream, "/v1/metrics");
     let (_, _, body) = read_response(&mut stream);
     assert!(
         String::from_utf8_lossy(&body).contains("pgl_http_rate_limited_total 0"),

@@ -280,7 +280,6 @@ fn spawn_http(
 /// Terminal-state JSON audit over the wire: cancelled-while-queued is
 /// `cancelled` with no error field; TTL expiry is `failed` with an
 /// `expired in queue` error; done carries progress 1.000 and no error.
-/// Checked on both the legacy and the `/v1` alias of `GET /jobs/<id>`.
 #[test]
 fn terminal_states_report_truthfully_over_http() {
     let (_svc, handle) = spawn_http(1);
@@ -323,23 +322,21 @@ fn terminal_states_report_truthfully_over_http() {
         b"",
     );
     assert_eq!(status, 200);
-    for path in [
-        format!("/jobs/{cancelled_job}"),
-        format!("/v1/jobs/{cancelled_job}"),
-    ] {
-        let (status, _, body) = http(addr, "GET", &path, b"");
-        assert_eq!(status, 200);
-        let json = text(&body);
-        assert!(
-            json.contains("\"state\":\"cancelled\""),
-            "cancelled-while-queued must report cancelled ({path}): {json}"
-        );
-        assert!(
-            !json.contains("\"error\""),
-            "a cancel is not an error ({path}): {json}"
-        );
-        assert!(json.contains("\"progress\":0.000"), "{json}");
-    }
+    let (status, _, _) = http(addr, "GET", &format!("/jobs/{cancelled_job}"), b"");
+    assert_eq!(status, 404, "only the /v1 surface answers");
+    let path = format!("/v1/jobs/{cancelled_job}");
+    let (status, _, body) = http(addr, "GET", &path, b"");
+    assert_eq!(status, 200);
+    let json = text(&body);
+    assert!(
+        json.contains("\"state\":\"cancelled\""),
+        "cancelled-while-queued must report cancelled ({path}): {json}"
+    );
+    assert!(
+        !json.contains("\"error\""),
+        "a cancel is not an error ({path}): {json}"
+    );
+    assert!(json.contains("\"progress\":0.000"), "{json}");
 
     // Let the TTL lapse, then free the worker; the expired job fails
     // without running.
@@ -402,10 +399,10 @@ fn terminal_states_report_truthfully_over_http() {
     handle.stop();
 }
 
-/// `/v1` is strict about unknown parameters; the legacy aliases keep
-/// ignoring them. Both surfaces serve the same jobs.
+/// `/v1` is strict about unknown parameters, and it is the only
+/// surface: the retired unversioned aliases answer 404.
 #[test]
-fn v1_is_strict_and_legacy_aliases_stay_lenient() {
+fn v1_is_strict_and_legacy_aliases_are_gone() {
     let (_svc, handle) = spawn_http(1);
     let addr = handle.addr();
     let gfa = small_gfa(21);
@@ -420,21 +417,25 @@ fn v1_is_strict_and_legacy_aliases_stay_lenient() {
     assert_eq!(status, 400, "{}", text(&body));
     assert!(text(&body).contains("prioritiy"), "{}", text(&body));
 
-    // The same typo on the legacy route is silently ignored.
-    let (status, _, body) = http(
-        addr,
-        "POST",
-        "/layout?engine=cpu&iters=2&threads=1&prioritiy=bulk",
-        gfa.as_bytes(),
-    );
-    assert_eq!(status, 202, "{}", text(&body));
+    // The retired aliases are not routes, and neither is the retired
+    // second name for submission.
+    for (method, path) in [
+        ("POST", "/layout?engine=cpu&iters=2&threads=1"),
+        ("POST", "/v1/layout?engine=cpu&iters=2&threads=1"),
+        ("POST", "/jobs"),
+        ("GET", "/jobs/1"),
+        ("GET", "/stats"),
+    ] {
+        let (status, _, body) = http(addr, method, path, gfa.as_bytes());
+        assert_eq!(status, 404, "{method} {path}: {}", text(&body));
+    }
 
-    // Bad priority value is a typed 400 on both surfaces.
+    // Bad priority value is a typed 400.
     let (status, _, body) = http(addr, "POST", "/v1/jobs?priority=urgent", gfa.as_bytes());
     assert_eq!(status, 400);
     assert!(text(&body).contains("priority"), "{}", text(&body));
 
-    // The /v1 read-side aliases answer like their legacy twins.
+    // The read-side routes answer.
     for path in ["/v1/healthz", "/v1/stats", "/v1/engines", "/v1/metrics"] {
         let (status, _, _) = http(addr, "GET", path, b"");
         assert_eq!(status, 200, "{path}");
@@ -444,8 +445,7 @@ fn v1_is_strict_and_legacy_aliases_stay_lenient() {
     assert_eq!(status, 404);
 
     // Strictness covers every /v1 route, not just submission: typo'd
-    // params on events/result/read routes are 400s there but silently
-    // ignored on the legacy aliases.
+    // params on events/result/read routes are 400s too.
     let (status, _, body) = http(addr, "GET", "/v1/jobs/1/events?frm=5", b"");
     assert_eq!(status, 400, "{}", text(&body));
     assert!(text(&body).contains("frm"), "{}", text(&body));
@@ -453,13 +453,11 @@ fn v1_is_strict_and_legacy_aliases_stay_lenient() {
     assert_eq!(status, 400, "{}", text(&body));
     let (status, _, _) = http(addr, "GET", "/v1/stats?pretty=1", b"");
     assert_eq!(status, 400);
-    let (status, _, _) = http(addr, "GET", "/stats?pretty=1", b"");
-    assert_eq!(status, 200, "legacy alias stays lenient");
 
     handle.stop();
 }
 
-/// `GET /graphs` (and `/v1/graphs`) emit an `ETag` and honor
+/// `GET /v1/graphs` emits an `ETag` and honors
 /// `If-None-Match` with `304 Not Modified`; mutations change the tag.
 #[test]
 fn graph_listing_revalidates_with_etags() {
@@ -494,7 +492,7 @@ fn graph_listing_revalidates_with_etags() {
     let (status, _, _) = http(addr, "POST", "/v1/graphs", gfa.as_bytes());
     assert_eq!(status, 201);
     let (status, head2, _) =
-        http_with_header(addr, "GET", "/graphs", &format!("If-None-Match: {etag}"));
+        http_with_header(addr, "GET", "/v1/graphs", &format!("If-None-Match: {etag}"));
     assert_eq!(status, 200, "stale tag after mutation re-serves");
     let etag2 = head2
         .lines()
@@ -503,7 +501,7 @@ fn graph_listing_revalidates_with_etags() {
         .trim()
         .to_string();
     assert_ne!(etag, etag2, "mutation rotated the ETag");
-    // The legacy alias shares tags with /v1 (same resource).
+    // The rotated tag revalidates in turn.
     let (status, _, _) = http_with_header(
         addr,
         "GET",

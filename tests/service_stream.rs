@@ -502,26 +502,29 @@ fn stop_is_prompt_with_an_active_event_stream() {
     );
 }
 
-/// The legacy alias `GET /jobs/<id>/events` streams identically — the
-/// event log is one resource under two paths.
+/// The retired unversioned alias `GET /jobs/<id>/events` is gone: only
+/// the `/v1` path streams a job's event log.
 #[test]
-fn legacy_events_alias_matches_v1() {
+fn unversioned_events_path_is_not_found() {
     let (_svc, handle) = spawn_http(1);
     let addr = handle.addr();
     let gfa = small_gfa(5);
     let (status, body) = http(
         addr,
         "POST",
-        "/layout?engine=cpu&iters=200&threads=1",
+        "/v1/jobs?engine=cpu&iters=4&threads=1",
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
     let job = json_u64(&text(&body), "job").unwrap();
-    let (status, _, v1_lines) = read_event_stream(addr, &format!("/v1/jobs/{job}/events"));
+    let (status, _, lines) = read_event_stream(addr, &format!("/jobs/{job}/events"));
+    assert_eq!(status, 404, "{lines:?}");
+    let (status, _, lines) = read_event_stream(addr, &format!("/v1/jobs/{job}/events"));
     assert_eq!(status, 200);
-    let (status, _, legacy_lines) = read_event_stream(addr, &format!("/jobs/{job}/events"));
-    assert_eq!(status, 200);
-    assert_eq!(v1_lines, legacy_lines, "one log, two paths");
+    assert!(
+        lines.last().unwrap().contains("\"state\":\"done\""),
+        "{lines:?}"
+    );
 
     handle.stop();
 }
