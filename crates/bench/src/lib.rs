@@ -31,6 +31,7 @@
 
 use layout_core::{BatchEngine, CpuEngine, DataLayout, LayoutConfig, Precision, Toggle};
 use pangraph::lean::LeanGraph;
+use pgio::{quote, Json};
 use workloads::{generate, PangenomeSpec};
 
 /// JSON schema tag; bump when the document shape changes.
@@ -396,7 +397,7 @@ pub fn to_json(report: &BenchReport) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{BENCH_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"preset\": \"{}\",\n", report.preset));
+    out.push_str(&format!("  \"preset\": {},\n", quote(&report.preset)));
     out.push_str(&format!(
         "  \"graph\": {{\"nodes\": {}, \"paths\": {}, \"steps\": {}}},\n",
         report.nodes, report.paths, report.steps
@@ -422,16 +423,16 @@ pub fn to_json(report: &BenchReport) -> String {
             .map(|b| json_f64(r.updates_per_sec / b))
             .unwrap_or_else(|| "null".into());
         out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"precision\": \"{}\", \"layout\": \"{}\", \
+            "    {{\"engine\": {}, \"precision\": {}, \"layout\": {}, \
              \"threads\": {}, \"term_block\": {}, \"batch\": {}, \"iters\": {}, \
              \"simd\": {}, \"write_shard\": {}, \
              \"terms_applied\": {}, \"wall_s\": {}, \"updates_per_sec\": {}, \
              \"wall_s_mean\": {}, \"wall_s_stddev\": {}, \"cv\": {}, \
              \"updates_per_sec_mean\": {}, \"anchor_ratio\": {}, \
              \"speedup_vs_baseline\": {}}}{}\n",
-            r.engine,
-            r.precision,
-            r.layout,
+            quote(&r.engine),
+            quote(&r.precision),
+            quote(&r.layout),
             r.threads,
             r.term_block,
             r.batch,
@@ -460,111 +461,67 @@ pub fn to_json(report: &BenchReport) -> String {
     out
 }
 
-/// Structural validation of a `BENCH_*.json` document — what the CI
-/// smoke job runs against the artifact it just produced. Not a general
-/// JSON parser: it checks the schema tag (`pgl-bench/2`, or `/1` for
-/// older committed baselines), brace/bracket balance, that at least one
-/// result record is present, and that every record carries the required
-/// keys — including the `/2` statistics keys for `/2` documents — with
-/// a positive `updates_per_sec`.
-pub fn validate_json(text: &str) -> Result<(), String> {
-    let v2 = text.contains(&format!("\"schema\": \"{BENCH_SCHEMA}\""));
-    let v1 = text.contains(&format!("\"schema\": \"{BENCH_SCHEMA_V1}\""));
-    if !v2 && !v1 {
-        return Err(format!(
-            "missing schema tag ({BENCH_SCHEMA:?} or {BENCH_SCHEMA_V1:?})"
-        ));
-    }
-    let mut depth_brace = 0i64;
-    let mut depth_bracket = 0i64;
-    let mut in_string = false;
-    let mut prev = '\0';
-    for c in text.chars() {
-        if in_string {
-            if c == '"' && prev != '\\' {
-                in_string = false;
-            }
-        } else {
-            match c {
-                '"' => in_string = true,
-                '{' => depth_brace += 1,
-                '}' => depth_brace -= 1,
-                '[' => depth_bracket += 1,
-                ']' => depth_bracket -= 1,
-                _ => {}
-            }
-            if depth_brace < 0 || depth_bracket < 0 {
-                return Err("unbalanced braces/brackets".into());
-            }
+/// Validate a `BENCH_*.json` document — what the CI smoke job runs
+/// against the artifact it just produced. The document must parse as
+/// JSON, carry a schema tag (`pgl-bench/2`, or `/1` for older committed
+/// baselines) and at least one result record, and every record must
+/// carry the required keys — including the `/2` statistics keys for
+/// `/2` documents — with a positive `updates_per_sec`. Returns the
+/// parsed document.
+pub fn validate_json(text: &str) -> Result<Json, String> {
+    let doc = Json::parse(text).map_err(|e| format!("not a JSON document: {e}"))?;
+    let v2 = match doc.get("schema").and_then(Json::str) {
+        Some(BENCH_SCHEMA) => true,
+        Some(BENCH_SCHEMA_V1) => false,
+        _ => {
+            return Err(format!(
+                "missing schema tag ({BENCH_SCHEMA:?} or {BENCH_SCHEMA_V1:?})"
+            ))
         }
-        prev = c;
-    }
-    if depth_brace != 0 || depth_bracket != 0 || in_string {
-        return Err("unterminated document".into());
-    }
-    let records: Vec<&str> = text
-        .split("{\"engine\":")
-        .skip(1)
-        .map(|s| s.split('}').next().unwrap_or(""))
-        .collect();
+    };
+    let records = doc.get("results").and_then(Json::arr).unwrap_or_default();
     if records.is_empty() {
         return Err("no result records".into());
     }
-    let mut required: Vec<&str> = vec![
-        "\"precision\":",
-        "\"layout\":",
-        "\"threads\":",
-        "\"term_block\":",
-        "\"iters\":",
-        "\"wall_s\":",
-        "\"updates_per_sec\":",
+    let mut required = vec![
+        "engine",
+        "precision",
+        "layout",
+        "threads",
+        "term_block",
+        "iters",
+        "wall_s",
+        "updates_per_sec",
     ];
     if v2 {
         required.extend([
-            "\"wall_s_mean\":",
-            "\"wall_s_stddev\":",
-            "\"cv\":",
-            "\"updates_per_sec_mean\":",
-            "\"simd\":",
-            "\"write_shard\":",
+            "wall_s_mean",
+            "wall_s_stddev",
+            "cv",
+            "updates_per_sec_mean",
+            "simd",
+            "write_shard",
         ]);
     }
     for (i, rec) in records.iter().enumerate() {
-        for key in &required {
-            if !rec.contains(key) {
-                return Err(format!("record {i} missing {key}"));
-            }
+        if let Some(key) = required.iter().find(|key| rec.get(key).is_none()) {
+            return Err(format!("record {i} missing {key:?}"));
         }
         let ups = rec
-            .split("\"updates_per_sec\": ")
-            .nth(1)
-            .and_then(|s| s.split([',', '}']).next()?.trim().parse::<f64>().ok())
+            .get("updates_per_sec")
+            .and_then(Json::f64)
             .ok_or_else(|| format!("record {i}: unparseable updates_per_sec"))?;
         if ups.is_nan() || ups <= 0.0 {
             return Err(format!("record {i}: non-positive updates_per_sec {ups}"));
         }
     }
-    Ok(())
+    Ok(doc)
 }
 
 /// Default relative regression tolerated by [`guard_against_baseline`]:
 /// 2% — the budget the observability hooks (telemetry counters, trace
 /// spans) are allowed to cost the hot path.
 pub const GUARD_DEFAULT_TOLERANCE: f64 = 0.02;
-
-/// A quoted string field from one flat JSON record chunk.
-fn json_str_field(rec: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\": \"");
-    let at = rec.find(&needle)? + needle.len();
-    Some(rec[at..].chars().take_while(|c| *c != '"').collect())
-}
-
-/// A numeric field from one flat JSON record chunk.
-fn json_num_field(rec: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let at = rec.find(&needle)? + needle.len();
-    rec[at..].split([',', '}']).next()?.trim().parse().ok()
-}
 
 /// One baseline row as parsed from a committed `BENCH_*.json`.
 struct BaselineRow {
@@ -607,28 +564,25 @@ pub fn guard_against_baseline(
     baseline_json: &str,
     tolerance: f64,
 ) -> Result<String, String> {
-    validate_json(baseline_json).map_err(|e| format!("baseline document invalid: {e}"))?;
-    // Parsed with the same flat-record idiom as `validate_json`.
-    let baseline: Vec<BaselineRow> = baseline_json
-        .split("{\"engine\":")
-        .skip(1)
-        .filter_map(|chunk| {
-            let rec = chunk.split('}').next()?;
-            let engine: String = rec
-                .trim_start()
-                .strip_prefix('"')?
-                .chars()
-                .take_while(|c| *c != '"')
-                .collect();
+    let doc =
+        validate_json(baseline_json).map_err(|e| format!("baseline document invalid: {e}"))?;
+    let baseline: Vec<BaselineRow> = doc
+        .get("results")
+        .and_then(Json::arr)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|rec| {
+            let text = |key| Some(rec.get(key)?.str()?.to_string());
+            let num = |key| rec.get(key)?.f64();
             Some(BaselineRow {
-                engine,
-                precision: json_str_field(rec, "precision")?,
-                layout: json_str_field(rec, "layout")?,
-                threads: json_num_field(rec, "threads")? as usize,
-                ups_best: json_num_field(rec, "updates_per_sec")?,
-                ups_mean: json_num_field(rec, "updates_per_sec_mean"),
-                cv: json_num_field(rec, "cv"),
-                anchor_ratio: json_num_field(rec, "anchor_ratio"),
+                engine: text("engine")?,
+                precision: text("precision")?,
+                layout: text("layout")?,
+                threads: usize::try_from(rec.get("threads")?.u64()?).ok()?,
+                ups_best: num("updates_per_sec")?,
+                ups_mean: num("updates_per_sec_mean"),
+                cv: num("cv"),
+                anchor_ratio: num("anchor_ratio"),
             })
         })
         .collect();

@@ -10,7 +10,7 @@ use layout_core::{LayoutConfig, Toggle};
 use pangraph::lean::LeanGraph;
 use pangraph::stats::GraphStats;
 use pangraph::{parse_gfa_reader, write_gfa, VariationGraph};
-use pgio::{layout_to_tsv, load_lay, save_lay};
+use pgio::{layout_to_tsv, load_lay, save_lay, Json};
 use pgl_service::cluster::client;
 use pgl_service::{
     run_batch, BatchOptions, EngineRegistry, HttpConfig, HttpServer, JobState, LayoutService,
@@ -187,12 +187,13 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
              scalar) and records the row:anchor ratio, so machine-wide performance\n\
              drift cancels when gating. --baseline takes a previous run's\n\
              updates/sec and adds speedup_vs_baseline to every record. --validate\n\
-             checks an existing document's structure and exits (accepts pgl-bench/1\n\
-             and /2). --guard <bench.json> compares this run's records against a\n\
-             committed baseline per (engine, precision, layout, threads) row and\n\
-             fails on regression beyond --tolerance (default 0.02 = 2%) widened by\n\
-             2 sigma of the two runs' combined cv; with --ab and an --ab baseline\n\
-             the gate compares anchor ratios instead of raw throughput."
+             parses an existing document, checks its schema and rows, and exits\n\
+             (accepts pgl-bench/1 and /2). --guard <bench.json> compares this run's\n\
+             records against a committed baseline per (engine, precision, layout,\n\
+             threads) row and fails on regression beyond --tolerance (default 0.02\n\
+             = 2%) widened by 2 sigma of the two runs' combined cv; with --ab and\n\
+             an --ab baseline the gate compares anchor ratios instead of raw\n\
+             throughput."
         }
         "batch" => {
             "pgl batch <dir> -o <outdir> [--engine cpu|batch|gpu|gpu-a100[,more...]]\n\
@@ -647,7 +648,9 @@ pub fn submit(p: ArgParser) -> CmdResult {
     }
     println!("{}", text.trim());
     if p.has("--watch") {
-        let job = client::json_u64(&text, "job")
+        let job = Json::parse(&body)
+            .ok()
+            .and_then(|ticket| ticket.get("job")?.u64())
             .ok_or_else(|| format!("no job id in response: {text}"))?;
         return watch_job(&addr, job, 0);
     }
@@ -668,11 +671,13 @@ fn watch_job(addr: &str, job: u64, from: u64) -> CmdResult {
     let path = format!("/v1/jobs/{job}/events?from={from}");
     let mut last_state = String::new();
     client::stream_lines(addr, &path, &mut |line| {
-        if !line.contains("\"event\":\"heartbeat\"") {
+        let event = Json::parse(line).ok();
+        let field = |key: &str| event.as_ref()?.get(key)?.str();
+        if field("event") != Some("heartbeat") {
             println!("{line}");
         }
-        if let Some(state) = client::json_field_str(line, "state") {
-            last_state = state;
+        if let Some(state) = field("state") {
+            last_state = state.to_string();
         }
         true
     })?;
@@ -686,7 +691,10 @@ fn watch_job(addr: &str, job: u64, from: u64) -> CmdResult {
             return Err(format!("server answered {status}: {}", text.trim()));
         }
         println!("{}", text.trim());
-        last_state = client::json_field_str(&text, "state").unwrap_or_default();
+        last_state = Json::parse(&body)
+            .ok()
+            .and_then(|status| Some(status.get("state")?.str()?.to_string()))
+            .unwrap_or_default();
     }
     match last_state.as_str() {
         "done" => Ok(()),

@@ -227,13 +227,17 @@ pub fn lean_from_bytes(data: &[u8]) -> std::io::Result<LeanGraph> {
     })
 }
 
-/// Write `graph` to `path` atomically (unique temp file in the same
-/// directory, then rename), so concurrent readers of a shared spill
-/// directory never observe a torn `.lean` file.
-pub fn write_graph_spill(graph: &LeanGraph, path: &Path) -> bool {
+/// Write `bytes` to `path` atomically: write a hidden temp file in the
+/// same directory (named with the process id and a process-wide
+/// sequence number, so concurrent writers of one path never share a
+/// temp file), then rename it over `path`. Readers of a shared spill
+/// directory therefore never observe a torn file, and a crash mid-write
+/// leaves only a stray hidden temp file. Returns whether `path` now
+/// holds `bytes`.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> bool {
     use std::sync::atomic::{AtomicU64, Ordering};
-    static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let (Some(dir), Some(name)) = (path.parent(), path.file_name()) else {
         return false;
     };
@@ -242,12 +246,17 @@ pub fn write_graph_spill(graph: &LeanGraph, path: &Path) -> bool {
         name.to_string_lossy(),
         std::process::id()
     ));
-    let ok =
-        std::fs::write(&tmp, lean_to_bytes(graph)).is_ok() && std::fs::rename(&tmp, path).is_ok();
+    let ok = std::fs::write(&tmp, bytes).is_ok() && std::fs::rename(&tmp, path).is_ok();
     if !ok {
         let _ = std::fs::remove_file(&tmp);
     }
     ok
+}
+
+/// Spill `graph` to `path` as a `.lean` file, atomically
+/// ([`write_atomic`]).
+pub fn write_graph_spill(graph: &LeanGraph, path: &Path) -> bool {
+    write_atomic(path, &lean_to_bytes(graph))
 }
 
 /// Load a `.lean` spill file.

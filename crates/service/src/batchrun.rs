@@ -237,7 +237,7 @@ pub fn run_batch(dir: &Path, out_dir: &Path, opts: &BatchOptions) -> Result<Batc
                 }
                 Ok(up) => {
                     for (engine, stem) in needs_compute {
-                        let ticket = service.submit_spec(JobSpec {
+                        let ticket = service.submit(JobSpec {
                             engine: engine.clone(),
                             config: opts.config.clone(),
                             batch_size: opts.batch_size,

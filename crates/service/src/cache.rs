@@ -23,38 +23,20 @@
 //! spill pushes it past the cap, the oldest `.lay` files are removed.
 
 use layout_core::LayoutConfig;
-use pangraph::store::{content_hash_parts, evict_dir_to_cap, ContentHash, DiskIndex, DiskIndexOps};
+use pangraph::store::{
+    content_hash_parts, evict_dir_to_cap, write_atomic, ContentHash, DiskIndex, DiskIndexOps,
+};
 use pangraph::Layout2D;
-use pgio::{load_lay, save_lay};
+use pgio::{load_lay, write_lay};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Write `layout` to `path` atomically: spill to a unique temp file in
-/// the same directory, then rename over the final name. Readers (this
-/// process or a sibling server sharing the directory) therefore never
-/// observe a torn `.lay`, and a crash mid-write leaves only a stray
-/// temp file, never a corrupt cache entry.
+/// Spill `layout` to `path` as a `.lay` file, atomically
+/// ([`write_atomic`]): a crash mid-write never leaves a corrupt cache
+/// entry.
 pub fn write_spill(layout: &Layout2D, path: &Path) -> bool {
-    static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
-    let Some(dir) = path.parent() else {
-        return false;
-    };
-    let Some(name) = path.file_name() else {
-        return false;
-    };
-    let tmp = dir.join(format!(
-        ".{}.tmp.{}.{seq}",
-        name.to_string_lossy(),
-        std::process::id()
-    ));
-    let ok = save_lay(layout, &tmp).is_ok() && std::fs::rename(&tmp, path).is_ok();
-    if !ok {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    ok
+    write_atomic(path, &write_lay(layout))
 }
 
 /// Cache keys are the workspace-wide 128-bit content hash.

@@ -322,25 +322,6 @@ fn read_chunked(
     }
 }
 
-/// Pull `"field":<digits>` out of a flat JSON body.
-pub fn json_u64(json: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let at = json.find(&needle)? + needle.len();
-    let digits: String = json[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Pull `"field":"<string>"` out of a flat JSON body (no unescaping —
-/// callers only read enum-like values such as job states).
-pub fn json_field_str(json: &str, field: &str) -> Option<String> {
-    let needle = format!("\"{field}\":\"");
-    let at = json.find(&needle)? + needle.len();
-    Some(json[at..].chars().take_while(|c| *c != '"').collect())
-}
-
 /// Minimal query-component escaping for addresses and client keys.
 pub fn encode_query(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
@@ -358,16 +339,6 @@ pub fn encode_query(value: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_extractors_find_fields() {
-        let json = r#"{"job":17,"state":"queued","nested":{"hits":3}}"#;
-        assert_eq!(json_u64(json, "job"), Some(17));
-        assert_eq!(json_u64(json, "hits"), Some(3));
-        assert_eq!(json_u64(json, "missing"), None);
-        assert_eq!(json_field_str(json, "state").as_deref(), Some("queued"));
-        assert_eq!(json_field_str(json, "job"), None, "numbers are not strings");
-    }
 
     #[test]
     fn query_encoding_escapes_reserved_bytes() {

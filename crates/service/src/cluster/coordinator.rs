@@ -63,8 +63,7 @@ use super::client::{self, Backoff};
 use super::journal::{self, GraphRecord, JobRecordState, Journal};
 use super::ring::HashRing;
 use crate::http::{
-    json_str, Endpoint, EventStream, HttpConfig, Request, Response, Routed, Router, Server,
-    PROMETHEUS_TEXT,
+    Endpoint, EventStream, HttpConfig, Request, Response, Routed, Router, Server, PROMETHEUS_TEXT,
 };
 use crate::httpmetrics::HttpMetrics;
 use crate::job::{GraphSpec, JobId};
@@ -73,6 +72,7 @@ use crate::sched::{job_cost, FairScheduler};
 use crate::spec::{JobSpec, Priority};
 use pangraph::parse_gfa;
 use pangraph::store::{content_hash, evict_dir_to_cap, ContentHash};
+use pgio::{quote, Json};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -169,12 +169,14 @@ enum CoordJobState {
     Queued,
     /// Accepted by `worker` under its local id `remote`.
     Forwarded { worker: String, remote: JobId },
-    /// Finished. `body` is the final status JSON (already rewritten to
-    /// the coordinator's id); `worker`/`remote` are kept when a worker
-    /// ran the job, so `/result` and `/trace` can still proxy.
+    /// Finished in `state`. `body` is the final status JSON (already
+    /// rewritten to the coordinator's id); `worker`/`remote` are kept
+    /// when a worker ran the job, so `/result` and `/trace` can still
+    /// proxy.
     Terminal {
         worker: Option<String>,
         remote: Option<JobId>,
+        state: String,
         body: String,
     },
 }
@@ -306,53 +308,43 @@ impl Coordinator {
                 let cost = vault
                     .get(&graph)
                     .map_or_else(|| job_cost(0), |g: &GraphEntry| job_cost(g.steps as u64));
-                let state = match &rec.state {
+                let mut job = CoordJob {
+                    spec,
+                    graph,
+                    client: client_key,
+                    priority,
+                    cost,
+                    attempts: 0,
+                    cancel_requested: false,
+                    submitted: Instant::now(),
+                    state: CoordJobState::Queued,
+                };
+                match &rec.state {
                     JobRecordState::Queued => {
-                        queue.push_keyed(priority, &client_key, rec.id, cost, graph);
+                        queue.push_keyed(priority, &job.client, rec.id, cost, graph);
                         recovered += 1;
-                        CoordJobState::Queued
                     }
                     JobRecordState::Forwarded { worker, remote } => {
                         recovered += 1;
-                        CoordJobState::Forwarded {
+                        job.state = CoordJobState::Forwarded {
                             worker: worker.clone(),
                             remote: *remote,
-                        }
+                        };
                     }
                     JobRecordState::Terminal {
                         state,
                         worker,
                         remote,
-                    } => CoordJobState::Terminal {
-                        worker: worker.clone(),
-                        remote: *remote,
-                        body: format!(
-                            "{{\"job\":{},\"state\":\"{state}\",\"progress\":0.000,\
-                             \"engine\":{},\"priority\":\"{}\",\"client\":{},\
-                             \"cached\":false,\"graph\":{},\"wall_ms\":0,\
-                             \"recovered\":true}}",
-                            rec.id,
-                            json_str(&spec.engine),
-                            priority.as_str(),
-                            json_str(&client_key),
-                            json_str(&graph.hex()),
-                        ),
-                    },
-                };
-                jobs.insert(
-                    rec.id,
-                    CoordJob {
-                        spec,
-                        graph,
-                        client: client_key,
-                        priority,
-                        cost,
-                        attempts: 0,
-                        cancel_requested: false,
-                        submitted: Instant::now(),
-                        state,
-                    },
-                );
+                    } => {
+                        job.state = CoordJobState::Terminal {
+                            worker: worker.clone(),
+                            remote: *remote,
+                            state: state.clone(),
+                            body: local_status(rec.id, &job, state, 0, ",\"recovered\":true"),
+                        };
+                    }
+                }
+                jobs.insert(rec.id, job);
             }
             if replayed > 0 {
                 obs::info(
@@ -612,7 +604,7 @@ fn forward_to(shared: &CoordShared, worker: &str, query: &str, graph: ContentHas
         let text = String::from_utf8_lossy(&body).into_owned();
         match status {
             202 => {
-                return match client::json_u64(&text, "job") {
+                return match Json::parse(&body).ok().and_then(|t| t.get("job")?.u64()) {
                     Some(remote) => Forward::Accepted { remote },
                     None => Forward::Rejected(format!("unparseable ticket from {worker}: {text}")),
                 }
@@ -756,23 +748,12 @@ fn finish_local(shared: &CoordShared, id: JobId, state: &str, error: Option<&str
         if matches!(job.state, CoordJobState::Terminal { .. }) {
             return;
         }
-        let body = format!(
-            "{{\"job\":{id},\"state\":\"{state}\",\"progress\":0.000,\"engine\":{},\
-             \"priority\":\"{}\",\"client\":{},\"cached\":false,\"graph\":{},\
-             \"wall_ms\":{}{}}}",
-            json_str(&job.spec.engine),
-            job.priority.as_str(),
-            json_str(&job.client),
-            json_str(&job.graph.hex()),
-            job.submitted.elapsed().as_millis(),
-            match error {
-                Some(e) => format!(",\"error\":{}", json_str(e)),
-                None => String::new(),
-            }
-        );
+        let error = error.map_or_else(String::new, |e| format!(",\"error\":{}", quote(e)));
+        let body = local_status(id, job, state, job.submitted.elapsed().as_millis(), &error);
         job.state = CoordJobState::Terminal {
             worker: None,
             remote: None,
+            state: state.to_string(),
             body,
         };
     }
@@ -911,12 +892,12 @@ fn collect_if_terminal(
     remote: JobId,
     status: String,
 ) {
-    let Some(state) = client::json_field_str(&status, "state") else {
+    let state = Json::parse(&status)
+        .ok()
+        .and_then(|doc| Some(doc.get("state")?.str()?.to_string()));
+    let Some(state) = state.filter(|s| TERMINAL_STATES.contains(&s.as_str())) else {
         return;
     };
-    if !TERMINAL_STATES.contains(&state.as_str()) {
-        return;
-    }
     {
         let mut jobs = shared.jobs.lock().unwrap();
         match jobs.get_mut(&id) {
@@ -927,6 +908,7 @@ fn collect_if_terminal(
                 job.state = CoordJobState::Terminal {
                     worker: Some(worker.to_string()),
                     remote: Some(remote),
+                    state: state.clone(),
                     body: status,
                 };
             }
@@ -1051,7 +1033,7 @@ fn intern_graph(req: &mut Request, shared: &CoordShared) -> Response {
             if dedup { 200 } else { 201 },
             format!(
                 "{{\"graph_id\":{},\"nodes\":{},\"paths\":{},\"steps\":{},\"dedup\":{}}}",
-                json_str(&id.hex()),
+                quote(&id.hex()),
                 nodes,
                 paths,
                 steps,
@@ -1164,7 +1146,7 @@ fn list_graphs(shared: &CoordShared) -> Response {
                 id.hex(),
                 format!(
                     "{{\"graph_id\":{},\"nodes\":{},\"paths\":{},\"steps\":{},\"bytes\":{}}}",
-                    json_str(&id.hex()),
+                    quote(&id.hex()),
                     g.nodes,
                     g.paths,
                     g.steps,
@@ -1202,7 +1184,7 @@ fn delete_graph(shared: &CoordShared, id: ContentHash) -> Response {
     for worker in ring.owners(id) {
         let _ = client::request(worker, "DELETE", &format!("/v1/graphs/{}", id.hex()), b"");
     }
-    Response::json(200, format!("{{\"deleted\":{}}}", json_str(&id.hex())))
+    Response::json(200, format!("{{\"deleted\":{}}}", quote(&id.hex())))
 }
 
 /// `POST /v1/jobs` — parse the spec exactly like a worker would, intern
@@ -1273,7 +1255,7 @@ fn submit(req: &mut Request, shared: &CoordShared) -> Response {
         202,
         format!(
             "{{\"job\":{id},\"cached\":false,\"state\":\"queued\",\"graph\":{},\"priority\":\"{}\"}}",
-            json_str(&graph.hex()),
+            quote(&graph.hex()),
             priority.as_str()
         ),
     )
@@ -1291,23 +1273,26 @@ fn synthesize_status(
     let Some(job) = jobs.get(&id) else {
         return Response::error(404, &format!("no such job {id}"));
     };
-    Response::json(
-        200,
-        format!(
-            "{{\"job\":{id},\"state\":\"{state}\",\"progress\":0.000,\"engine\":{},\
-             \"priority\":\"{}\",\"client\":{},\"cached\":false,\"graph\":{},\
-             \"wall_ms\":{},\"attempts\":{}{}}}",
-            json_str(&job.spec.engine),
-            job.priority.as_str(),
-            json_str(&job.client),
-            json_str(&job.graph.hex()),
-            job.submitted.elapsed().as_millis(),
-            job.attempts,
-            match worker {
-                Some(w) => format!(",\"worker\":{}", json_str(w)),
-                None => String::new(),
-            }
-        ),
+    let mut extra = format!(",\"attempts\":{}", job.attempts);
+    if let Some(w) = worker {
+        extra.push_str(&format!(",\"worker\":{}", quote(w)));
+    }
+    let wall_ms = job.submitted.elapsed().as_millis();
+    Response::json(200, local_status(id, job, state, wall_ms, &extra))
+}
+
+/// The coordinator's own status JSON for a job no worker answers for:
+/// a worker status's leading fields, then `extra` (`,"key":value`
+/// members).
+fn local_status(id: JobId, job: &CoordJob, state: &str, wall_ms: u128, extra: &str) -> String {
+    format!(
+        "{{\"job\":{id},\"state\":\"{state}\",\"progress\":0.000,\"engine\":{},\
+         \"priority\":\"{}\",\"client\":{},\"cached\":false,\"graph\":{},\
+         \"wall_ms\":{wall_ms}{extra}}}",
+        quote(&job.spec.engine),
+        job.priority.as_str(),
+        quote(&job.client),
+        quote(&job.graph.hex()),
     )
 }
 
@@ -1348,9 +1333,6 @@ fn job_status(shared: &CoordShared, id: JobId) -> Response {
 /// `GET /v1/jobs/<id>/trace` — proxy when a worker has (or had) the
 /// job; queued and never-ran jobs answer with an empty span list.
 fn trace_proxy(shared: &CoordShared, id: JobId) -> Response {
-    let state_of = |body: &str, default: &str| {
-        client::json_field_str(body, "state").unwrap_or_else(|| default.into())
-    };
     let (worker, remote, fallback_state) = match job_state(shared, id) {
         None => return Response::error(404, &format!("no such job {id}")),
         Some(CoordJobState::Queued) => return empty_trace(id, "queued"),
@@ -1358,11 +1340,10 @@ fn trace_proxy(shared: &CoordShared, id: JobId) -> Response {
         Some(CoordJobState::Terminal {
             worker: Some(w),
             remote: Some(r),
-            body,
-        }) => (w, r, state_of(&body, "done")),
-        Some(CoordJobState::Terminal { body, .. }) => {
-            return empty_trace(id, &state_of(&body, "failed"))
-        }
+            state,
+            ..
+        }) => (w, r, state),
+        Some(CoordJobState::Terminal { state, .. }) => return empty_trace(id, &state),
     };
     match client::request(&worker, "GET", &format!("/v1/jobs/{remote}/trace"), b"") {
         Ok((200, body)) => Response::json(
@@ -1433,11 +1414,11 @@ fn result_proxy(shared: &CoordShared, id: JobId, format: &str) -> Response {
         Some(CoordJobState::Terminal {
             worker: Some(worker),
             remote: Some(remote),
-            body,
-        }) if body.contains("\"state\":\"done\"") => (worker, remote),
-        Some(CoordJobState::Terminal { body, .. }) => {
-            let state = client::json_field_str(&body, "state").unwrap_or_else(|| "failed".into());
-            return Response::error(409, &format!("job {id} is {state}, not done"));
+            state,
+            ..
+        }) if state == "done" => (worker, remote),
+        Some(CoordJobState::Terminal { state, .. }) => {
+            return Response::error(409, &format!("job {id} is {state}, not done"))
         }
     };
     let content_type: &'static str = match format {
@@ -1484,7 +1465,7 @@ fn healthz(shared: &CoordShared) -> Response {
         format!(
             "{{\"ok\":true,\"role\":\"coordinator\",\"version\":{},\"uptime_s\":{},\
              \"heartbeat_ms\":{},\"workers_alive\":{alive},\"workers_total\":{total}{}}}",
-            json_str(env!("CARGO_PKG_VERSION")),
+            quote(env!("CARGO_PKG_VERSION")),
             shared.started.elapsed().as_secs(),
             shared.cfg.heartbeat.as_millis(),
             journal_health_json(shared)
@@ -1544,7 +1525,7 @@ fn fleet_stats(shared: &CoordShared) -> Response {
     let mut alive_count = 0usize;
     for (addr, alive) in &members {
         if !*alive {
-            rows.push(format!("{{\"addr\":{},\"alive\":false}}", json_str(addr)));
+            rows.push(format!("{{\"addr\":{},\"alive\":false}}", quote(addr)));
             continue;
         }
         match worker_digest(addr) {
@@ -1554,7 +1535,7 @@ fn fleet_stats(shared: &CoordShared) -> Response {
                     "{{\"addr\":{},\"alive\":true,\"queued\":{},\"running\":{},\"done\":{},\
                      \"failed\":{},\"parses\":{},\"cache_hits\":{},\"cache_misses\":{},\
                      \"engine_terms_applied\":{},\"engine_updates_per_sec\":{:.1}}}",
-                    json_str(addr),
+                    quote(addr),
                     d.queued,
                     d.running,
                     d.done,
@@ -1577,7 +1558,7 @@ fn fleet_stats(shared: &CoordShared) -> Response {
             }
             None => rows.push(format!(
                 "{{\"addr\":{},\"alive\":true,\"reachable\":false}}",
-                json_str(addr)
+                quote(addr)
             )),
         }
     }
@@ -1637,18 +1618,7 @@ fn worker_digest(addr: &str) -> Option<WorkerDigest> {
     if status != 200 {
         return None;
     }
-    let text = String::from_utf8_lossy(&body);
-    let mut d = WorkerDigest {
-        queued: client::json_u64(&text, "queued").unwrap_or(0),
-        running: client::json_u64(&text, "running").unwrap_or(0),
-        done: client::json_u64(&text, "done").unwrap_or(0),
-        failed: client::json_u64(&text, "failed").unwrap_or(0),
-        parses: client::json_u64(&text, "parses").unwrap_or(0),
-        // First "hits"/"misses" in the stats body are the layout cache's.
-        cache_hits: client::json_u64(&text, "hits").unwrap_or(0),
-        cache_misses: client::json_u64(&text, "misses").unwrap_or(0),
-        ..WorkerDigest::default()
-    };
+    let mut d = WorkerDigest::from_stats(&body);
     if let Ok((200, metrics)) = client::request(addr, "GET", "/v1/metrics", b"") {
         let metrics = String::from_utf8_lossy(&metrics);
         d.engine_terms = prom_value(&metrics, "pgl_engine_terms_applied_total")
@@ -1659,7 +1629,27 @@ fn worker_digest(addr: &str) -> Option<WorkerDigest> {
     Some(d)
 }
 
-/// The value of an unlabelled Prometheus sample line (`name value`).
+impl WorkerDigest {
+    /// The rollup's fields of a worker's `/v1/stats` body, read by path;
+    /// a missing field (or an unparseable body) reads 0.
+    fn from_stats(body: &[u8]) -> Self {
+        let stats = Json::parse(body).unwrap_or(Json::Null);
+        let field = |path| stats.at(path).and_then(Json::u64).unwrap_or(0);
+        Self {
+            queued: field("jobs.queued"),
+            running: field("jobs.running"),
+            done: field("jobs.done"),
+            failed: field("jobs.failed"),
+            parses: field("graphs.parses"),
+            cache_hits: field("cache.hits"),
+            cache_misses: field("cache.misses"),
+            ..Self::default()
+        }
+    }
+}
+
+/// The value of an unlabelled Prometheus sample line (`name value`) —
+/// the exposition format, not JSON, matched on whole sample names.
 fn prom_value(exposition: &str, name: &str) -> Option<f64> {
     exposition.lines().find_map(|line| {
         let rest = line.strip_prefix(name)?;
@@ -1831,7 +1821,7 @@ impl StreamCursor {
     /// Should this relayed line reach the client? Seq-less lines
     /// (heartbeats) always pass; sequenced lines pass once.
     fn admit(&mut self, line: &str) -> bool {
-        match client::json_u64(line, "seq") {
+        match Json::parse(line).ok().and_then(|l| l.get("seq")?.u64()) {
             None => true,
             Some(seq) => {
                 if self.last_seq.is_some_and(|last| seq <= last) {
@@ -1911,10 +1901,12 @@ fn stream_proxy(out: &mut EventStream<'_>, shared: &CoordShared, id: JobId) -> s
                     Err(_) => std::thread::sleep(PARK),
                 }
             }
-            Some(CoordJobState::Terminal { body, .. }) => {
-                let state = client::json_field_str(&body, "state").unwrap_or_else(|| "done".into());
-                let error = client::json_field_str(&body, "error")
-                    .map(|e| format!(",\"error\":{}", json_str(&e)))
+            Some(CoordJobState::Terminal { state, body, .. }) => {
+                let error = Json::parse(&body)
+                    .ok()
+                    .and_then(|status| {
+                        Some(format!(",\"error\":{}", quote(status.get("error")?.str()?)))
+                    })
                     .unwrap_or_default();
                 out.send(
                     format!("{{\"job\":{id},\"event\":\"state\",\"state\":\"{state}\"{error}}}\n")
@@ -1977,6 +1969,21 @@ mod tests {
         );
         assert_eq!(prom_value(text, "pgl_engine_updates_per_sec"), Some(12.5));
         assert_eq!(prom_value(text, "pgl_engine_running_jobs"), None);
+    }
+
+    #[test]
+    fn worker_digest_reads_stats_by_path() {
+        // The graph store's block comes first and carries its own
+        // hits/misses; the digest must still take the layout cache's.
+        let body = br#"{"graphs":{"parses":2,"hits":40,"misses":9},
+            "jobs":{"queued":3,"running":1,"done":7,"failed":4},
+            "cache":{"hits":5,"misses":6}}"#;
+        let d = WorkerDigest::from_stats(body);
+        assert_eq!((d.queued, d.running, d.done, d.failed), (3, 1, 7, 4));
+        assert_eq!(d.parses, 2);
+        assert_eq!((d.cache_hits, d.cache_misses), (5, 6));
+        let garbled = WorkerDigest::from_stats(b"{\"jobs\":{\"queued\":3");
+        assert_eq!((garbled.queued, garbled.cache_hits), (0, 0));
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! journaled job, and the job's latest `F`/`T` if any.
 
 use crate::job::JobId;
-use pangraph::store::ContentHash;
+use pangraph::store::{write_atomic, ContentHash};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -475,15 +475,10 @@ pub fn vault_path(dir: &Path, id: ContentHash) -> PathBuf {
 }
 
 /// Atomically write a graph's GFA bytes into the vault directory
-/// (unique temp + rename, like the graph store's spill writer).
+/// ([`write_atomic`]: concurrent identical uploads each get their own
+/// temp file, and the last rename wins with the same bytes).
 pub fn write_vault_gfa(dir: &Path, id: ContentHash, gfa: &str) -> bool {
-    let path = vault_path(dir, id);
-    let tmp = dir.join(format!(".{}.tmp.{}", id.hex(), std::process::id()));
-    let ok = std::fs::write(&tmp, gfa).is_ok() && std::fs::rename(&tmp, &path).is_ok();
-    if !ok {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    ok
+    write_atomic(&vault_path(dir, id), gfa.as_bytes())
 }
 
 /// Reload a graph's GFA bytes from the vault, verifying the content

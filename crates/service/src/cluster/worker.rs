@@ -13,6 +13,7 @@
 
 use super::client;
 use crate::obs;
+use pgio::{quote, Json};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -91,11 +92,11 @@ impl ClusterRole {
     /// heartbeat (`null` until the first one lands).
     pub fn json_fields(&self) -> String {
         let inner = self.inner.lock().unwrap();
-        let mut out = format!("\"role\":\"{}\"", inner.role);
+        let mut out = format!("\"role\":{}", quote(inner.role));
         if let Some(coordinator) = &inner.coordinator {
             out.push_str(&format!(
-                ",\"coordinator\":\"{}\",\"last_heartbeat_s\":{},\"coordinator_epoch\":{}",
-                coordinator,
+                ",\"coordinator\":{},\"last_heartbeat_s\":{},\"coordinator_epoch\":{}",
+                quote(coordinator),
                 match inner.last_beat {
                     Some(at) => at.elapsed().as_secs().to_string(),
                     None => "null".into(),
@@ -140,8 +141,9 @@ pub fn spawn_heartbeat(
                 );
                 match client::request(&coordinator, "POST", &path, b"") {
                     Ok((200, body)) => {
-                        let text = String::from_utf8_lossy(&body);
-                        let epoch = client::json_u64(&text, "epoch");
+                        let reply = Json::parse(&body).ok();
+                        let field = |key| reply.as_ref()?.get(key)?.u64();
+                        let epoch = field("epoch");
                         if let Some(prev) = role.beat(epoch) {
                             obs::warn(
                                 "cluster",
@@ -153,7 +155,7 @@ pub fn spawn_heartbeat(
                                 ],
                             );
                         }
-                        if let Some(ms) = client::json_u64(&text, "heartbeat_ms") {
+                        if let Some(ms) = field("heartbeat_ms") {
                             interval = Duration::from_millis(ms.max(50));
                         }
                         if endpoint == "join" {

@@ -81,7 +81,7 @@ use crate::ratelimit::RateLimiter;
 use crate::service::{LayoutService, SubmitError};
 use crate::spec::{parse_job_spec, JobSpec, SpecError};
 use pangraph::store::{content_hash, ContentHash};
-use pgio::{layout_to_tsv, write_lay};
+use pgio::{layout_to_tsv, quote, write_lay};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
@@ -340,7 +340,7 @@ impl Response {
     }
 
     pub(crate) fn error(status: u16, message: &str) -> Self {
-        Self::json(status, format!("{{\"error\":{}}}", json_str(message)))
+        Self::json(status, format!("{{\"error\":{}}}", quote(message)))
     }
 }
 
@@ -1137,8 +1137,7 @@ impl Router for LayoutRoutes {
                 Response::bytes(200, PROMETHEUS_TEXT, text.into_bytes())
             }
             Endpoint::Engines => {
-                let names: Vec<String> =
-                    service.engine_names().iter().map(|n| json_str(n)).collect();
+                let names: Vec<String> = service.engine_names().iter().map(|n| quote(n)).collect();
                 Response::json(200, format!("{{\"engines\":[{}]}}", names.join(",")))
             }
             Endpoint::Healthz => healthz(service, &self.role),
@@ -1199,7 +1198,7 @@ fn event_json(service: &LayoutService, job: JobId, event: &JobEvent) -> String {
                 crate::job::JobState::Failed => service
                     .status(job)
                     .and_then(|s| s.error)
-                    .map(|e| format!(",\"error\":{}", json_str(&e)))
+                    .map(|e| format!(",\"error\":{}", quote(&e)))
                     .unwrap_or_default(),
                 _ => String::new(),
             };
@@ -1239,7 +1238,7 @@ fn post_graph(req: &mut Request, service: &LayoutService) -> Response {
             if up.dedup { 200 } else { 201 },
             format!(
                 "{{\"graph_id\":{},\"nodes\":{},\"paths\":{},\"steps\":{},\"dedup\":{}}}",
-                json_str(&up.id.hex()),
+                quote(&up.id.hex()),
                 up.nodes,
                 up.paths,
                 up.steps,
@@ -1262,7 +1261,7 @@ fn list_graphs(service: &LayoutService, if_none_match: Option<&str>) -> Response
             format!(
                 "{{\"graph_id\":{},\"nodes\":{},\"paths\":{},\"steps\":{},\"bytes\":{},\
                  \"resident\":{}}}",
-                json_str(&m.id.hex()),
+                quote(&m.id.hex()),
                 m.nodes,
                 m.paths,
                 m.steps,
@@ -1300,7 +1299,7 @@ fn etag_matches(header: &str, etag: &str) -> bool {
 /// `DELETE /v1/graphs/<id>` — drop a stored graph from every tier.
 fn delete_graph(id: ContentHash, service: &LayoutService) -> Response {
     if service.delete_graph(id) {
-        Response::json(200, format!("{{\"deleted\":{}}}", json_str(&id.hex())))
+        Response::json(200, format!("{{\"deleted\":{}}}", quote(&id.hex())))
     } else {
         Response::error(404, &format!("no such graph {}", id.hex()))
     }
@@ -1313,7 +1312,7 @@ fn post_layout(req: &mut Request, service: &LayoutService) -> Response {
         Ok(spec) => spec,
         Err(e) => return Response::error(400, &e.to_string()),
     };
-    match service.submit_spec(spec) {
+    match service.submit(spec) {
         Ok(ticket) => {
             let state = if ticket.cached { "done" } else { "queued" };
             Response::json(
@@ -1323,7 +1322,7 @@ fn post_layout(req: &mut Request, service: &LayoutService) -> Response {
                     ticket.id,
                     ticket.cached,
                     state,
-                    json_str(&ticket.graph.hex()),
+                    quote(&ticket.graph.hex()),
                     ticket.priority.as_str()
                 ),
             )
@@ -1356,7 +1355,7 @@ fn job_trace(id: JobId, service: &LayoutService) -> Response {
         .map(|span| {
             format!(
                 "{{\"phase\":{},\"start_us\":{},\"dur_us\":{}}}",
-                json_str(span.phase),
+                quote(span.phase),
                 span.start_us,
                 match span.dur_us {
                     Some(us) => us.to_string(),
@@ -1382,7 +1381,7 @@ fn job_trace(id: JobId, service: &LayoutService) -> Response {
 /// precisions the layout kernels support. Shared by `/v1/healthz` and
 /// `/v1/stats` so probes and dashboards see one truth.
 fn features_json(service: &LayoutService) -> String {
-    let engines: Vec<String> = service.engine_names().iter().map(|n| json_str(n)).collect();
+    let engines: Vec<String> = service.engine_names().iter().map(|n| quote(n)).collect();
     format!(
         "{{\"engines\":[{}],\"precisions\":[\"f32\",\"f64\"]}}",
         engines.join(",")
@@ -1399,7 +1398,7 @@ fn healthz(service: &LayoutService, role: &ClusterRole) -> Response {
         format!(
             "{{\"ok\":true,{},\"version\":{},\"uptime_s\":{},\"features\":{}}}",
             role.json_fields(),
-            json_str(env!("CARGO_PKG_VERSION")),
+            quote(env!("CARGO_PKG_VERSION")),
             s.uptime_ms / 1000,
             features_json(service)
         ),
@@ -1498,7 +1497,7 @@ fn stats(service: &LayoutService, metrics: &HttpMetrics) -> Response {
             h.requests,
             s.workers,
             s.uptime_ms,
-            version = json_str(env!("CARGO_PKG_VERSION")),
+            version = quote(env!("CARGO_PKG_VERSION")),
             uptime_s = s.uptime_ms / 1000,
             features = features_json(service),
         ),
@@ -1512,10 +1511,7 @@ fn status_json(s: &crate::job::JobStatus) -> String {
         .trace
         .spans()
         .iter()
-        .filter_map(|span| {
-            span.dur_us
-                .map(|us| format!("{}:{us}", json_str(span.phase)))
-        })
+        .filter_map(|span| span.dur_us.map(|us| format!("{}:{us}", quote(span.phase))))
         .collect();
     format!(
         "{{\"job\":{},\"state\":\"{}\",\"progress\":{:.3},\"engine\":{},\
@@ -1524,16 +1520,16 @@ fn status_json(s: &crate::job::JobStatus) -> String {
         s.id,
         s.state.as_str(),
         s.progress,
-        json_str(&s.engine),
+        quote(&s.engine),
         s.priority.as_str(),
-        json_str(&s.client),
+        quote(&s.client),
         s.cached,
         s.nodes,
-        json_str(&s.graph.hex()),
+        quote(&s.graph.hex()),
         s.wall_ms,
         phases.join(","),
         match &s.error {
-            Some(e) => format!(",\"error\":{}", json_str(e)),
+            Some(e) => format!(",\"error\":{}", quote(e)),
             None => String::new(),
         }
     )
@@ -1574,25 +1570,6 @@ fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// JSON string literal with escaping.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1603,12 +1580,6 @@ mod tests {
         assert_eq!(percent_decode("plain"), "plain");
         assert_eq!(percent_decode("%zz"), "%zz", "bad escapes pass through");
         assert_eq!(percent_decode("trail%2"), "trail%2");
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -60,53 +60,6 @@ pub enum GraphSpec {
     Stored(ContentHash),
 }
 
-/// One layout request: a graph (inline or by reference) plus how to lay
-/// it out. This is the legacy embedding surface; it converts into a
-/// [`JobSpec`] with default scheduling (normal priority, anonymous
-/// client, no TTL). New code should build a [`JobSpec`] directly.
-#[derive(Debug, Clone)]
-pub struct JobRequest {
-    /// Engine registry key (`cpu`, `batch`, `gpu`, `gpu-a100`, ...).
-    pub engine: String,
-    /// Full layout configuration.
-    pub config: LayoutConfig,
-    /// Mini-batch size, used only by the `batch` engine.
-    pub batch_size: usize,
-    /// The graph to lay out.
-    pub graph: GraphSpec,
-}
-
-impl JobRequest {
-    /// A request with default configuration and an inline GFA document.
-    pub fn new(engine: impl Into<String>, gfa: impl Into<String>) -> Self {
-        Self {
-            engine: engine.into(),
-            config: LayoutConfig::default(),
-            batch_size: 1024,
-            graph: GraphSpec::Gfa(Arc::new(gfa.into())),
-        }
-    }
-
-    /// A request with default configuration referencing a stored graph.
-    pub fn by_ref(engine: impl Into<String>, graph: ContentHash) -> Self {
-        Self {
-            engine: engine.into(),
-            config: LayoutConfig::default(),
-            batch_size: 1024,
-            graph: GraphSpec::Stored(graph),
-        }
-    }
-}
-
-impl From<JobRequest> for JobSpec {
-    fn from(req: JobRequest) -> Self {
-        let mut spec = JobSpec::with_graph(req.engine, req.graph);
-        spec.config = req.config;
-        spec.batch_size = req.batch_size;
-        spec
-    }
-}
-
 /// What happened, as recorded in a job's event log.
 #[derive(Debug, Clone)]
 pub enum EventKind {
@@ -439,28 +392,14 @@ mod tests {
     #[test]
     fn request_constructors_pick_the_right_graph_spec() {
         assert!(matches!(
-            JobRequest::new("cpu", "S\t1\tA\n").graph,
+            JobSpec::new("cpu", "S\t1\tA\n").graph,
             GraphSpec::Gfa(_)
         ));
         let id = pangraph::store::content_hash(b"g");
-        match JobRequest::by_ref("gpu", id).graph {
+        match JobSpec::by_ref("gpu", id).graph {
             GraphSpec::Stored(h) => assert_eq!(h, id),
             other => panic!("expected Stored, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn legacy_requests_convert_to_specs_with_default_scheduling() {
-        let mut req = JobRequest::new("batch", "S\t1\tA\n");
-        req.batch_size = 99;
-        req.config.iter_max = 5;
-        let spec: JobSpec = req.into();
-        assert_eq!(spec.engine, "batch");
-        assert_eq!(spec.batch_size, 99);
-        assert_eq!(spec.config.iter_max, 5);
-        assert_eq!(spec.priority, Priority::Normal);
-        assert_eq!(spec.client, None);
-        assert_eq!(spec.queue_ttl, None);
     }
 
     fn bare_job() -> Job {

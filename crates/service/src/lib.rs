@@ -38,7 +38,8 @@
 //!   graph, layout overrides, a [`spec::Priority`] class
 //!   (`interactive | normal | bulk`), a client identity, and an
 //!   optional queue TTL, parsed and validated in one place
-//!   ([`spec::parse_job_spec`]) with typed errors.
+//!   ([`spec::parse_job_spec`]) with typed errors. It is the one type
+//!   [`service::LayoutService::submit`] takes.
 //! * [`service::LayoutService`] — the scheduled queue and worker pool
 //!   with full lifecycle (`queued → running → done|failed|cancelled`),
 //!   a per-job sequence-numbered event log (state transitions +
@@ -68,7 +69,11 @@
 //!   handler pool (overload ⇒ `503` + `Retry-After`), HTTP/1.1
 //!   keep-alive, per-client token-bucket rate limiting
 //!   ([`ratelimit::RateLimiter`], over-budget ⇒ `429`), and per-route
-//!   latency histograms ([`httpmetrics::HttpMetrics`]).
+//!   latency histograms ([`httpmetrics::HttpMetrics`]). JSON goes
+//!   through `pgio`'s one codec: every string written into an answer,
+//!   event or log line is escaped by [`pgio::quote`], and every answer
+//!   the coordinator, heartbeat and CLI read back is parsed with
+//!   [`pgio::Json`].
 //!   [`batchrun::run_batch`] is the same pool driven
 //!   filesystem-to-filesystem as `pgl batch` — parsing each input
 //!   exactly once even when fanned across multiple engines.
@@ -90,15 +95,15 @@
 //! ## Example
 //!
 //! ```
-//! use pgl_service::{JobRequest, JobState, LayoutService};
+//! use pgl_service::{JobSpec, JobState, LayoutService};
 //! use std::time::Duration;
 //!
 //! let gfa = "H\tVN:Z:1.0\nS\t1\tACGT\nS\t2\tC\nL\t1\t+\t2\t+\t0M\nP\tp\t1+,2+\t*\n";
 //! let service = LayoutService::with_defaults();
-//! let mut request = JobRequest::new("cpu", gfa);
-//! request.config.iter_max = 4;
-//! request.config.threads = 1;
-//! let ticket = service.submit(request).unwrap();
+//! let mut spec = JobSpec::new("cpu", gfa);
+//! spec.config.iter_max = 4;
+//! spec.config.threads = 1;
+//! let ticket = service.submit(spec).unwrap();
 //! let status = service.wait(ticket.id, Duration::from_secs(30)).unwrap();
 //! assert_eq!(status.state, JobState::Done);
 //! assert!(service.result(ticket.id).unwrap().all_finite());
@@ -127,9 +132,7 @@ pub use http::{HttpConfig, HttpServer, ServerHandle};
 pub use httpmetrics::{
     validate_exposition, HistogramSnapshot, HttpMetrics, HttpStatsSnapshot, WindowedHistogram,
 };
-pub use job::{
-    EventKind, GraphSpec, JobEvent, JobId, JobRequest, JobState, JobStatus, JobTrace, TraceSpan,
-};
+pub use job::{EventKind, GraphSpec, JobEvent, JobId, JobState, JobStatus, JobTrace, TraceSpan};
 pub use obs::LogLevel;
 pub use pangraph::store::{ContentHash, GraphMeta, GraphStore, GraphStoreStats};
 pub use ratelimit::RateLimiter;

@@ -12,6 +12,7 @@
 //! `service.rs` moved here.
 
 use crate::httpmetrics::{family, render_histogram, WindowedHistogram, SLOT_SECS};
+use pgio::quote;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
@@ -148,13 +149,13 @@ pub fn render_line(
     if json {
         let _ = write!(
             out,
-            "{{\"ts\":\"{ts}\",\"level\":\"{}\",\"target\":\"{}\",\"msg\":\"{}\"",
+            "{{\"ts\":\"{ts}\",\"level\":\"{}\",\"target\":{},\"msg\":{}",
             lvl.as_str(),
-            escape(target),
-            escape(msg)
+            quote(target),
+            quote(msg)
         );
         for (k, v) in fields {
-            let _ = write!(out, ",\"{}\":\"{}\"", escape(k), escape(v));
+            let _ = write!(out, ",{}:{}", quote(k), quote(v));
         }
         out.push('}');
     } else {
@@ -337,25 +338,6 @@ impl ServiceMetrics {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Epoch milliseconds → `YYYY-MM-DDTHH:MM:SS.mmmZ`, via the classic
 /// days-to-civil conversion (no date dependency).
 fn format_utc_ms(ms: u128) -> String {
@@ -449,6 +431,11 @@ mod tests {
             "{\"ts\":\"1970-01-01T00:00:00.000Z\",\"level\":\"error\",\
              \"target\":\"service\",\"msg\":\"worker \\\"panicked\\\"\",\
              \"job\":\"17\",\"engine\":\"gpu\"}"
+        );
+        let doc = pgio::Json::parse(&line).unwrap();
+        assert_eq!(
+            doc.get("msg").and_then(pgio::Json::str),
+            Some("worker \"panicked\"")
         );
     }
 

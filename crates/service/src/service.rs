@@ -5,7 +5,7 @@
 //! ```text
 //! upload(gfa) ──► GraphStore: hash ─► parse once ─► Arc<LeanGraph>
 //!
-//! submit_spec(JobSpec{engine, graph, config, priority, client, ttl})
+//! submit(JobSpec{engine, graph, config, priority, client, ttl})
 //!    │  layout-cache hit ─────────► job born Done (cached=true)
 //!    ▼  miss
 //!    resolve graph (store hit, disk reload, or — inline only — parse)
@@ -44,7 +44,7 @@
 //! boundary.
 
 use crate::cache::{cache_key, write_spill, CacheKey, CacheStats, LayoutCache};
-use crate::job::{GraphSpec, Job, JobEvent, JobId, JobRequest, JobState, JobStatus};
+use crate::job::{GraphSpec, Job, JobEvent, JobId, JobState, JobStatus};
 use crate::obs::{self, ServiceMetrics};
 use crate::registry::{EngineRegistry, EngineRequest};
 use crate::sched::{job_cost, FairScheduler};
@@ -495,20 +495,15 @@ impl LayoutService {
         self.shared.graphs.lock().unwrap().remove(id)
     }
 
-    /// Submit a layout request with default scheduling (normal
-    /// priority, anonymous client, no TTL). See
-    /// [`LayoutService::submit_spec`] for the full surface.
-    pub fn submit(&self, request: JobRequest) -> Result<SubmitTicket, SubmitError> {
-        self.submit_spec(request.into())
-    }
-
-    /// Submit one fully-specified job. Returns immediately; on a
+    /// Submit one fully-specified job ([`JobSpec::new`] /
+    /// [`JobSpec::by_ref`] give default scheduling: normal priority,
+    /// anonymous client, no TTL). Returns immediately; on a
     /// layout-cache hit the job is born `Done` with the cached layout
     /// attached. Inline GFA is interned (parsed at most once) and
     /// validated here, so malformed or empty graphs never consume a
     /// queue slot. The job is queued under `(priority, client)` in the
     /// fair scheduler; its event log starts with the birth state.
-    pub fn submit_spec(&self, spec: JobSpec) -> Result<SubmitTicket, SubmitError> {
+    pub fn submit(&self, spec: JobSpec) -> Result<SubmitTicket, SubmitError> {
         // Trace origin: every span offset (and the job's wall clock) is
         // measured from here, so the timeline covers graph resolution
         // and the cache probe, not just queue + run.
@@ -1520,21 +1515,16 @@ mod tests {
         write_gfa(&generate(&PangenomeSpec::basic("svc", 40, 3, seed)))
     }
 
-    fn quick_request(engine: &str, gfa: String) -> JobRequest {
-        JobRequest {
-            engine: engine.into(),
+    fn quick_spec(engine: &str, gfa: String) -> JobSpec {
+        JobSpec {
             config: LayoutConfig {
                 iter_max: 4,
                 threads: 1,
                 ..LayoutConfig::default()
             },
             batch_size: 256,
-            graph: GraphSpec::Gfa(Arc::new(gfa)),
+            ..JobSpec::new(engine, gfa)
         }
-    }
-
-    fn quick_spec(engine: &str, gfa: String) -> JobSpec {
-        JobSpec::from(quick_request(engine, gfa))
     }
 
     fn service(workers: usize) -> LayoutService {
@@ -1560,7 +1550,7 @@ mod tests {
             },
         );
         let tickets: Vec<_> = (0..3)
-            .map(|i| svc.submit(quick_request("cpu", small_gfa(40 + i))).unwrap())
+            .map(|i| svc.submit(quick_spec("cpu", small_gfa(40 + i))).unwrap())
             .collect();
         for t in &tickets {
             svc.wait(t.id, Duration::from_secs(60)).expect("completes");
@@ -1579,7 +1569,7 @@ mod tests {
     #[test]
     fn lifecycle_submit_wait_result() {
         let svc = service(2);
-        let t = svc.submit(quick_request("cpu", small_gfa(1))).unwrap();
+        let t = svc.submit(quick_spec("cpu", small_gfa(1))).unwrap();
         assert!(!t.cached);
         assert_eq!(t.priority, Priority::Normal);
         let status = svc.wait(t.id, Duration::from_secs(60)).expect("finishes");
@@ -1597,9 +1587,9 @@ mod tests {
     fn identical_resubmission_is_served_from_cache() {
         let svc = service(1);
         let gfa = small_gfa(2);
-        let first = svc.submit(quick_request("cpu", gfa.clone())).unwrap();
+        let first = svc.submit(quick_spec("cpu", gfa.clone())).unwrap();
         svc.wait(first.id, Duration::from_secs(60)).unwrap();
-        let second = svc.submit(quick_request("cpu", gfa.clone())).unwrap();
+        let second = svc.submit(quick_spec("cpu", gfa.clone())).unwrap();
         assert!(second.cached, "identical request must hit the cache");
         let status = svc.status(second.id).unwrap();
         assert_eq!(status.state, JobState::Done);
@@ -1610,7 +1600,7 @@ mod tests {
         );
         // A different engine misses the layout cache but shares the
         // parsed graph: still exactly one parse.
-        let third = svc.submit(quick_request("batch", gfa)).unwrap();
+        let third = svc.submit(quick_spec("batch", gfa)).unwrap();
         assert!(!third.cached);
         assert_eq!(
             svc.wait(third.id, Duration::from_secs(60)).unwrap().state,
@@ -1627,7 +1617,7 @@ mod tests {
         // Text without segments no longer wastes a queue slot: it is
         // rejected before enqueueing, not failed inside a worker.
         let err = svc
-            .submit(JobRequest::new("cpu", "this is not gfa\n"))
+            .submit(JobSpec::new("cpu", "this is not gfa\n"))
             .unwrap_err();
         match &err {
             SubmitError::Rejected(msg) => {
@@ -1636,7 +1626,7 @@ mod tests {
             other => panic!("expected Rejected, got {other:?}"),
         }
         // A structurally invalid document is rejected the same way.
-        let err = svc.submit(JobRequest::new("cpu", "S\tx\t*\n")).unwrap_err();
+        let err = svc.submit(JobSpec::new("cpu", "S\tx\t*\n")).unwrap_err();
         assert!(matches!(err, SubmitError::Rejected(_)));
         assert_eq!(svc.stats().submitted, 0, "no queue slot was consumed");
     }
@@ -1645,12 +1635,12 @@ mod tests {
     fn unknown_engine_is_rejected_at_submit() {
         let svc = service(1);
         let err = svc
-            .submit(quick_request("warp-drive", small_gfa(3)))
+            .submit(quick_spec("warp-drive", small_gfa(3)))
             .unwrap_err()
             .to_string();
         assert!(err.contains("warp-drive") && err.contains("cpu"));
         assert!(
-            svc.submit(JobRequest::new("cpu", "")).is_err(),
+            svc.submit(JobSpec::new("cpu", "")).is_err(),
             "empty body rejected"
         );
     }
@@ -1674,11 +1664,10 @@ mod tests {
         };
         for (engine, iters) in [("cpu", 4), ("cpu", 5), ("batch", 4)] {
             cfg.iter_max = iters;
-            let req = JobRequest {
-                engine: engine.into(),
+            let req = JobSpec {
                 config: cfg.clone(),
                 batch_size: 256,
-                graph: GraphSpec::Stored(up.id),
+                ..JobSpec::by_ref(engine, up.id)
             };
             let t = svc.submit(req).unwrap();
             assert_eq!(t.graph, up.id);
@@ -1696,7 +1685,7 @@ mod tests {
     fn by_reference_requests_for_unknown_graphs_404() {
         let svc = service(1);
         let bogus = content_hash(b"never uploaded");
-        let err = svc.submit(JobRequest::by_ref("cpu", bogus)).unwrap_err();
+        let err = svc.submit(JobSpec::by_ref("cpu", bogus)).unwrap_err();
         match err {
             SubmitError::NoSuchGraph(msg) => assert!(msg.contains(&bogus.hex())),
             other => panic!("expected NoSuchGraph, got {other:?}"),
@@ -1707,7 +1696,7 @@ mod tests {
     fn deleting_an_in_use_graph_does_not_sink_its_jobs() {
         let svc = service(1);
         let up = svc.upload_graph(&small_gfa(51)).unwrap();
-        let mut req = JobRequest::by_ref("cpu", up.id);
+        let mut req = JobSpec::by_ref("cpu", up.id);
         req.config.iter_max = 6;
         req.config.threads = 1;
         let t = svc.submit(req).unwrap();
@@ -1720,7 +1709,7 @@ mod tests {
         );
         // But new by-reference requests miss.
         assert!(matches!(
-            svc.submit(JobRequest::by_ref("cpu", up.id)).unwrap_err(),
+            svc.submit(JobSpec::by_ref("cpu", up.id)).unwrap_err(),
             SubmitError::NoSuchGraph(_)
         ));
         assert!(!svc.delete_graph(up.id), "double delete is a no-op");
@@ -1730,7 +1719,7 @@ mod tests {
     fn deleted_graphs_stop_answering_even_with_cached_layouts() {
         let svc = service(1);
         let up = svc.upload_graph(&small_gfa(55)).unwrap();
-        let mut req = JobRequest::by_ref("cpu", up.id);
+        let mut req = JobSpec::by_ref("cpu", up.id);
         req.config.iter_max = 4;
         req.config.threads = 1;
         let t = svc.submit(req.clone()).unwrap();
@@ -1792,7 +1781,7 @@ mod tests {
         assert!(svc.graph_meta(b.id).is_some());
         // The evicted graph is gone: by-reference requests miss...
         assert!(matches!(
-            svc.submit(JobRequest::by_ref("cpu", a.id)).unwrap_err(),
+            svc.submit(JobSpec::by_ref("cpu", a.id)).unwrap_err(),
             SubmitError::NoSuchGraph(_)
         ));
         // ...but re-uploading re-interns it (one more parse).
@@ -1806,7 +1795,7 @@ mod tests {
     /// with real per-iteration progress + cancellation.
     fn cancel_mid_run(engine: &str) {
         let svc = service(1);
-        let mut req = quick_request(engine, small_gfa(4));
+        let mut req = quick_spec(engine, small_gfa(4));
         req.config.iter_max = 100_000; // would run ~forever without cancel
         let t = svc.submit(req).unwrap();
         // Wait until it is actually running, then cancel.
@@ -1854,7 +1843,7 @@ mod tests {
         let gfa = small_gfa(77);
         let first_layout = {
             let svc = LayoutService::start(EngineRegistry::with_default_engines(), cfg());
-            let t = svc.submit(quick_request("cpu", gfa.clone())).unwrap();
+            let t = svc.submit(quick_spec("cpu", gfa.clone())).unwrap();
             assert!(!t.cached);
             svc.wait(t.id, Duration::from_secs(60)).unwrap();
             assert!(svc.stats().cache.disk_writes >= 1, "layout spilled to disk");
@@ -1865,7 +1854,7 @@ mod tests {
             svc.result(t.id).unwrap()
         }; // service dropped: memory tiers gone, disk tiers persist
         let svc2 = LayoutService::start(EngineRegistry::with_default_engines(), cfg());
-        let t = svc2.submit(quick_request("cpu", gfa.clone())).unwrap();
+        let t = svc2.submit(quick_spec("cpu", gfa.clone())).unwrap();
         assert!(t.cached, "restarted service hits the disk tier");
         assert_eq!(svc2.stats().cache.disk_hits, 1);
         assert_eq!(
@@ -1876,7 +1865,7 @@ mod tests {
         // The graph disk tier answers by-reference requests without
         // this process ever having parsed the GFA.
         let id = content_hash(gfa.as_bytes());
-        let mut req = JobRequest::by_ref("cpu", id);
+        let mut req = JobSpec::by_ref("cpu", id);
         req.config = LayoutConfig {
             iter_max: 5,
             threads: 1,
@@ -1895,11 +1884,11 @@ mod tests {
     fn queued_jobs_cancel_immediately_and_report_cancelled() {
         let svc = service(1);
         // Occupy the single worker…
-        let mut slow = quick_request("cpu", small_gfa(5));
+        let mut slow = quick_spec("cpu", small_gfa(5));
         slow.config.iter_max = 100_000;
         let running = svc.submit(slow).unwrap();
         // …then cancel a job that is still queued behind it.
-        let queued = svc.submit(quick_request("cpu", small_gfa(6))).unwrap();
+        let queued = svc.submit(quick_spec("cpu", small_gfa(6))).unwrap();
         assert_eq!(svc.cancel(queued.id).unwrap(), JobState::Cancelled);
         let status = svc.status(queued.id).unwrap();
         assert_eq!(
@@ -1931,17 +1920,17 @@ mod tests {
         // blocker is cancelled below; it must never finish on its own).
         let mut blocker = quick_spec("cpu", small_gfa(90));
         blocker.config.iter_max = 200_000;
-        let blocker = svc.submit_spec(blocker).unwrap();
+        let blocker = svc.submit(blocker).unwrap();
         // Queue bulk work, then one interactive job after it.
         let mut bulk_ids = Vec::new();
         for i in 0..4 {
             let mut spec = quick_spec("cpu", small_gfa(91 + i)).priority(Priority::Bulk);
             spec.client = Some("bulk-bot".into());
-            bulk_ids.push(svc.submit_spec(spec).unwrap().id);
+            bulk_ids.push(svc.submit(spec).unwrap().id);
         }
         let mut inter = quick_spec("cpu", small_gfa(99)).priority(Priority::Interactive);
         inter.client = Some("human".into());
-        let inter = svc.submit_spec(inter).unwrap();
+        let inter = svc.submit(inter).unwrap();
         assert_eq!(inter.priority, Priority::Interactive);
         let stats = svc.stats();
         assert_eq!(stats.queued_by_band[0], 1, "{:?}", stats.queued_by_band);
@@ -1986,10 +1975,10 @@ mod tests {
         // Hold the worker long enough for the TTL to lapse.
         let mut blocker = quick_spec("cpu", small_gfa(70));
         blocker.config.iter_max = 50_000;
-        let blocker = svc.submit_spec(blocker).unwrap();
+        let blocker = svc.submit(blocker).unwrap();
         let mut stale = quick_spec("cpu", small_gfa(71));
         stale.queue_ttl = Some(Duration::from_millis(50));
-        let stale = svc.submit_spec(stale).unwrap();
+        let stale = svc.submit(stale).unwrap();
         std::thread::sleep(Duration::from_millis(120));
         // Expiry is visible *while the worker is still busy*: the TTL
         // holds even if the scheduler never selects the job.
@@ -2006,7 +1995,7 @@ mod tests {
         // A TTL that has not lapsed runs normally.
         let mut fresh = quick_spec("cpu", small_gfa(72));
         fresh.queue_ttl = Some(Duration::from_secs(3600));
-        let fresh = svc.submit_spec(fresh).unwrap();
+        let fresh = svc.submit(fresh).unwrap();
         assert_eq!(
             svc.wait(fresh.id, Duration::from_secs(60)).unwrap().state,
             JobState::Done
@@ -2018,7 +2007,7 @@ mod tests {
         let svc = service(1);
         let mut spec = quick_spec("cpu", small_gfa(80));
         spec.config.iter_max = 600; // enough iterations for progress events
-        let t = svc.submit_spec(spec).unwrap();
+        let t = svc.submit(spec).unwrap();
         svc.wait(t.id, Duration::from_secs(120)).unwrap();
         let (events, terminal) = svc.events_since(t.id, 0).unwrap();
         assert!(terminal);
@@ -2065,9 +2054,9 @@ mod tests {
     fn cached_jobs_are_born_done_in_their_event_log() {
         let svc = service(1);
         let gfa = small_gfa(81);
-        let first = svc.submit(quick_request("cpu", gfa.clone())).unwrap();
+        let first = svc.submit(quick_spec("cpu", gfa.clone())).unwrap();
         svc.wait(first.id, Duration::from_secs(60)).unwrap();
-        let second = svc.submit(quick_request("cpu", gfa)).unwrap();
+        let second = svc.submit(quick_spec("cpu", gfa)).unwrap();
         assert!(second.cached);
         let (events, terminal) = svc.events_since(second.id, 0).unwrap();
         assert!(terminal);
@@ -2102,7 +2091,7 @@ mod tests {
         // Both graphs answer by-reference submissions with no parse
         // beyond the .gfa's own.
         for id in [content_hash(gfa.as_bytes()), lean_id] {
-            let mut req = JobRequest::by_ref("cpu", id);
+            let mut req = JobSpec::by_ref("cpu", id);
             req.config.iter_max = 3;
             req.config.threads = 1;
             let t = svc.submit(req).unwrap();
@@ -2123,9 +2112,9 @@ mod tests {
     fn stats_reflect_the_workload() {
         let svc = service(2);
         let gfa = small_gfa(7);
-        let a = svc.submit(quick_request("cpu", gfa.clone())).unwrap();
+        let a = svc.submit(quick_spec("cpu", gfa.clone())).unwrap();
         svc.wait(a.id, Duration::from_secs(60)).unwrap();
-        let b = svc.submit(quick_request("cpu", gfa)).unwrap();
+        let b = svc.submit(quick_spec("cpu", gfa)).unwrap();
         assert!(b.cached);
         let s = svc.stats();
         assert_eq!(s.submitted, 2);
@@ -2146,7 +2135,7 @@ mod tests {
     fn fan_out_many_graphs_across_workers() {
         let svc = service(4);
         let tickets: Vec<_> = (0..6)
-            .map(|i| svc.submit(quick_request("cpu", small_gfa(10 + i))).unwrap())
+            .map(|i| svc.submit(quick_spec("cpu", small_gfa(10 + i))).unwrap())
             .collect();
         for t in tickets {
             let s = svc.wait(t.id, Duration::from_secs(120)).expect("completes");

@@ -84,9 +84,8 @@ impl fmt::Display for Priority {
 }
 
 /// One fully-specified layout job: what to lay out, how, and how the
-/// scheduler should treat it. This is the canonical submission type
-/// ([`crate::LayoutService::submit_spec`]); the legacy
-/// [`crate::JobRequest`] converts into it with default scheduling.
+/// scheduler should treat it. This is the one submission type
+/// ([`crate::LayoutService::submit`]).
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Engine registry key (`cpu`, `batch`, `gpu`, `gpu-a100`, ...).

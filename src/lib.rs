@@ -59,7 +59,7 @@ pub mod prelude {
     pub use pgio::{layout_to_tsv, read_lay, write_lay};
     pub use pgl_service::{
         ContentHash, EngineRegistry, EventKind, GraphSpec, GraphStore, HttpConfig, HttpServer,
-        JobRequest, JobSpec, JobState, LayoutService, Priority, ServiceConfig,
+        JobSpec, JobState, LayoutService, Priority, ServiceConfig,
     };
     pub use pgmetrics::{path_stress, sampled_path_stress, SampledStress, SamplingConfig};
     pub use workloads::{generate, hla_drb1, hprc_catalog, mhc_like, PangenomeSpec};

@@ -14,6 +14,7 @@
 //!   the same `--journal-dir`, and every accepted job replays and
 //!   reaches a terminal state once workers join.
 
+use rapid_pangenome_layout::io::Json;
 use rapid_pangenome_layout::prelude::*;
 use rapid_pangenome_layout::service::{
     spawn_heartbeat, ClusterRole, Coordinator, CoordinatorConfig, ServerHandle,
@@ -55,22 +56,9 @@ fn body_text(body: &[u8]) -> String {
     String::from_utf8_lossy(body).into_owned()
 }
 
-/// Pull `"field":<digits>` out of a flat JSON body.
-fn json_u64(json: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let at = json.find(&needle)? + needle.len();
-    let digits: String = json[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Pull `"field":"<string>"` out of a flat JSON body.
-fn json_string(json: &str, field: &str) -> Option<String> {
-    let needle = format!("\"{field}\":\"");
-    let at = json.find(&needle)? + needle.len();
-    Some(json[at..].chars().take_while(|c| *c != '"').collect())
+/// Parse a JSON answer body; a malformed body fails the test.
+fn json(body: &[u8]) -> Json {
+    Json::parse(body).unwrap_or_else(|e| panic!("malformed JSON ({e}): {}", body_text(body)))
 }
 
 /// Poll `check` until it returns `Some` or the deadline passes.
@@ -146,7 +134,10 @@ fn submit_by_ref(coord: SocketAddr, graph: &str) -> u64 {
     let path = format!("/v1/jobs?graph={graph}&engine=cpu&iters=4&threads=1&seed=7");
     let (status, body) = http(coord, "POST", &path, b"");
     assert_eq!(status, 202, "{}", body_text(&body));
-    json_u64(&body_text(&body), "job").expect("job ticket")
+    json(&body)
+        .get("job")
+        .and_then(Json::u64)
+        .expect("job ticket")
 }
 
 /// Poll a job on the coordinator until it is terminal; returns its
@@ -158,10 +149,14 @@ fn wait_terminal(coord: SocketAddr, job: u64) -> String {
         || {
             let (status, body) = http(coord, "GET", &format!("/v1/jobs/{job}"), b"");
             assert_eq!(status, 200, "{}", body_text(&body));
-            let state = json_string(&body_text(&body), "state").expect("state field");
+            let status = json(&body);
+            let state = status
+                .get("state")
+                .and_then(Json::str)
+                .expect("state field");
             ["done", "failed", "cancelled", "expired"]
-                .contains(&state.as_str())
-                .then_some(state)
+                .contains(&state)
+                .then(|| state.to_string())
         },
     )
 }
@@ -185,24 +180,28 @@ fn fleet_routes_by_graph_hash_and_survives_worker_death() {
     wait_for("both workers alive", Duration::from_secs(10), || {
         let (status, body) = http(coord, "GET", "/v1/healthz", b"");
         assert_eq!(status, 200);
-        let text = body_text(&body);
-        assert!(text.contains("\"role\":\"coordinator\""), "{text}");
-        (json_u64(&text, "workers_alive") == Some(2)).then_some(())
+        let health = json(&body);
+        assert_eq!(health.get("role").and_then(Json::str), Some("coordinator"));
+        (health.get("workers_alive").and_then(Json::u64) == Some(2)).then_some(())
     });
     let (status, body) = http(workers[0].addr, "GET", "/v1/healthz", b"");
     assert_eq!(status, 200);
-    let text = body_text(&body);
-    assert!(text.contains("\"role\":\"worker\""), "{text}");
-    assert!(
-        text.contains(&format!("\"coordinator\":\"{coord}\"")),
-        "{text}"
+    let health = json(&body);
+    assert_eq!(health.get("role").and_then(Json::str), Some("worker"));
+    assert_eq!(
+        health.get("coordinator").and_then(Json::str),
+        Some(coord.to_string().as_str())
     );
 
     // Upload once to the coordinator; every submit below is by-reference.
     let gfa = write_gfa(&generate(&PangenomeSpec::basic("cluster", 40, 3, 5)));
     let (status, body) = http(coord, "POST", "/v1/graphs", gfa.as_bytes());
     assert_eq!(status, 201, "{}", body_text(&body));
-    let graph = json_string(&body_text(&body), "graph_id").expect("graph id");
+    let graph = json(&body)
+        .get("graph_id")
+        .and_then(Json::str)
+        .expect("graph id")
+        .to_string();
 
     // Same graph hash ⇒ same ring owner ⇒ one worker parses, once.
     let jobs: Vec<u64> = (0..3).map(|_| submit_by_ref(coord, &graph)).collect();
@@ -211,12 +210,11 @@ fn fleet_routes_by_graph_hash_and_survives_worker_death() {
     }
     let (status, body) = http(coord, "GET", "/v1/stats", b"");
     assert_eq!(status, 200);
-    let stats = body_text(&body);
-    let fleet = stats.split("\"fleet\":").nth(1).expect("fleet block");
     assert_eq!(
-        json_u64(fleet, "parses"),
+        json(&body).at("fleet.parses").and_then(Json::u64),
         Some(1),
-        "all same-graph jobs must land on one worker: {stats}"
+        "all same-graph jobs must land on one worker: {}",
+        body_text(&body)
     );
 
     // A finished job's event stream replays through the proxy and ends
@@ -231,15 +229,7 @@ fn fleet_routes_by_graph_hash_and_survives_worker_death() {
     let owner = wait_for("finding the parsing worker", Duration::from_secs(5), || {
         workers.iter().position(|w| {
             let (status, body) = http(w.addr, "GET", "/v1/stats", b"");
-            status == 200 && {
-                let graphs = body_text(&body);
-                let graphs = graphs
-                    .split("\"graphs\":")
-                    .nth(1)
-                    .unwrap_or_default()
-                    .to_string();
-                json_u64(&graphs, "parses") == Some(1)
-            }
+            status == 200 && json(&body).at("graphs.parses").and_then(Json::u64) == Some(1)
         })
     });
     workers[owner].kill();
@@ -253,9 +243,10 @@ fn fleet_routes_by_graph_hash_and_survives_worker_death() {
     for &job in jobs.iter().chain([&failover_job]) {
         let (status, body) = http(coord, "GET", &format!("/v1/jobs/{job}"), b"");
         assert_eq!(status, 200);
-        let state = json_string(&body_text(&body), "state").expect("state");
+        let status = json(&body);
+        let state = status.get("state").and_then(Json::str).expect("state");
         assert!(
-            ["done", "failed", "cancelled", "expired"].contains(&state.as_str()),
+            ["done", "failed", "cancelled", "expired"].contains(&state),
             "job {job} stuck in {state}"
         );
     }
@@ -263,8 +254,12 @@ fn fleet_routes_by_graph_hash_and_survives_worker_death() {
     // The death was observed and the fleet shrank to one alive worker.
     let (status, body) = http(coord, "GET", "/v1/healthz", b"");
     assert_eq!(status, 200);
-    let text = body_text(&body);
-    assert_eq!(json_u64(&text, "workers_alive"), Some(1), "{text}");
+    assert_eq!(
+        json(&body).get("workers_alive").and_then(Json::u64),
+        Some(1),
+        "{}",
+        body_text(&body)
+    );
 }
 
 #[test]
@@ -291,14 +286,15 @@ fn coordinator_restart_recovers_journaled_jobs() {
     let gfa = write_gfa(&generate(&PangenomeSpec::basic("journal", 40, 3, 5)));
     let (status, body) = http(coord, "POST", "/v1/graphs", gfa.as_bytes());
     assert_eq!(status, 201, "{}", body_text(&body));
-    let graph = json_string(&body_text(&body), "graph_id").expect("graph id");
+    let graph = json(&body)
+        .get("graph_id")
+        .and_then(Json::str)
+        .expect("graph id")
+        .to_string();
     let jobs: Vec<u64> = (0..3).map(|_| submit_by_ref(coord, &graph)).collect();
     let (status, body) = http(coord, "GET", &format!("/v1/jobs/{}", jobs[0]), b"");
     assert_eq!(status, 200);
-    assert_eq!(
-        json_string(&body_text(&body), "state").as_deref(),
-        Some("queued")
-    );
+    assert_eq!(json(&body).get("state").and_then(Json::str), Some("queued"));
     handle.stop();
 
     // Second life, same journal dir, fresh port: the journal replays.
@@ -308,9 +304,9 @@ fn coordinator_restart_recovers_journaled_jobs() {
 
     let (status, body) = http(coord, "GET", "/v1/healthz", b"");
     assert_eq!(status, 200);
-    let text = body_text(&body);
-    assert_eq!(json_u64(&text, "epoch"), Some(2), "{text}");
-    assert_eq!(json_u64(&text, "replayed"), Some(3), "{text}");
+    let health = json(&body);
+    assert_eq!(health.at("journal.epoch").and_then(Json::u64), Some(2));
+    assert_eq!(health.at("journal.replayed").and_then(Json::u64), Some(3));
 
     // The graph catalog survived too: by-reference submits need no
     // re-upload (the GFA reloads from the vault spill on demand).
@@ -354,21 +350,22 @@ fn jobs_queue_without_workers_and_cancel_cleanly() {
     let gfa = write_gfa(&generate(&PangenomeSpec::basic("queue", 30, 2, 4)));
     let (status, body) = http(coord, "POST", "/v1/graphs", gfa.as_bytes());
     assert_eq!(status, 201, "{}", body_text(&body));
-    let graph = json_string(&body_text(&body), "graph_id").unwrap();
+    let graph = json(&body)
+        .get("graph_id")
+        .and_then(Json::str)
+        .unwrap()
+        .to_string();
 
     // Uploading the same bytes again dedups.
     let (status, body) = http(coord, "POST", "/v1/graphs", gfa.as_bytes());
     assert_eq!(status, 200);
-    assert!(body_text(&body).contains("\"dedup\":true"));
+    assert_eq!(json(&body).get("dedup"), Some(&Json::Bool(true)));
 
     // With no workers the job waits (queued), then cancels locally.
     let job = submit_by_ref(coord, &graph);
     let (status, body) = http(coord, "GET", &format!("/v1/jobs/{job}"), b"");
     assert_eq!(status, 200);
-    assert_eq!(
-        json_string(&body_text(&body), "state").as_deref(),
-        Some("queued")
-    );
+    assert_eq!(json(&body).get("state").and_then(Json::str), Some("queued"));
     let (status, _) = http(coord, "POST", &format!("/v1/jobs/{job}/cancel"), b"");
     assert_eq!(status, 200);
     assert_eq!(wait_terminal(coord, job), "cancelled");
@@ -381,4 +378,54 @@ fn jobs_queue_without_workers_and_cancel_cleanly() {
         b"",
     );
     assert_eq!(status, 400, "{}", body_text(&body));
+}
+
+#[test]
+fn concurrent_identical_uploads_to_a_journaled_coordinator_all_succeed() {
+    let journal_dir = std::env::temp_dir().join(format!(
+        "pgl_cluster_upload_race_{}_{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&journal_dir);
+    let coordinator = Coordinator::bind(
+        "127.0.0.1:0",
+        CoordinatorConfig {
+            journal_dir: Some(journal_dir.clone()),
+            ..CoordinatorConfig::default()
+        },
+    )
+    .expect("bind coordinator");
+    let coord = coordinator.local_addr();
+    let handle = coordinator.spawn();
+
+    // Each round races six uploads of one fresh graph. All of them spill
+    // into the vault before the catalog decides which one was first, so
+    // every upload must succeed and exactly one may report it created
+    // the graph.
+    for round in 0..20 {
+        let gfa = write_gfa(&generate(&PangenomeSpec::basic(
+            "upload-race",
+            1500,
+            4,
+            100 + round,
+        )));
+        let answers: Vec<(u16, Vec<u8>)> = std::thread::scope(|scope| {
+            let uploads: Vec<_> = (0..6)
+                .map(|_| scope.spawn(|| http(coord, "POST", "/v1/graphs", gfa.as_bytes())))
+                .collect();
+            uploads.into_iter().map(|u| u.join().unwrap()).collect()
+        });
+        for (status, body) in &answers {
+            assert!(
+                matches!(status, 200 | 201),
+                "round {round}: {status} {}",
+                body_text(body)
+            );
+        }
+        let created = answers.iter().filter(|(status, _)| *status == 201).count();
+        assert_eq!(created, 1, "round {round}: one upload creates the graph");
+    }
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&journal_dir);
 }

@@ -1,11 +1,13 @@
 //! Conformance of the two `/v1` front ends: one conversation replayed
 //! against a standalone `pgl serve`-shaped server and against a
 //! coordinator fronting one worker must get the same status codes, an
-//! `"error"` field on every 4xx, and byte-identical results for a
-//! deterministic job. The coordinator's own extras — its metrics
-//! exposition, overload shedding and `Connection: close` answers — are
-//! checked alone.
+//! `"error"` field on every 4xx, byte-identical results for a
+//! deterministic job, and the same error text for a job whose engine
+//! panics. The coordinator's own extras — its metrics exposition,
+//! overload shedding and `Connection: close` answers — are checked
+//! alone.
 
+use rapid_pangenome_layout::io::Json;
 use rapid_pangenome_layout::prelude::*;
 use rapid_pangenome_layout::service::{
     spawn_heartbeat, validate_exposition, ClusterRole, Coordinator, CoordinatorConfig,
@@ -47,23 +49,67 @@ fn text(body: &[u8]) -> String {
     String::from_utf8_lossy(body).into_owned()
 }
 
-/// Pull `"field":<digits>` out of a flat JSON body.
-fn json_u64(json: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let at = json.find(&needle)? + needle.len();
-    let digits: String = json[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+/// Parse a JSON answer body (or event line); malformed JSON fails the
+/// test.
+fn json(body: &[u8]) -> Json {
+    Json::parse(body).unwrap_or_else(|e| panic!("malformed JSON ({e}): {}", text(body)))
 }
 
-/// Pull `"field":"<string>"` out of a flat JSON body.
-fn json_string(json: &str, field: &str) -> Option<String> {
-    let needle = format!("\"{field}\":\"");
-    let at = json.find(&needle)? + needle.len();
-    Some(json[at..].chars().take_while(|c| *c != '"').collect())
+/// Every line of a chunked NDJSON event stream, parsed.
+fn event_lines(mut chunked: &[u8]) -> Vec<Json> {
+    let mut payload = Vec::new();
+    loop {
+        let eol = chunked
+            .windows(2)
+            .position(|w| w == b"\r\n")
+            .expect("chunk size");
+        let size = usize::from_str_radix(text(&chunked[..eol]).trim(), 16).expect("hex size");
+        if size == 0 {
+            break;
+        }
+        payload.extend_from_slice(&chunked[eol + 2..eol + 2 + size]);
+        chunked = &chunked[eol + 2 + size + 2..];
+    }
+    text(&payload).lines().map(|l| json(l.as_bytes())).collect()
 }
+
+/// The `state` of a job status answer.
+fn job_state(front: SocketAddr, status_path: &str) -> String {
+    let status = json(&http(front, "GET", status_path, b"").2);
+    status
+        .get("state")
+        .and_then(Json::str)
+        .expect("state")
+        .into()
+}
+
+/// Poll a job's status until it reports `state`.
+fn wait_state(front: SocketAddr, status_path: &str, state: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while job_state(front, status_path) != state {
+        assert!(
+            Instant::now() < deadline,
+            "{status_path} never reported {state}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// A test engine that always panics.
+struct Boom;
+
+impl LayoutEngine for Boom {
+    fn name(&self) -> &str {
+        "boom"
+    }
+
+    fn layout(&self, _: &LeanGraph) -> Layout2D {
+        panic!("boom");
+    }
+}
+
+/// How a job whose engine panics reports its failure.
+const BOOM_ERROR: &str = "engine \"boom\" panicked";
 
 /// What one front end answered to the conversation.
 struct Transcript {
@@ -82,7 +128,7 @@ fn converse(front: SocketAddr) -> Transcript {
         let (status, _, body) = http(front, method, path, body);
         if (400..500).contains(&status) {
             assert!(
-                text(&body).contains("\"error\":"),
+                json(&body).get("error").and_then(Json::str).is_some(),
                 "{name}: a {status} without an error field: {}",
                 text(&body)
             );
@@ -91,33 +137,32 @@ fn converse(front: SocketAddr) -> Transcript {
         body
     };
 
-    let upload = text(&step("upload", "POST", "/v1/graphs", gfa.as_bytes()));
-    let graph = json_string(&upload, "graph_id").expect("graph id");
+    let upload = json(&step("upload", "POST", "/v1/graphs", gfa.as_bytes()));
+    let graph = upload
+        .get("graph_id")
+        .and_then(Json::str)
+        .expect("graph id");
     step("upload again", "POST", "/v1/graphs", gfa.as_bytes());
     let submit = format!("/v1/jobs?graph={graph}&engine=cpu&iters=5&threads=1&seed=7");
-    let job = json_u64(
-        &text(&step("submit by reference", "POST", &submit, b"")),
-        "job",
-    )
-    .expect("job id");
+    let ticket = json(&step("submit by reference", "POST", &submit, b""));
+    let job = ticket.get("job").and_then(Json::u64).expect("job id");
     let status_path = format!("/v1/jobs/{job}");
     step("status", "GET", &status_path, b"");
     // The stream blocks until the job is terminal; its last state is done.
-    let events = text(&step(
+    let events = event_lines(&step(
         "events",
         "GET",
         &format!("/v1/jobs/{job}/events"),
         b"",
     ));
-    let last = events.rfind("\"state\":\"").expect("a state event");
-    assert!(events[last..].starts_with("\"state\":\"done\""), "{events}");
+    let last_state = events
+        .iter()
+        .filter_map(|e| e.get("state")?.str())
+        .next_back();
+    assert_eq!(last_state, Some("done"), "{events:?}");
     // A coordinator serves the result once its status says done, which
     // can trail the stream's last line by one monitor poll.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !text(&http(front, "GET", &status_path, b"").2).contains("\"state\":\"done\"") {
-        assert!(Instant::now() < deadline, "job {job} never reported done");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    wait_state(front, &status_path, "done");
     step("trace", "GET", &format!("/v1/jobs/{job}/trace"), b"");
     let lay = step(
         "result as lay",
@@ -145,10 +190,34 @@ fn converse(front: SocketAddr) -> Transcript {
     step("unversioned healthz", "GET", "/healthz", b"");
     step("unversioned job", "GET", &format!("/jobs/{job}"), b"");
     step("PUT", "PUT", &status_path, b"");
+
+    // A job whose engine panics: once its status says failed, the
+    // status and the stream's terminal line carry the same error text.
+    let boom = format!("/v1/jobs?graph={graph}&engine=boom&threads=1");
+    let ticket = json(&step("submit a panicking engine", "POST", &boom, b""));
+    let job = ticket.get("job").and_then(Json::u64).expect("job id");
+    let status_path = format!("/v1/jobs/{job}");
+    wait_state(front, &status_path, "failed");
+    let status = json(&http(front, "GET", &status_path, b"").2);
+    assert_eq!(status.get("error").and_then(Json::str), Some(BOOM_ERROR));
+    let events = event_lines(&step(
+        "events of a failed job",
+        "GET",
+        &format!("/v1/jobs/{job}/events"),
+        b"",
+    ));
+    let terminal = events.last().expect("a terminal event");
+    assert_eq!(terminal.get("job").and_then(Json::u64), Some(job));
+    assert_eq!(terminal.get("state").and_then(Json::str), Some("failed"));
+    assert_eq!(
+        terminal.get("error").and_then(Json::str),
+        Some(BOOM_ERROR),
+        "{events:?}"
+    );
     Transcript { statuses, lay }
 }
 
-const EXPECTED: [(&str, u16); 16] = [
+const EXPECTED: [(&str, u16); 18] = [
     ("upload", 201),
     ("upload again", 200),
     ("submit by reference", 202),
@@ -165,11 +234,15 @@ const EXPECTED: [(&str, u16); 16] = [
     ("unversioned healthz", 404),
     ("unversioned job", 404),
     ("PUT", 405),
+    ("submit a panicking engine", 202),
+    ("events of a failed job", 200),
 ];
 
 fn one_worker_service() -> Arc<LayoutService> {
+    let mut engines = EngineRegistry::with_default_engines();
+    engines.register("boom", |_| Box::new(Boom));
     Arc::new(LayoutService::start(
-        EngineRegistry::with_default_engines(),
+        engines,
         ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
@@ -209,10 +282,10 @@ fn standalone_server_and_coordinator_answer_the_same_conversation() {
         Arc::clone(&beat_stop),
     );
     let deadline = Instant::now() + Duration::from_secs(10);
-    while json_u64(
-        &text(&http(coord, "GET", "/v1/healthz", b"").2),
-        "workers_alive",
-    ) != Some(1)
+    while json(&http(coord, "GET", "/v1/healthz", b"").2)
+        .get("workers_alive")
+        .and_then(Json::u64)
+        != Some(1)
     {
         assert!(Instant::now() < deadline, "worker never joined");
         std::thread::sleep(Duration::from_millis(20));
@@ -303,7 +376,13 @@ fn coordinator_metrics_shedding_and_connection_close() {
     };
     assert_eq!(status, 503, "{body}");
     assert!(head.contains("Retry-After:"), "{head}");
-    assert!(body.contains("\"error\":"), "{body}");
+    assert!(
+        json(body.as_bytes())
+            .get("error")
+            .and_then(Json::str)
+            .is_some(),
+        "{body}"
+    );
 
     // A finishes its upload and is served normally.
     a.write_all(second_half).unwrap();

@@ -5,6 +5,7 @@
 //! the `.lean` disk tier serves references across server restarts
 //! without a single re-parse.
 
+use rapid_pangenome_layout::io::Json;
 use rapid_pangenome_layout::prelude::*;
 use rapid_pangenome_layout::service::{
     EngineRegistry, HttpConfig, HttpServer, LayoutService, ServiceConfig,
@@ -52,23 +53,23 @@ fn body_text(body: &[u8]) -> String {
     String::from_utf8_lossy(body).into_owned()
 }
 
-/// Pull `"field":<digits>` out of a flat JSON body.
-fn json_u64(json: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let at = json.find(&needle)? + needle.len();
-    let digits: String = json[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+/// Parse a JSON answer body; a malformed body fails the test.
+fn json(body: &[u8]) -> Json {
+    Json::parse(body).unwrap_or_else(|e| panic!("malformed JSON ({e}): {}", body_text(body)))
 }
 
-/// Pull `"field":"value"` out of a flat JSON body.
-fn json_str_field(json: &str, field: &str) -> Option<String> {
-    let needle = format!("\"{field}\":\"");
-    let at = json.find(&needle)? + needle.len();
-    let end = json[at..].find('"')?;
-    Some(json[at..at + end].to_string())
+/// The `graph_id` of an upload answer.
+fn graph_id(body: &[u8]) -> String {
+    json(body)
+        .get("graph_id")
+        .and_then(Json::str)
+        .expect("graph id")
+        .into()
+}
+
+/// The `job` id of a submit answer.
+fn job_id(body: &[u8]) -> u64 {
+    json(body).get("job").and_then(Json::u64).expect("job id")
 }
 
 fn poll_done(addr: SocketAddr, job: u64) {
@@ -77,13 +78,11 @@ fn poll_done(addr: SocketAddr, job: u64) {
         let (status, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
         assert_eq!(status, 200);
         let text = body_text(&body);
-        if text.contains("\"state\":\"done\"") {
-            return;
+        match json(&body).get("state").and_then(Json::str) {
+            Some("done") => return,
+            Some("failed" | "cancelled") => panic!("job should succeed: {text}"),
+            _ => {}
         }
-        assert!(
-            !text.contains("\"state\":\"failed\"") && !text.contains("\"state\":\"cancelled\""),
-            "job should succeed: {text}"
-        );
         assert!(Instant::now() < deadline, "timed out polling job: {text}");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -121,23 +120,27 @@ fn upload_once_serves_many_layouts_across_engines_with_one_parse() {
     let (status, body) = http(addr, "POST", "/v1/graphs", gfa.as_bytes());
     let text = body_text(&body);
     assert_eq!(status, 201, "{text}");
-    let id = json_str_field(&text, "graph_id").expect("graph id");
+    let upload = json(&body);
+    let id = graph_id(&body);
     assert_eq!(id.len(), 32);
-    assert!(json_u64(&text, "nodes").unwrap() > 0);
-    assert!(json_u64(&text, "steps").unwrap() > 0);
-    assert!(text.contains("\"dedup\":false"));
+    assert!(upload.get("nodes").and_then(Json::u64).unwrap() > 0);
+    assert!(upload.get("steps").and_then(Json::u64).unwrap() > 0);
+    assert_eq!(upload.get("dedup"), Some(&Json::Bool(false)));
 
     // Re-upload dedupes without a parse.
     let (status, body) = http(addr, "POST", "/v1/graphs", gfa.as_bytes());
     assert_eq!(status, 200);
-    assert!(body_text(&body).contains("\"dedup\":true"));
+    assert_eq!(json(&body).get("dedup"), Some(&Json::Bool(true)));
 
     // The store lists it.
     let (status, body) = http(addr, "GET", "/v1/graphs", b"");
     assert_eq!(status, 200);
-    let listing = body_text(&body);
-    assert!(listing.contains(&id), "{listing}");
-    assert_eq!(json_u64(&listing, "count"), Some(1));
+    let listing = json(&body);
+    assert_eq!(
+        listing.at("graphs.0.graph_id").and_then(Json::str),
+        Some(id.as_str())
+    );
+    assert_eq!(listing.get("count").and_then(Json::u64), Some(1));
 
     // Four by-reference layout requests across three engines. Every
     // request (line + headers + empty body) stays under 1 KB.
@@ -151,8 +154,11 @@ fn upload_once_serves_many_layouts_across_engines_with_one_parse() {
             request_bytes < 1024,
             "by-reference request must be < 1 KB, was {request_bytes}"
         );
-        assert!(text.contains(&format!("\"graph\":\"{id}\"")), "{text}");
-        let job = json_u64(&text, "job").expect("job id");
+        assert_eq!(
+            json(&body).get("graph").and_then(Json::str),
+            Some(id.as_str())
+        );
+        let job = job_id(&body);
         poll_done(addr, job);
         let (status, tsv) = http(addr, "GET", &format!("/v1/result/{job}"), b"");
         assert_eq!(status, 200);
@@ -166,11 +172,11 @@ fn upload_once_serves_many_layouts_across_engines_with_one_parse() {
     // The whole exchange parsed the GFA exactly once.
     let (status, body) = http(addr, "GET", "/v1/stats", b"");
     assert_eq!(status, 200);
-    let stats = body_text(&body);
-    assert_eq!(json_u64(&stats, "parses"), Some(1), "{stats}");
+    let stats = json(&body);
+    assert_eq!(stats.at("graphs.parses").and_then(Json::u64), Some(1));
     assert!(
-        json_u64(&stats, "resident").unwrap() >= 1,
-        "graph resident: {stats}"
+        stats.at("graphs.resident").and_then(Json::u64).unwrap() >= 1,
+        "graph resident: {stats:?}"
     );
     handle.stop();
 }
@@ -189,20 +195,17 @@ fn identical_by_reference_requests_hit_the_layout_cache() {
     let addr = handle.addr();
     let gfa = write_gfa(&generate(&PangenomeSpec::basic("cache", 40, 2, 13)));
     let (_, body) = http(addr, "POST", "/v1/graphs", gfa.as_bytes());
-    let id = json_str_field(&body_text(&body), "graph_id").unwrap();
+    let id = graph_id(&body);
 
     let path = format!("/v1/jobs?graph={id}&engine=cpu&iters=4&threads=1");
     let (_, body) = http(addr, "POST", &path, b"");
-    let job = json_u64(&body_text(&body), "job").unwrap();
-    poll_done(addr, job);
+    poll_done(addr, job_id(&body));
     // The identical reference request is born done from the cache.
     let (status, body) = http(addr, "POST", &path, b"");
-    let text = body_text(&body);
     assert_eq!(status, 202);
-    assert!(
-        text.contains("\"cached\":true") && text.contains("\"state\":\"done\""),
-        "{text}"
-    );
+    let ticket = json(&body);
+    assert_eq!(ticket.get("cached"), Some(&Json::Bool(true)), "{ticket:?}");
+    assert_eq!(ticket.get("state").and_then(Json::str), Some("done"));
     handle.stop();
 }
 
@@ -220,7 +223,7 @@ fn delete_of_an_in_use_graph_does_not_sink_the_running_job() {
     let addr = handle.addr();
     let gfa = write_gfa(&generate(&PangenomeSpec::basic("del", 120, 4, 17)));
     let (_, body) = http(addr, "POST", "/v1/graphs", gfa.as_bytes());
-    let id = json_str_field(&body_text(&body), "graph_id").unwrap();
+    let id = graph_id(&body);
 
     // A long-running by-reference job…
     let (status, body) = http(
@@ -230,11 +233,11 @@ fn delete_of_an_in_use_graph_does_not_sink_the_running_job() {
         b"",
     );
     assert_eq!(status, 202);
-    let job = json_u64(&body_text(&body), "job").unwrap();
+    let job = job_id(&body);
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let (_, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
-        if body_text(&body).contains("\"state\":\"running\"") {
+        if json(&body).get("state").and_then(Json::str) == Some("running") {
             break;
         }
         assert!(Instant::now() < deadline, "job never started running");
@@ -245,10 +248,10 @@ fn delete_of_an_in_use_graph_does_not_sink_the_running_job() {
     let (status, body) = http(addr, "DELETE", &format!("/v1/graphs/{id}"), b"");
     assert_eq!(status, 200, "{}", body_text(&body));
     let (_, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
-    let text = body_text(&body);
-    assert!(
-        text.contains("\"state\":\"running\""),
-        "job unaffected by delete: {text}"
+    assert_eq!(
+        json(&body).get("state").and_then(Json::str),
+        Some("running"),
+        "job unaffected by delete"
     );
 
     // …while new references 404 and double deletes 404.
@@ -294,7 +297,7 @@ fn graph_disk_tier_serves_references_across_restart_without_reparsing() {
         let handle = spawn(&service);
         let (status, body) = http(handle.addr(), "POST", "/v1/graphs", gfa.as_bytes());
         assert_eq!(status, 201);
-        let id = json_str_field(&body_text(&body), "graph_id").unwrap();
+        let id = graph_id(&body);
         handle.stop();
         id
     };
@@ -310,7 +313,7 @@ fn graph_disk_tier_serves_references_across_restart_without_reparsing() {
     let (status, body) = http(addr, "GET", "/v1/graphs", b"");
     assert_eq!(status, 200);
     assert_eq!(
-        json_u64(&body_text(&body), "count"),
+        json(&body).get("count").and_then(Json::u64),
         Some(0),
         "fresh store catalog is empty until referenced"
     );
@@ -320,13 +323,15 @@ fn graph_disk_tier_serves_references_across_restart_without_reparsing() {
         &format!("/v1/jobs?graph={id}&engine=cpu&iters=4&threads=1"),
         b"",
     );
-    let text = body_text(&body);
-    assert_eq!(status, 202, "{text}");
-    let job = json_u64(&text, "job").unwrap();
-    poll_done(addr, job);
+    assert_eq!(status, 202, "{}", body_text(&body));
+    poll_done(addr, job_id(&body));
     let (_, body) = http(addr, "GET", "/v1/stats", b"");
-    let stats = body_text(&body);
-    assert_eq!(json_u64(&stats, "parses"), Some(0), "no re-parse: {stats}");
+    assert_eq!(
+        json(&body).at("graphs.parses").and_then(Json::u64),
+        Some(0),
+        "no re-parse: {}",
+        body_text(&body)
+    );
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -362,11 +367,11 @@ fn zero_segment_inline_bodies_are_rejected_before_enqueueing() {
     assert_eq!(status, 400);
 
     let (_, body) = http(addr, "GET", "/v1/stats", b"");
-    let stats = body_text(&body);
     assert_eq!(
-        json_u64(&stats, "submitted"),
+        json(&body).at("jobs.submitted").and_then(Json::u64),
         Some(0),
-        "no job was ever created: {stats}"
+        "no job was ever created: {}",
+        body_text(&body)
     );
     handle.stop();
 }

@@ -4,6 +4,7 @@
 //! HTTP/1.1 keep-alive reuse, request metrics, duplicate-Content-Length
 //! rejection, and disk-tier cache hits across a server restart.
 
+use rapid_pangenome_layout::io::Json;
 use rapid_pangenome_layout::prelude::*;
 use rapid_pangenome_layout::service::{
     EngineRegistry, HttpConfig, HttpServer, LayoutService, ServiceConfig,
@@ -44,15 +45,23 @@ fn body_text(body: &[u8]) -> String {
     String::from_utf8_lossy(body).into_owned()
 }
 
-/// Pull `"field":<digits>` out of a flat JSON body.
-fn json_u64(json: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let at = json.find(&needle)? + needle.len();
-    let digits: String = json[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+/// Parse a JSON answer body; a malformed body fails the test.
+fn json(body: &[u8]) -> Json {
+    Json::parse(body).unwrap_or_else(|e| panic!("malformed JSON ({e}): {}", body_text(body)))
+}
+
+/// The `job` id of a submit answer.
+fn job_id(body: &[u8]) -> u64 {
+    json(body).get("job").and_then(Json::u64).expect("job id")
+}
+
+/// The `state` of a job status answer.
+fn state(body: &[u8]) -> String {
+    json(body)
+        .get("state")
+        .and_then(Json::str)
+        .expect("state")
+        .into()
 }
 
 #[test]
@@ -82,11 +91,12 @@ fn layout_jobs_round_trip_over_http_and_hit_the_cache() {
     let (status, body) = http(addr, "POST", post_path, gfa.as_bytes());
     let text = body_text(&body);
     assert_eq!(status, 202, "{text}");
-    assert!(
-        text.contains("\"cached\":false"),
+    assert_eq!(
+        json(&body).get("cached"),
+        Some(&Json::Bool(false)),
         "first request computes: {text}"
     );
-    let job = json_u64(&text, "job").expect("job id");
+    let job = job_id(&body);
 
     // Poll to completion.
     let deadline = Instant::now() + Duration::from_secs(120);
@@ -94,13 +104,11 @@ fn layout_jobs_round_trip_over_http_and_hit_the_cache() {
         let (status, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
         assert_eq!(status, 200);
         let text = body_text(&body);
-        if text.contains("\"state\":\"done\"") {
-            break text;
+        match state(&body).as_str() {
+            "done" => break text,
+            "failed" | "cancelled" => panic!("job should succeed: {text}"),
+            _ => {}
         }
-        assert!(
-            !text.contains("\"state\":\"failed\"") && !text.contains("\"state\":\"cancelled\""),
-            "job should succeed: {text}"
-        );
         assert!(Instant::now() < deadline, "timed out polling job: {text}");
         std::thread::sleep(Duration::from_millis(10));
     };
@@ -124,12 +132,13 @@ fn layout_jobs_round_trip_over_http_and_hit_the_cache() {
     let (status, body) = http(addr, "POST", post_path, gfa.as_bytes());
     let text = body_text(&body);
     assert_eq!(status, 202);
-    assert!(
-        text.contains("\"cached\":true"),
+    assert_eq!(
+        json(&body).get("cached"),
+        Some(&Json::Bool(true)),
         "second request hits the cache: {text}"
     );
-    assert!(text.contains("\"state\":\"done\""), "{text}");
-    let job2 = json_u64(&text, "job").expect("job id");
+    assert_eq!(state(&body), "done", "{text}");
+    let job2 = job_id(&body);
     assert_ne!(job, job2);
     let (status, body2) = http(addr, "GET", &format!("/v1/result/{job2}"), b"");
     assert_eq!(status, 200);
@@ -143,14 +152,21 @@ fn layout_jobs_round_trip_over_http_and_hit_the_cache() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    assert!(body_text(&body).contains("\"cached\":false"));
+    assert_eq!(json(&body).get("cached"), Some(&Json::Bool(false)));
 
     // Stats agree: one hit so far.
     let (status, body) = http(addr, "GET", "/v1/stats", b"");
     assert_eq!(status, 200);
-    let stats = body_text(&body);
-    assert_eq!(json_u64(&stats, "hits"), Some(1), "{stats}");
-    assert!(json_u64(&stats, "submitted").unwrap() >= 3, "{stats}");
+    let stats = json(&body);
+    assert_eq!(
+        stats.at("cache.hits").and_then(Json::u64),
+        Some(1),
+        "{stats:?}"
+    );
+    assert!(
+        stats.at("jobs.submitted").and_then(Json::u64).unwrap() >= 3,
+        "{stats:?}"
+    );
 
     // Error paths: unknown job, result of unknown job, bad engine, 404s.
     let (status, _) = http(addr, "GET", "/v1/jobs/99999", b"");
@@ -189,13 +205,13 @@ fn http_cancellation_stops_a_running_job() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    let job = json_u64(&body_text(&body), "job").unwrap();
+    let job = job_id(&body);
 
     // Wait until it is running, cancel, then confirm the terminal state.
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let (_, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
-        if body_text(&body).contains("\"state\":\"running\"") {
+        if state(&body) == "running" {
             break;
         }
         assert!(Instant::now() < deadline, "job never started running");
@@ -206,11 +222,14 @@ fn http_cancellation_stops_a_running_job() {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let (_, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
-        let text = body_text(&body);
-        if text.contains("\"state\":\"cancelled\"") {
+        if state(&body) == "cancelled" {
             break;
         }
-        assert!(Instant::now() < deadline, "cancel never landed: {text}");
+        assert!(
+            Instant::now() < deadline,
+            "cancel never landed: {}",
+            body_text(&body)
+        );
         std::thread::sleep(Duration::from_millis(5));
     }
     // No result for a cancelled job.
@@ -403,7 +422,7 @@ fn overloaded_server_sheds_load_with_503_and_retry_after() {
     a.flush().unwrap();
     let (status, _, body) = read_response(&mut a);
     assert_eq!(status, 202, "{}", body_text(&body));
-    assert!(body_text(&body).contains("\"job\""));
+    assert!(json(&body).get("job").and_then(Json::u64).is_some());
 
     drop(a);
     drop(b);
@@ -413,7 +432,7 @@ fn overloaded_server_sheds_load_with_503_and_retry_after() {
     loop {
         let (status, body) = http(addr, "GET", "/v1/stats", b"");
         assert_eq!(status, 200);
-        if json_u64(&body_text(&body), "rejected_503") == Some(1) {
+        if json(&body).at("http.rejected_503").and_then(Json::u64) == Some(1) {
             break;
         }
         assert!(Instant::now() < deadline, "503 never counted");
@@ -445,17 +464,19 @@ fn disk_cache_hit_survives_a_server_restart() {
         let addr = handle.addr();
         let (status, body) = http(addr, "POST", post_path, gfa.as_bytes());
         assert_eq!(status, 202);
-        let text = body_text(&body);
-        assert!(text.contains("\"cached\":false"), "{text}");
-        let job = json_u64(&text, "job").unwrap();
+        assert_eq!(json(&body).get("cached"), Some(&Json::Bool(false)));
+        let job = job_id(&body);
         let deadline = Instant::now() + Duration::from_secs(120);
         loop {
             let (_, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
-            let text = body_text(&body);
-            if text.contains("\"state\":\"done\"") {
+            if state(&body) == "done" {
                 break;
             }
-            assert!(Instant::now() < deadline, "job never finished: {text}");
+            assert!(
+                Instant::now() < deadline,
+                "job never finished: {}",
+                body_text(&body)
+            );
             std::thread::sleep(Duration::from_millis(10));
         }
         let (status, tsv) = http(addr, "GET", &format!("/v1/result/{job}"), b"");
@@ -474,17 +495,21 @@ fn disk_cache_hit_survives_a_server_restart() {
     let addr = handle.addr();
     let (status, body) = http(addr, "POST", post_path, gfa.as_bytes());
     assert_eq!(status, 202);
-    let text = body_text(&body);
+    let ticket = json(&body);
     assert!(
-        text.contains("\"cached\":true") && text.contains("\"state\":\"done\""),
-        "restarted server hits the disk tier: {text}"
+        ticket.get("cached") == Some(&Json::Bool(true))
+            && ticket.get("state").and_then(Json::str) == Some("done"),
+        "restarted server hits the disk tier: {ticket:?}"
     );
-    let job = json_u64(&text, "job").unwrap();
+    let job = job_id(&body);
     let (status, tsv) = http(addr, "GET", &format!("/v1/result/{job}"), b"");
     assert_eq!(status, 200);
     assert_eq!(tsv, first_tsv, "disk tier serves the identical layout");
     let (_, stats) = http(addr, "GET", "/v1/stats", b"");
-    assert_eq!(json_u64(&body_text(&stats), "disk_hits"), Some(1));
+    assert_eq!(
+        json(&stats).at("cache.disk_hits").and_then(Json::u64),
+        Some(1)
+    );
 
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);

@@ -5,6 +5,7 @@
 //! offline validator), and the enriched `/healthz` / `/stats` identity
 //! fields.
 
+use rapid_pangenome_layout::io::Json;
 use rapid_pangenome_layout::prelude::*;
 use rapid_pangenome_layout::service::{
     validate_exposition, EngineRegistry, EventKind, HttpServer, LayoutService, ServiceConfig,
@@ -45,15 +46,23 @@ fn body_text(body: &[u8]) -> String {
     String::from_utf8_lossy(body).into_owned()
 }
 
-/// Pull `"field":<digits>` out of a flat JSON body.
-fn json_u64(json: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let at = json.find(&needle)? + needle.len();
-    let digits: String = json[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+/// Parse a JSON answer body; a malformed body fails the test.
+fn json(body: &[u8]) -> Json {
+    Json::parse(body).unwrap_or_else(|e| panic!("malformed JSON ({e}): {}", body_text(body)))
+}
+
+/// The `job` id of a submit answer.
+fn job_id(body: &[u8]) -> u64 {
+    json(body).get("job").and_then(Json::u64).expect("job id")
+}
+
+/// The phase names of a trace answer's spans, in order.
+fn span_phases(trace: &Json) -> Vec<&str> {
+    let spans = trace.get("spans").and_then(Json::arr).expect("spans");
+    spans
+        .iter()
+        .map(|s| s.get("phase").and_then(Json::str).expect("phase"))
+        .collect()
 }
 
 fn start_server() -> (
@@ -79,13 +88,11 @@ fn poll_done(addr: SocketAddr, job: u64) -> String {
         let (status, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
         assert_eq!(status, 200);
         let text = body_text(&body);
-        if text.contains("\"state\":\"done\"") {
-            return text;
+        match json(&body).get("state").and_then(Json::str) {
+            Some("done") => return text,
+            Some("failed" | "cancelled") => panic!("job should succeed: {text}"),
+            _ => {}
         }
-        assert!(
-            !text.contains("\"state\":\"failed\"") && !text.contains("\"state\":\"cancelled\""),
-            "job should succeed: {text}"
-        );
         assert!(Instant::now() < deadline, "timed out polling job: {text}");
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -103,9 +110,8 @@ fn trace_endpoint_returns_an_ordered_timeline_that_accounts_for_wall_time() {
         "/v1/jobs?engine=cpu&iters=20&threads=1&seed=42",
         gfa.as_bytes(),
     );
-    let text = body_text(&body);
-    assert_eq!(status, 202, "{text}");
-    let job = json_u64(&text, "job").expect("job id");
+    assert_eq!(status, 202, "{}", body_text(&body));
+    let job = job_id(&body);
     let final_status = poll_done(addr, job);
 
     // The status JSON carries a per-phase summary of closed spans.
@@ -115,30 +121,36 @@ fn trace_endpoint_returns_an_ordered_timeline_that_accounts_for_wall_time() {
     let (status, body) = http(addr, "GET", &format!("/v1/jobs/{job}/trace"), b"");
     assert_eq!(status, 200);
     let trace = body_text(&body);
+    let doc = json(&body);
+    let phases = span_phases(&doc);
 
     // Lifecycle phases appear in submission order.
     let pos = |phase: &str| {
-        trace
-            .find(&format!("\"phase\":\"{phase}\""))
+        phases
+            .iter()
+            .position(|p| *p == phase)
             .unwrap_or_else(|| panic!("missing {phase} span in {trace}"))
     };
     assert!(pos("cache_probe") < pos("queue_wait"), "{trace}");
     assert!(pos("queue_wait") < pos("layout"), "{trace}");
     assert!(pos("layout") < pos("spill"), "{trace}");
     assert!(
-        trace.contains("\"phase\":\"graph_parse\""),
+        phases.contains(&"graph_parse"),
         "fresh GFA body is parsed: {trace}"
     );
+    let spans = doc.get("spans").and_then(Json::arr).unwrap();
     assert!(
-        !trace.contains("\"dur_us\":null"),
+        spans
+            .iter()
+            .all(|s| s.get("dur_us").and_then(Json::u64).is_some()),
         "all spans closed on a done job: {trace}"
     );
 
     // The closed spans account for the job's wall clock: they cannot
     // exceed it (modulo rounding), and on a job of any substance they
     // cover most of it.
-    let wall_ms = json_u64(&trace, "wall_ms").expect("wall_ms");
-    let total_us = json_u64(&trace, "total_us").expect("total_us");
+    let wall_ms = doc.get("wall_ms").and_then(Json::u64).expect("wall_ms");
+    let total_us = doc.get("total_us").and_then(Json::u64).expect("total_us");
     assert!(total_us > 0, "{trace}");
     assert!(
         total_us <= (wall_ms + 150) * 1000,
@@ -164,15 +176,15 @@ fn trace_endpoint_returns_an_ordered_timeline_that_accounts_for_wall_time() {
         "/v1/jobs?engine=cpu&iters=20&threads=1&seed=42",
         gfa.as_bytes(),
     );
-    let text = body_text(&body);
-    assert_eq!(status, 202, "{text}");
-    assert!(text.contains("\"cached\":true"), "{text}");
-    let cached_job = json_u64(&text, "job").expect("job id");
+    assert_eq!(status, 202, "{}", body_text(&body));
+    assert_eq!(json(&body).get("cached"), Some(&Json::Bool(true)));
+    let cached_job = job_id(&body);
     let (status, body) = http(addr, "GET", &format!("/v1/jobs/{cached_job}/trace"), b"");
     assert_eq!(status, 200);
-    let trace = body_text(&body);
-    assert!(trace.contains("\"phase\":\"cache_probe\""), "{trace}");
-    assert!(!trace.contains("\"phase\":\"layout\""), "{trace}");
+    let trace = json(&body);
+    let phases = span_phases(&trace);
+    assert!(phases.contains(&"cache_probe"), "{phases:?}");
+    assert!(!phases.contains(&"layout"), "{phases:?}");
 
     handle.stop();
 }
@@ -190,8 +202,7 @@ fn metrics_exposition_merges_http_and_service_families_and_validates() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    let job = json_u64(&body_text(&body), "job").expect("job id");
-    poll_done(addr, job);
+    poll_done(addr, job_id(&body));
 
     let (status, _) = http(addr, "GET", "/metrics", b"");
     assert_eq!(status, 404, "only the /v1 surface answers");
@@ -257,7 +268,7 @@ fn long_jobs_stream_periodic_metrics_events() {
     // Chunky enough to run well past the 200 ms sampling period even on
     // a fast machine.
     let gfa = write_gfa(&generate(&PangenomeSpec::basic("obs-long", 1500, 6, 11)));
-    let mut request = JobRequest::new("cpu", &gfa);
+    let mut request = JobSpec::new("cpu", &gfa);
     request.config.iter_max = 120;
     request.config.threads = 1;
     let ticket = service.submit(request).unwrap();

@@ -4,6 +4,7 @@
 //! end to end (a cancelled-while-queued job is `cancelled`, never
 //! `failed`).
 
+use rapid_pangenome_layout::io::Json;
 use rapid_pangenome_layout::prelude::*;
 use rapid_pangenome_layout::service::{EngineRegistry, HttpServer, LayoutService, ServiceConfig};
 use std::io::{Read, Write};
@@ -48,12 +49,12 @@ fn interactive_job_overtakes_a_bulk_flood_of_fifty() {
         .map(|i| {
             let mut spec = spec_for("cpu", &gfa, 1000 + i, 4).priority(Priority::Bulk);
             spec.client = Some("bulk-bot".into());
-            svc.submit_spec(spec).unwrap().id
+            svc.submit(spec).unwrap().id
         })
         .collect();
     let mut interactive = spec_for("cpu", &gfa, 9999, 4).priority(Priority::Interactive);
     interactive.client = Some("human".into());
-    let ticket = svc.submit_spec(interactive).unwrap();
+    let ticket = svc.submit(interactive).unwrap();
     assert!(!ticket.cached);
 
     let status = svc
@@ -92,14 +93,14 @@ fn clients_share_one_band_fairly_under_a_dogpile() {
     let svc = service(1);
     let gfa = small_gfa(2);
     // Hold the worker so all 18 jobs are queued before any is popped.
-    let blocker = svc.submit_spec(spec_for("cpu", &gfa, 7, 1200)).unwrap();
+    let blocker = svc.submit(spec_for("cpu", &gfa, 7, 1200)).unwrap();
     let clients = ["alice", "bob", "carol"];
     let mut jobs: Vec<(usize, u64)> = Vec::new(); // (client idx, job id)
     for (ci, client) in clients.iter().enumerate() {
         for j in 0..6 {
             let mut spec = spec_for("cpu", &gfa, 100 * (ci as u64 + 1) + j, 60);
             spec.client = Some(client.to_string());
-            jobs.push((ci, svc.submit_spec(spec).unwrap().id));
+            jobs.push((ci, svc.submit(spec).unwrap().id));
         }
     }
     // alice, bob, carol queued (+ the anonymous blocker if not yet popped)
@@ -151,7 +152,7 @@ fn no_client_exceeds_its_fair_share_of_workers_by_more_than_one() {
         for j in 0..6 {
             let mut spec = spec_for("cpu", &gfa, 500 * (ci as u64 + 1) + j, 300);
             spec.client = Some(client.to_string());
-            jobs.push((ci, svc.submit_spec(spec).unwrap().id));
+            jobs.push((ci, svc.submit(spec).unwrap().id));
         }
     }
     let deadline = Instant::now() + Duration::from_secs(300);
@@ -254,14 +255,14 @@ fn text(body: &[u8]) -> String {
     String::from_utf8_lossy(body).into_owned()
 }
 
-fn json_u64(json: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let at = json.find(&needle)? + needle.len();
-    let digits: String = json[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+/// Parse a JSON answer body; a malformed body fails the test.
+fn json(body: &[u8]) -> Json {
+    Json::parse(body).unwrap_or_else(|e| panic!("malformed JSON ({e}): {}", text(body)))
+}
+
+/// The `job` id of a submit answer.
+fn job_id(body: &[u8]) -> u64 {
+    json(body).get("job").and_then(Json::u64).expect("job id")
 }
 
 fn spawn_http(
@@ -294,7 +295,7 @@ fn terminal_states_report_truthfully_over_http() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202, "{}", text(&body));
-    let blocker = json_u64(&text(&body), "job").unwrap();
+    let blocker = job_id(&body);
 
     // Job A queues, then is cancelled while still queued.
     let (status, _, body) = http(
@@ -304,7 +305,7 @@ fn terminal_states_report_truthfully_over_http() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    let cancelled_job = json_u64(&text(&body), "job").unwrap();
+    let cancelled_job = job_id(&body);
     // Job B queues with a tiny TTL: it must expire, not run.
     let (status, _, body) = http(
         addr,
@@ -313,7 +314,7 @@ fn terminal_states_report_truthfully_over_http() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    let expired_job = json_u64(&text(&body), "job").unwrap();
+    let expired_job = job_id(&body);
 
     let (status, _, _) = http(
         addr,
@@ -327,16 +328,18 @@ fn terminal_states_report_truthfully_over_http() {
     let path = format!("/v1/jobs/{cancelled_job}");
     let (status, _, body) = http(addr, "GET", &path, b"");
     assert_eq!(status, 200);
-    let json = text(&body);
-    assert!(
-        json.contains("\"state\":\"cancelled\""),
-        "cancelled-while-queued must report cancelled ({path}): {json}"
+    let status = json(&body);
+    assert_eq!(
+        status.get("state").and_then(Json::str),
+        Some("cancelled"),
+        "cancelled-while-queued must report cancelled ({path}): {status:?}"
     );
-    assert!(
-        !json.contains("\"error\""),
-        "a cancel is not an error ({path}): {json}"
+    assert_eq!(
+        status.get("error"),
+        None,
+        "a cancel is not an error ({path}): {status:?}"
     );
-    assert!(json.contains("\"progress\":0.000"), "{json}");
+    assert_eq!(status.get("progress"), Some(&Json::Num("0.000".into())));
 
     // Let the TTL lapse, then free the worker; the expired job fails
     // without running.
@@ -346,20 +349,21 @@ fn terminal_states_report_truthfully_over_http() {
     let deadline = Instant::now() + Duration::from_secs(60);
     let expired_json = loop {
         let (_, _, body) = http(addr, "GET", &format!("/v1/jobs/{expired_job}"), b"");
-        let json = text(&body);
-        if json.contains("\"state\":\"failed\"") {
-            break json;
+        let status = json(&body);
+        match status.get("state").and_then(Json::str) {
+            Some("failed") => break status,
+            Some("done") => panic!("expired job must not run: {status:?}"),
+            _ => {}
         }
-        assert!(
-            !json.contains("\"state\":\"done\""),
-            "expired job must not run: {json}"
-        );
-        assert!(Instant::now() < deadline, "expiry never landed: {json}");
+        assert!(Instant::now() < deadline, "expiry never landed: {status:?}");
         std::thread::sleep(Duration::from_millis(5));
     };
     assert!(
-        expired_json.contains("expired in queue"),
-        "expiry names its cause: {expired_json}"
+        expired_json
+            .get("error")
+            .and_then(Json::str)
+            .is_some_and(|e| e.contains("expired in queue")),
+        "expiry names its cause: {expired_json:?}"
     );
 
     // A successful job: done, progress 1.000, no error, priority echoed.
@@ -370,31 +374,42 @@ fn terminal_states_report_truthfully_over_http() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    let json = text(&body);
-    assert!(json.contains("\"priority\":\"interactive\""), "{json}");
-    let done_job = json_u64(&json, "job").unwrap();
+    let ticket = json(&body);
+    assert_eq!(
+        ticket.get("priority").and_then(Json::str),
+        Some("interactive")
+    );
+    let done_job = job_id(&body);
     let deadline = Instant::now() + Duration::from_secs(120);
     let done_json = loop {
         let (_, _, body) = http(addr, "GET", &format!("/v1/jobs/{done_job}"), b"");
-        let json = text(&body);
-        if json.contains("\"state\":\"done\"") {
-            break json;
+        let status = json(&body);
+        if status.get("state").and_then(Json::str) == Some("done") {
+            break status;
         }
-        assert!(Instant::now() < deadline, "job never finished: {json}");
+        assert!(Instant::now() < deadline, "job never finished: {status:?}");
         std::thread::sleep(Duration::from_millis(5));
     };
-    assert!(done_json.contains("\"progress\":1.000"), "{done_json}");
-    assert!(!done_json.contains("\"error\""), "{done_json}");
-    assert!(
-        done_json.contains("\"priority\":\"interactive\""),
-        "{done_json}"
+    assert_eq!(done_json.get("progress"), Some(&Json::Num("1.000".into())));
+    assert_eq!(done_json.get("error"), None, "{done_json:?}");
+    assert_eq!(
+        done_json.get("priority").and_then(Json::str),
+        Some("interactive")
     );
 
     // Stats surface the scheduling counters.
     let (_, _, body) = http(addr, "GET", "/v1/stats", b"");
-    let stats = text(&body);
-    assert_eq!(json_u64(&stats, "expired"), Some(1), "{stats}");
-    assert_eq!(json_u64(&stats, "cancelled"), Some(2), "{stats}");
+    let stats = json(&body);
+    assert_eq!(
+        stats.at("jobs.expired").and_then(Json::u64),
+        Some(1),
+        "{stats:?}"
+    );
+    assert_eq!(
+        stats.at("jobs.cancelled").and_then(Json::u64),
+        Some(2),
+        "{stats:?}"
+    );
 
     handle.stop();
 }
@@ -466,7 +481,7 @@ fn graph_listing_revalidates_with_etags() {
 
     let (status, head, body) = http(addr, "GET", "/v1/graphs", b"");
     assert_eq!(status, 200);
-    assert!(text(&body).contains("\"count\":0"));
+    assert_eq!(json(&body).get("count").and_then(Json::u64), Some(0));
     let etag = head
         .lines()
         .find_map(|l| l.strip_prefix("ETag: "))
@@ -528,12 +543,12 @@ fn client_identity_defaults_to_peer_and_is_overridable() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    let anon = json_u64(&text(&body), "job").unwrap();
+    let anon = job_id(&body);
     let (_, _, body) = http(addr, "GET", &format!("/v1/jobs/{anon}"), b"");
-    assert!(
-        text(&body).contains("\"client\":\"127.0.0.1\""),
-        "peer IP is the default fair-share key: {}",
-        text(&body)
+    assert_eq!(
+        json(&body).get("client").and_then(Json::str),
+        Some("127.0.0.1"),
+        "peer IP is the default fair-share key"
     );
 
     let (status, _, body) = http(
@@ -543,13 +558,9 @@ fn client_identity_defaults_to_peer_and_is_overridable() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    let named = json_u64(&text(&body), "job").unwrap();
+    let named = job_id(&body);
     let (_, _, body) = http(addr, "GET", &format!("/v1/jobs/{named}"), b"");
-    assert!(
-        text(&body).contains("\"client\":\"alice\""),
-        "{}",
-        text(&body)
-    );
+    assert_eq!(json(&body).get("client").and_then(Json::str), Some("alice"));
 
     handle.stop();
 }

@@ -3,6 +3,7 @@
 //! sequence numbers, monotonic progress, terminal state last, stream
 //! closed on terminal — without the client ever polling.
 
+use rapid_pangenome_layout::io::Json;
 use rapid_pangenome_layout::prelude::*;
 use rapid_pangenome_layout::service::{EngineRegistry, HttpServer, LayoutService, ServiceConfig};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -65,24 +66,22 @@ fn text(body: &[u8]) -> String {
     String::from_utf8_lossy(body).into_owned()
 }
 
-fn json_u64(json: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let at = json.find(&needle)? + needle.len();
-    let digits: String = json[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+/// Parse a JSON answer body or event line; malformed JSON fails the
+/// test.
+fn json(body: impl AsRef<[u8]>) -> Json {
+    let body = body.as_ref();
+    Json::parse(body).unwrap_or_else(|e| panic!("malformed JSON ({e}): {}", text(body)))
 }
 
-fn json_f64(json: &str, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let at = json.find(&needle)? + needle.len();
-    let num: String = json[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    num.parse().ok()
+/// The `job` id of a submit answer.
+fn job_id(body: &[u8]) -> u64 {
+    json(body).get("job").and_then(Json::u64).expect("job id")
+}
+
+/// The `state` of a status answer or event line (`None` for events
+/// that carry none).
+fn state(line: impl AsRef<[u8]>) -> Option<String> {
+    Some(json(line).get("state")?.str()?.to_string())
 }
 
 /// Open the event stream for `job` and read it to completion: returns
@@ -152,7 +151,7 @@ fn read_event_stream(addr: SocketAddr, path: &str) -> (u16, String, Vec<String>)
     let lines = payload
         .lines()
         .map(str::to_string)
-        .filter(|l| !l.is_empty() && !l.contains("\"event\":\"heartbeat\""))
+        .filter(|l| !l.is_empty() && json(l).get("event").and_then(Json::str) != Some("heartbeat"))
         .collect();
     (status, head, lines)
 }
@@ -172,7 +171,7 @@ fn events_stream_ordered_progress_and_close_on_done() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202, "{}", text(&body));
-    let job = json_u64(&text(&body), "job").unwrap();
+    let job = job_id(&body);
 
     let (status, _, lines) = read_event_stream(addr, &format!("/v1/jobs/{job}/events"));
     assert_eq!(status, 200);
@@ -181,7 +180,12 @@ fn events_stream_ordered_progress_and_close_on_done() {
     // Sequence numbers are present, unique, and strictly increasing.
     let seqs: Vec<u64> = lines
         .iter()
-        .map(|l| json_u64(l, "seq").unwrap_or_else(|| panic!("no seq in {l}")))
+        .map(|l| {
+            json(l)
+                .get("seq")
+                .and_then(Json::u64)
+                .unwrap_or_else(|| panic!("no seq in {l}"))
+        })
         .collect();
     assert!(
         seqs.windows(2).all(|w| w[0] < w[1]),
@@ -190,21 +194,23 @@ fn events_stream_ordered_progress_and_close_on_done() {
     assert_eq!(seqs[0], 0, "stream starts at the birth event");
 
     // The log begins with queued, runs, and ends with done.
-    assert!(lines[0].contains("\"state\":\"queued\""), "{}", lines[0]);
+    assert_eq!(state(&lines[0]).as_deref(), Some("queued"), "{}", lines[0]);
     assert!(
-        lines.iter().any(|l| l.contains("\"state\":\"running\"")),
+        lines.iter().any(|l| state(l).as_deref() == Some("running")),
         "{lines:?}"
     );
-    assert!(
-        lines.last().unwrap().contains("\"state\":\"done\""),
+    assert_eq!(
+        state(lines.last().unwrap()).as_deref(),
+        Some("done"),
         "terminal state closes the stream: {lines:?}"
     );
 
     // At least 3 progress events, monotonically increasing, ending at 1.
     let progress: Vec<f64> = lines
         .iter()
-        .filter(|l| l.contains("\"event\":\"progress\""))
-        .map(|l| json_f64(l, "progress").unwrap())
+        .map(json)
+        .filter(|e| e.get("event").and_then(Json::str) == Some("progress"))
+        .map(|e| e.get("progress").and_then(Json::f64).unwrap())
         .collect();
     assert!(progress.len() >= 3, "progress events: {progress:?}");
     assert!(
@@ -214,7 +220,9 @@ fn events_stream_ordered_progress_and_close_on_done() {
     assert_eq!(*progress.last().unwrap(), 1.0);
 
     // Every event names the job.
-    assert!(lines.iter().all(|l| json_u64(l, "job") == Some(job)));
+    assert!(lines
+        .iter()
+        .all(|l| json(l).get("job").and_then(Json::u64) == Some(job)));
 
     handle.stop();
 }
@@ -233,7 +241,7 @@ fn from_cursor_resumes_where_a_dropped_client_left_off() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    let job = json_u64(&text(&body), "job").unwrap();
+    let job = job_id(&body);
 
     let (_, _, all) = read_event_stream(addr, &format!("/v1/jobs/{job}/events"));
     assert!(all.len() >= 3);
@@ -242,7 +250,10 @@ fn from_cursor_resumes_where_a_dropped_client_left_off() {
         read_event_stream(addr, &format!("/v1/jobs/{job}/events?from={resume_at}"));
     assert_eq!(status, 200);
     assert_eq!(tail.len(), 2, "only the tail replays: {tail:?}");
-    assert_eq!(json_u64(&tail[0], "seq"), Some(resume_at));
+    assert_eq!(
+        json(&tail[0]).get("seq").and_then(Json::u64),
+        Some(resume_at)
+    );
     assert_eq!(tail.last(), all.last());
 
     handle.stop();
@@ -262,14 +273,14 @@ fn cancellation_closes_the_stream_with_a_cancelled_event() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    let job = json_u64(&text(&body), "job").unwrap();
+    let job = job_id(&body);
 
     // Cancel from a second connection once the job is running.
     let canceller = std::thread::spawn(move || {
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
             let (_, body) = http(addr, "GET", &format!("/v1/jobs/{job}"), b"");
-            if text(&body).contains("\"state\":\"running\"") {
+            if state(&body).as_deref() == Some("running") {
                 break;
             }
             assert!(Instant::now() < deadline, "job never ran");
@@ -281,12 +292,13 @@ fn cancellation_closes_the_stream_with_a_cancelled_event() {
     let (status, _, lines) = read_event_stream(addr, &format!("/v1/jobs/{job}/events"));
     canceller.join().unwrap();
     assert_eq!(status, 200);
-    assert!(
-        lines.last().unwrap().contains("\"state\":\"cancelled\""),
+    assert_eq!(
+        state(lines.last().unwrap()).as_deref(),
+        Some("cancelled"),
         "stream ends with the cancellation: {lines:?}"
     );
     assert!(
-        !lines.iter().any(|l| l.contains("\"state\":\"done\"")),
+        !lines.iter().any(|l| state(l).as_deref() == Some("done")),
         "{lines:?}"
     );
 
@@ -309,11 +321,11 @@ fn streams_for_cached_unknown_and_failed_jobs() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    let first = json_u64(&text(&body), "job").unwrap();
+    let first = job_id(&body);
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         let (_, body) = http(addr, "GET", &format!("/v1/jobs/{first}"), b"");
-        if text(&body).contains("\"state\":\"done\"") {
+        if state(&body).as_deref() == Some("done") {
             break;
         }
         assert!(Instant::now() < deadline);
@@ -328,13 +340,12 @@ fn streams_for_cached_unknown_and_failed_jobs() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    let cached_text = text(&body);
-    assert!(cached_text.contains("\"cached\":true"), "{cached_text}");
-    let cached = json_u64(&cached_text, "job").unwrap();
+    assert_eq!(json(&body).get("cached"), Some(&Json::Bool(true)));
+    let cached = job_id(&body);
     let (status, _, lines) = read_event_stream(addr, &format!("/v1/jobs/{cached}/events"));
     assert_eq!(status, 200);
     assert_eq!(lines.len(), 1, "born-done log: {lines:?}");
-    assert!(lines[0].contains("\"state\":\"done\""));
+    assert_eq!(state(&lines[0]).as_deref(), Some("done"));
 
     // Unknown job: 404 before any stream starts.
     let (status, _, lines) = read_event_stream(addr, "/v1/jobs/99999/events");
@@ -347,23 +358,32 @@ fn streams_for_cached_unknown_and_failed_jobs() {
         "/v1/jobs?engine=cpu&iters=100000&threads=1&seed=8",
         gfa.as_bytes(),
     );
-    let blocker = json_u64(&text(&body), "job").unwrap();
+    let blocker = job_id(&body);
     let (_, body) = http(
         addr,
         "POST",
         "/v1/jobs?engine=cpu&iters=3&threads=1&seed=9&ttl_ms=30",
         gfa.as_bytes(),
     );
-    let doomed = json_u64(&text(&body), "job").unwrap();
+    let doomed = job_id(&body);
     std::thread::sleep(Duration::from_millis(60));
     let (status, _) = http(addr, "POST", &format!("/v1/jobs/{blocker}/cancel"), b"");
     assert_eq!(status, 200);
     svc.wait(doomed, Duration::from_secs(60)).unwrap();
     let (status, _, lines) = read_event_stream(addr, &format!("/v1/jobs/{doomed}/events"));
     assert_eq!(status, 200);
-    let last = lines.last().unwrap();
-    assert!(last.contains("\"state\":\"failed\""), "{lines:?}");
-    assert!(last.contains("expired in queue"), "{last}");
+    let last = json(lines.last().unwrap());
+    assert_eq!(
+        last.get("state").and_then(Json::str),
+        Some("failed"),
+        "{lines:?}"
+    );
+    assert!(
+        last.get("error")
+            .and_then(Json::str)
+            .is_some_and(|e| e.contains("expired in queue")),
+        "{last:?}"
+    );
 
     handle.stop();
 }
@@ -397,7 +417,7 @@ fn excess_concurrent_streams_are_shed_with_503() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    let job = json_u64(&text(&body), "job").unwrap();
+    let job = job_id(&body);
 
     // Two watchers occupy the stream budget (max_conns/2 = 2): open
     // them and confirm each got its 200 + chunked header.
@@ -475,7 +495,7 @@ fn stop_is_prompt_with_an_active_event_stream() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    let quiet = json_u64(&text(&body), "job").unwrap();
+    let quiet = job_id(&body);
 
     let mut watcher = TcpStream::connect(addr).unwrap();
     watcher
@@ -516,13 +536,14 @@ fn unversioned_events_path_is_not_found() {
         gfa.as_bytes(),
     );
     assert_eq!(status, 202);
-    let job = json_u64(&text(&body), "job").unwrap();
+    let job = job_id(&body);
     let (status, _, lines) = read_event_stream(addr, &format!("/jobs/{job}/events"));
     assert_eq!(status, 404, "{lines:?}");
     let (status, _, lines) = read_event_stream(addr, &format!("/v1/jobs/{job}/events"));
     assert_eq!(status, 200);
-    assert!(
-        lines.last().unwrap().contains("\"state\":\"done\""),
+    assert_eq!(
+        state(lines.last().unwrap()).as_deref(),
+        Some("done"),
         "{lines:?}"
     );
 
