@@ -155,30 +155,38 @@ mod tests {
 
     #[test]
     fn concurrent_hogwild_adds_mostly_land() {
-        // Hogwild loses some updates under contention by design; with many
-        // threads hammering ONE cell the loss is at its worst, but the
-        // total must stay positive and bounded by the ideal sum.
+        // Hogwild loses some updates under contention by design, and how
+        // many depends on the scheduler, so no floor beyond one add holds.
+        // What the race does guarantee: every store writes a loaded value
+        // plus 1.0, and sums of 1.0 stay exact, so the final value is a
+        // whole number between 1 and the ideal sum. A lone thread loses
+        // nothing.
         use std::sync::Arc;
-        let cell = Arc::new(AtomicF64::new(0.0));
-        let threads = 8;
         let per_thread = 10_000;
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let c = Arc::clone(&cell);
-                std::thread::spawn(move || {
-                    for _ in 0..per_thread {
-                        c.hogwild_add(1.0);
-                    }
+        for threads in [1, 8] {
+            let cell = Arc::new(AtomicF64::new(0.0));
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    let c = Arc::clone(&cell);
+                    std::thread::spawn(move || {
+                        for _ in 0..per_thread {
+                            c.hogwild_add(1.0);
+                        }
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            let v = cell.load();
+            let ideal = (threads * per_thread) as f64;
+            assert!(
+                (1.0..=ideal).contains(&v) && v.fract() == 0.0,
+                "{threads} threads: v = {v}, ideal = {ideal}"
+            );
+            if threads == 1 {
+                assert_eq!(v, ideal, "a lone thread loses no adds");
+            }
         }
-        let v = cell.load();
-        let ideal = (threads * per_thread) as f64;
-        assert!(v > 0.0 && v <= ideal, "v = {v}, ideal = {ideal}");
-        // At least one thread's worth of updates must survive.
-        assert!(v >= per_thread as f64, "v = {v}");
     }
 }

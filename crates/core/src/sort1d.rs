@@ -1,7 +1,7 @@
 //! 1D path-guided SGD node sorting.
 //!
 //! The PG-SGD paper the layout algorithm comes from (Heumos et al.,
-//! *Bioinformatics* 2024 — the SC paper's reference [20]) defines the
+//! *Bioinformatics* 2024 — the SC paper's reference \[20\]) defines the
 //! method in both one and two dimensions: the 1D variant orders the
 //! graph's nodes along a line so that node rank approximates path
 //! position, and odgi pipelines run it (`odgi sort -p Ygs`) **before**

@@ -20,9 +20,10 @@
 //! * [`stats`] — graph property reports (the quantities of paper
 //!   Tables I and VI: #nucleotides, #nodes, #edges, #paths, degree,
 //!   density).
-//! * [`store`] — content-addressed storage of parsed graphs: the
+//! * [`store`] — building blocks for content-addressed storage: the
 //!   128-bit [`ContentHash`] identity, a binary codec for the lean
-//!   structure, and the [`GraphStore`] LRU + disk tier that lets a
+//!   structure, atomic spill writes, spill-directory eviction and the
+//!   [`DiskIndex`], from which the service's two-tier store lets a
 //!   multi-gigabyte GFA be parsed exactly once no matter how many
 //!   layout requests reference it.
 
@@ -40,7 +41,4 @@ pub use lean::LeanGraph;
 pub use model::{fig1_graph, GraphBuilder, Handle, NodeId, Path, PathId, VariationGraph};
 pub use pathindex::PathIndex;
 pub use stats::{AggregateStats, GraphStats};
-pub use store::{
-    content_hash, content_hash_parts, evict_dir_to_cap, ContentHash, DiskIndex, GraphMeta,
-    GraphStore, GraphStoreStats,
-};
+pub use store::{content_hash, content_hash_parts, evict_dir_to_cap, ContentHash, DiskIndex};

@@ -1,35 +1,27 @@
-//! Content-addressed store of parsed [`LeanGraph`] artifacts.
+//! Building blocks for content-addressed storage of parsed graphs and
+//! layouts.
 //!
 //! Pangenome references are multi-gigabyte GFA documents shared across
 //! many layout requests; re-shipping and re-parsing the text for every
 //! request wastes exactly the time the paper's fast layout kernel saves.
-//! This module makes parsed graphs **first-class artifacts**:
+//! The service's two-tier store (`pgl_service::cache`) keeps parsed
+//! graphs and finished layouts as **first-class artifacts**, built from
+//! these pieces:
 //!
 //! * [`ContentHash`] — the workspace's 128-bit FNV-1a content hash. The
-//!   same hash addresses a graph here, keys the service's layout cache,
-//!   and names spill files on disk, so every tier agrees on identity.
+//!   same hash addresses a graph, keys the layout cache, and names spill
+//!   files on disk, so every tier agrees on identity.
 //! * [`lean_to_bytes`] / [`lean_from_bytes`] — a compact binary codec
 //!   for [`LeanGraph`] (the `.lean` spill format), so a parsed graph
 //!   can be reloaded without ever touching GFA text again.
-//! * [`GraphStore`] — an LRU of `Arc<LeanGraph>` keyed by content hash,
-//!   with an optional disk tier: evicted or restarted stores reload
-//!   spilled graphs instead of re-parsing.
-//! * [`evict_dir_to_cap`] — oldest-first size-capped eviction for spill
-//!   directories, shared by the graph tier and the layout-cache tier.
-//!
-//! Like the service's layout cache, the store is driven through
-//! lock-splitting primitives ([`GraphStore::lookup`],
-//! [`GraphStore::disk_path`], [`GraphStore::record_disk_hit`],
-//! [`GraphStore::insert`], …): a caller holding the store behind a
-//! mutex performs parsing and file I/O *outside* the lock and reports
-//! outcomes back. There is deliberately no all-in-one convenience path —
-//! one driving implementation (the service's) means one set of
-//! semantics to maintain.
+//! * [`write_atomic`] — torn-write-free spill files.
+//! * [`evict_dir_to_cap`] / [`evict_dir_to_ttl`] — oldest-first
+//!   size-capped and age-based eviction for spill directories.
+//! * [`DiskIndex`] — in-memory membership of a spill directory, so a
+//!   miss never probes the filesystem.
 
 use crate::lean::LeanGraph;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
@@ -253,17 +245,6 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> bool {
     ok
 }
 
-/// Spill `graph` to `path` as a `.lean` file, atomically
-/// ([`write_atomic`]).
-pub fn write_graph_spill(graph: &LeanGraph, path: &Path) -> bool {
-    write_atomic(path, &lean_to_bytes(graph))
-}
-
-/// Load a `.lean` spill file.
-pub fn load_graph_spill(path: &Path) -> std::io::Result<LeanGraph> {
-    lean_from_bytes(&std::fs::read(path)?)
-}
-
 /// Oldest-first eviction of a spill directory down to `max_bytes`:
 /// regular `<stem>.<ext>` files are sized, sorted by modification time,
 /// and the oldest are removed until the directory fits. Hidden files
@@ -375,6 +356,20 @@ pub fn evict_dir_to_ttl(dir: &Path, ttl: std::time::Duration, ext: &str) -> Vec<
 // DiskIndex
 // ---------------------------------------------------------------------------
 
+/// Operation counters for one [`DiskIndex`], exported on `/metrics`:
+/// how often the index appended to its log, compacted it into a
+/// snapshot, and had to rebuild by scanning the directory.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DiskIndexOps {
+    /// Log lines appended (`+`/`-` ops).
+    pub appends: u64,
+    /// Log compactions (snapshot rewrites), including the one after a
+    /// rebuild scan.
+    pub snapshots: u64,
+    /// Full directory scans because no usable log existed at open.
+    pub rebuild_scans: u64,
+}
+
 /// In-memory membership index of a spill directory, persisted as an
 /// append-only ops log (`<dir>/.pgl-index-<ext>`).
 ///
@@ -398,23 +393,8 @@ pub fn evict_dir_to_ttl(dir: &Path, ttl: std::time::Duration, ext: &str) -> Vec<
 /// concurrently appends to the same log (its entries land at the next
 /// open); until then its new spills read as absent here — a recompute,
 /// never a correctness failure. A spill the index believes present but
-/// a sibling has evicted surfaces as `ENOENT` on the actual read;
-/// callers report that back via their store's `record_disk_gone` and
-/// the entry self-heals.
-/// Operation counters for one [`DiskIndex`], exported on `/metrics`:
-/// how often the index appended to its log, compacted it into a
-/// snapshot, and had to rebuild by scanning the directory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DiskIndexOps {
-    /// Log lines appended (`+`/`-` ops).
-    pub appends: u64,
-    /// Log compactions (snapshot rewrites), including the one after a
-    /// rebuild scan.
-    pub snapshots: u64,
-    /// Full directory scans because no usable log existed at open.
-    pub rebuild_scans: u64,
-}
-
+/// a sibling has evicted surfaces as `ENOENT` on the actual read; the
+/// reader then removes the entry and the index self-heals.
 #[derive(Debug)]
 pub struct DiskIndex {
     path: PathBuf,
@@ -558,437 +538,15 @@ impl DiskIndex {
     }
 }
 
-// ---------------------------------------------------------------------------
-// GraphStore
-// ---------------------------------------------------------------------------
-
-/// Public description of one stored graph (`GET /graphs`).
-#[derive(Debug, Clone)]
-pub struct GraphMeta {
-    /// Content hash of the source GFA bytes: the graph's identity.
-    pub id: ContentHash,
-    /// Node count.
-    pub nodes: usize,
-    /// Path count.
-    pub paths: usize,
-    /// Total path steps.
-    pub steps: usize,
-    /// Lean-structure footprint in bytes.
-    pub bytes: u64,
-    /// Whether the parsed form is resident in memory right now (as
-    /// opposed to only reachable through the disk tier).
-    pub resident: bool,
-}
-
-impl GraphMeta {
-    fn of(id: ContentHash, g: &LeanGraph) -> Self {
-        Self {
-            id,
-            nodes: g.node_count(),
-            paths: g.path_count(),
-            steps: if g.step_offset.is_empty() {
-                0
-            } else {
-                g.total_steps()
-            },
-            bytes: g.footprint_bytes(),
-            resident: true,
-        }
-    }
-}
-
-/// Monotonic counters for store observability.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GraphStoreStats {
-    /// Times a GFA document was actually parsed. The whole point of the
-    /// store: this stays at one per distinct graph no matter how many
-    /// layout requests reference it.
-    pub parses: u64,
-    /// Lookups answered from the memory tier.
-    pub hits: u64,
-    /// Memory misses answered by the disk tier.
-    pub disk_hits: u64,
-    /// Lookups answered by neither tier.
-    pub misses: u64,
-    /// Graphs inserted into the memory tier (including disk promotions).
-    pub insertions: u64,
-    /// Graphs evicted from the memory tier to respect the capacity.
-    pub evictions: u64,
-    /// Graphs explicitly deleted.
-    pub deletes: u64,
-    /// Graphs spilled to the disk tier.
-    pub disk_writes: u64,
-    /// Disk-tier read/write failures.
-    pub disk_errors: u64,
-    /// Spill files removed by the disk-tier byte cap.
-    pub disk_cap_evictions: u64,
-    /// Spill files removed because they outlived the disk-tier TTL.
-    pub disk_ttl_evictions: u64,
-    /// Graphs interned by a startup preload pass
-    /// (`pgl serve --preload-graphs`).
-    pub preloaded: u64,
-}
-
-struct Entry {
-    graph: Arc<LeanGraph>,
-    last_used: u64,
-}
-
-/// Content-addressed LRU of parsed graphs over an optional disk tier.
-///
-/// `capacity` bounds the memory tier in *entries* (0 ⇒ unbounded; a
-/// layout server's graphs are its working set, so unbounded is a
-/// legitimate choice for batch runs). With a disk tier, evicted graphs
-/// remain reachable as `.lean` spill files; without one, eviction is
-/// final and a later reference misses.
-pub struct GraphStore {
-    capacity: usize,
-    tick: u64,
-    resident: HashMap<ContentHash, Entry>,
-    /// Every graph this store knows about (resident or spilled), for
-    /// listing. Eviction keeps catalog entries only when the disk tier
-    /// can still produce the graph.
-    catalog: HashMap<ContentHash, GraphMeta>,
-    stats: GraphStoreStats,
-    disk: Option<PathBuf>,
-    max_disk_bytes: u64,
-    /// Membership index of the disk tier: answers "is this hash
-    /// spilled?" from memory, so misses never pay an `open()` probe.
-    index: Option<DiskIndex>,
-}
-
-impl GraphStore {
-    /// A memory-only store holding up to `capacity` parsed graphs
-    /// (0 ⇒ unbounded).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            tick: 0,
-            resident: HashMap::new(),
-            catalog: HashMap::new(),
-            stats: GraphStoreStats::default(),
-            disk: None,
-            max_disk_bytes: 0,
-            index: None,
-        }
-    }
-
-    /// A store with a disk tier under `dir` (created if absent): every
-    /// insert is spilled as `<dir>/<hash-hex>.lean`, memory misses fall
-    /// back to the directory, and the directory is evicted oldest-first
-    /// to `max_disk_bytes` (0 ⇒ unbounded). A [`DiskIndex`] over the
-    /// directory is loaded (or built) so misses answer from memory.
-    pub fn with_disk(capacity: usize, dir: &Path, max_disk_bytes: u64) -> std::io::Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        Ok(Self {
-            disk: Some(dir.to_path_buf()),
-            max_disk_bytes,
-            index: Some(DiskIndex::open(dir, "lean")),
-            ..Self::new(capacity)
-        })
-    }
-
-    /// Where `id`'s spill file lives, when a disk tier is configured —
-    /// the **write-side** path helper (spills). Readers use
-    /// [`GraphStore::probe_path`], which consults the index first.
-    /// Callers holding the store behind a mutex perform the file I/O
-    /// outside the lock and report back via [`GraphStore::record_disk_hit`]
-    /// / [`GraphStore::record_miss`] / [`GraphStore::record_spill`].
-    pub fn disk_path(&self, id: ContentHash) -> Option<PathBuf> {
-        self.disk
-            .as_ref()
-            .map(|d| d.join(format!("{}.lean", id.hex())))
-    }
-
-    /// The **read-side** path helper: `Some` only when the disk index
-    /// says `id` is spilled, so a definite miss costs a hash-set lookup
-    /// instead of an `open()` → `ENOENT` round trip.
-    pub fn probe_path(&self, id: ContentHash) -> Option<PathBuf> {
-        if self.disk_contains(id) {
-            self.disk_path(id)
-        } else {
-            None
-        }
-    }
-
-    /// Does the disk tier hold `id`, per the index? No filesystem
-    /// access.
-    pub fn disk_contains(&self, id: ContentHash) -> bool {
-        self.index.as_ref().is_some_and(|ix| ix.contains(id))
-    }
-
-    /// The disk tier directory and byte cap, when eviction applies —
-    /// for callers running [`evict_dir_to_cap`] outside the store lock.
-    pub fn disk_cap(&self) -> Option<(PathBuf, u64)> {
-        match (&self.disk, self.max_disk_bytes) {
-            (Some(dir), max) if max > 0 => Some((dir.clone(), max)),
-            _ => None,
-        }
-    }
-
-    /// Memory-tier lookup, refreshing recency and counting a hit. A
-    /// `None` counts nothing: the caller either probes the disk tier or
-    /// calls [`GraphStore::record_miss`].
-    pub fn lookup(&mut self, id: ContentHash) -> Option<Arc<LeanGraph>> {
-        self.tick += 1;
-        let tick = self.tick;
-        let entry = self.resident.get_mut(&id)?;
-        entry.last_used = tick;
-        self.stats.hits += 1;
-        Some(Arc::clone(&entry.graph))
-    }
-
-    /// A disk probe (performed by the caller) produced `graph`: count
-    /// the disk hit and promote it into the memory tier.
-    pub fn record_disk_hit(&mut self, id: ContentHash, graph: &Arc<LeanGraph>) {
-        self.stats.disk_hits += 1;
-        self.place(id, Arc::clone(graph));
-    }
-
-    /// Neither tier produced the graph.
-    pub fn record_miss(&mut self) {
-        self.stats.misses += 1;
-    }
-
-    /// A GFA document was actually parsed (the counter `POST /graphs`
-    /// exists to keep at one per graph).
-    pub fn record_parse(&mut self) {
-        self.stats.parses += 1;
-    }
-
-    /// A disk-tier read or write failed.
-    pub fn record_disk_error(&mut self) {
-        self.stats.disk_errors += 1;
-    }
-
-    /// A spill the index believed present read back `ENOENT` (a sibling
-    /// process evicted it): self-heal the index so the next miss is
-    /// answered from memory again.
-    pub fn record_disk_gone(&mut self, id: ContentHash) {
-        if let Some(ix) = &mut self.index {
-            ix.remove(id);
-        }
-    }
-
-    /// The caller wrote `id`'s spill file (`ok` = write succeeded).
-    pub fn record_spill(&mut self, id: ContentHash, ok: bool) {
-        if ok {
-            self.stats.disk_writes += 1;
-            if let Some(ix) = &mut self.index {
-                ix.insert(id);
-            }
-        } else {
-            self.stats.disk_errors += 1;
-        }
-    }
-
-    /// The caller's [`evict_dir_to_cap`] pass removed these spills.
-    pub fn record_cap_evictions(&mut self, removed: &[ContentHash]) {
-        self.stats.disk_cap_evictions += removed.len() as u64;
-        if let Some(ix) = &mut self.index {
-            for &id in removed {
-                ix.remove(id);
-            }
-        }
-    }
-
-    /// The caller's [`evict_dir_to_ttl`] sweep removed these spills.
-    pub fn record_ttl_evictions(&mut self, removed: &[ContentHash]) {
-        self.stats.disk_ttl_evictions += removed.len() as u64;
-        if let Some(ix) = &mut self.index {
-            for &id in removed {
-                ix.remove(id);
-            }
-        }
-    }
-
-    /// The disk-tier directory, when one is configured — for callers
-    /// running TTL sweeps outside the store lock.
-    pub fn disk_dir(&self) -> Option<PathBuf> {
-        self.disk.clone()
-    }
-
-    /// A startup preload pass interned one graph.
-    pub fn record_preload(&mut self) {
-        self.stats.preloaded += 1;
-    }
-
-    /// Insert a parsed graph into the memory tier (no disk I/O; see
-    /// [`GraphStore::disk_path`] for the spill side).
-    pub fn insert(&mut self, id: ContentHash, graph: Arc<LeanGraph>) {
-        self.place(id, graph);
-    }
-
-    /// Does the store know this graph (resident or catalogued)? Disk
-    /// spills from *previous* processes are not covered — probe
-    /// [`GraphStore::disk_path`] for those.
-    pub fn contains(&self, id: ContentHash) -> bool {
-        self.resident.contains_key(&id) || self.catalog.contains_key(&id)
-    }
-
-    /// Delete a graph from every tier. In-flight borrowers holding an
-    /// `Arc` keep their data; only the store forgets it. Returns whether
-    /// anything was removed.
-    pub fn remove(&mut self, id: ContentHash) -> bool {
-        let had_mem = self.resident.remove(&id).is_some();
-        let had_meta = self.catalog.remove(&id).is_some();
-        let had_disk = self
-            .disk_path(id)
-            .map(|p| std::fs::remove_file(p).is_ok())
-            .unwrap_or(false);
-        if let Some(ix) = &mut self.index {
-            ix.remove(id);
-        }
-        let removed = had_mem || had_meta || had_disk;
-        if removed {
-            self.stats.deletes += 1;
-        }
-        removed
-    }
-
-    /// Metadata for one known graph.
-    pub fn meta(&self, id: ContentHash) -> Option<GraphMeta> {
-        let mut m = self.catalog.get(&id)?.clone();
-        m.resident = self.resident.contains_key(&id);
-        Some(m)
-    }
-
-    /// Every graph this store knows about, newest ids last by no
-    /// particular order (callers sort for display).
-    pub fn list(&self) -> Vec<GraphMeta> {
-        let mut out: Vec<GraphMeta> = self
-            .catalog
-            .values()
-            .map(|m| {
-                let mut m = m.clone();
-                m.resident = self.resident.contains_key(&m.id);
-                m
-            })
-            .collect();
-        out.sort_by_key(|m| m.id);
-        out
-    }
-
-    /// Graphs resident in memory.
-    pub fn len(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// `true` when the memory tier is empty.
-    pub fn is_empty(&self) -> bool {
-        self.resident.is_empty()
-    }
-
-    /// Resident lean-structure bytes.
-    pub fn bytes(&self) -> u64 {
-        self.resident
-            .values()
-            .map(|e| e.graph.footprint_bytes())
-            .sum()
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> GraphStoreStats {
-        self.stats
-    }
-
-    /// Disk-index operation counters (`None` without a disk tier).
-    pub fn index_ops(&self) -> Option<DiskIndexOps> {
-        self.index.as_ref().map(|i| i.ops())
-    }
-
-    fn place(&mut self, id: ContentHash, graph: Arc<LeanGraph>) {
-        self.tick += 1;
-        self.catalog.insert(id, GraphMeta::of(id, &graph));
-        self.resident.insert(
-            id,
-            Entry {
-                graph,
-                last_used: self.tick,
-            },
-        );
-        self.stats.insertions += 1;
-        while self.capacity > 0 && self.resident.len() > self.capacity {
-            let Some(oldest) = self
-                .resident
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            else {
-                break;
-            };
-            self.resident.remove(&oldest);
-            self.stats.evictions += 1;
-            // Without a disk copy the graph is gone for good: forget it.
-            // The index answers this without a `stat`.
-            if !self.disk_contains(oldest) {
-                self.catalog.remove(&oldest);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::fig1_graph;
-    use crate::write_gfa;
-
-    const TOY: &str = "S\t1\tAA\nS\t2\tT\nS\t3\tGC\nL\t1\t+\t2\t+\t0M\nP\tp\t1+,2+,3+\t*\n";
-    const TOY2: &str = "S\ta\tACGT\nS\tb\tC\nL\ta\t+\tb\t+\t0M\nP\tq\ta+,b+\t*\n";
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pgl_store_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    /// The canonical two-tier fetch a store driver implements with the
-    /// primitives (memory, then disk probe, reporting outcomes back).
-    fn fetch(s: &mut GraphStore, id: ContentHash) -> Option<Arc<LeanGraph>> {
-        if let Some(g) = s.lookup(id) {
-            return Some(g);
-        }
-        match s.probe_path(id).map(|p| load_graph_spill(&p)) {
-            Some(Ok(g)) => {
-                let g = Arc::new(g);
-                s.record_disk_hit(id, &g);
-                Some(g)
-            }
-            Some(Err(e)) => {
-                if e.kind() == std::io::ErrorKind::NotFound {
-                    s.record_disk_gone(id);
-                } else {
-                    s.record_disk_error();
-                }
-                s.record_miss();
-                None
-            }
-            None => {
-                s.record_miss();
-                None
-            }
-        }
-    }
-
-    /// The canonical intern flow: fetch, else parse once + spill + insert.
-    fn intern(s: &mut GraphStore, gfa: &str) -> (ContentHash, Arc<LeanGraph>) {
-        let id = content_hash(gfa.as_bytes());
-        if let Some(g) = fetch(s, id) {
-            return (id, g);
-        }
-        let g = Arc::new(LeanGraph::from_graph(&crate::parse_gfa(gfa).unwrap()));
-        s.record_parse();
-        if let Some(path) = s.disk_path(id) {
-            let ok = write_graph_spill(&g, &path);
-            s.record_spill(id, ok);
-            if let Some((dir, max)) = s.disk_cap() {
-                let removed = evict_dir_to_cap(&dir, max, "lean");
-                s.record_cap_evictions(&removed);
-            }
-        }
-        s.insert(id, Arc::clone(&g));
-        (id, g)
     }
 
     #[test]
@@ -1045,103 +603,6 @@ mod tests {
         let at = 32 + nodes * 4 + (paths + 1) * 4;
         oob[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(lean_from_bytes(&oob).is_err(), "node id out of range");
-    }
-
-    #[test]
-    fn intern_parses_once_per_distinct_graph() {
-        let mut s = GraphStore::new(8);
-        let (id1, g1) = intern(&mut s, TOY);
-        let (id2, g2) = intern(&mut s, TOY);
-        assert_eq!(id1, id2);
-        assert!(Arc::ptr_eq(&g1, &g2), "same resident artifact");
-        let (id3, _) = intern(&mut s, TOY2);
-        assert_ne!(id1, id3);
-        let st = s.stats();
-        assert_eq!(st.parses, 2, "one parse per distinct graph");
-        assert_eq!(st.hits, 1);
-        assert_eq!(s.len(), 2);
-        assert!(s.bytes() > 0);
-    }
-
-    #[test]
-    fn contains_tracks_both_tiers() {
-        let dir = tmp_dir("contains");
-        let mut s = GraphStore::with_disk(1, &dir, 0).unwrap();
-        let (a, _) = intern(&mut s, TOY);
-        assert!(s.contains(a));
-        let (b, _) = intern(&mut s, TOY2); // evicts a from memory
-        assert!(s.contains(a), "catalogued via its disk spill");
-        assert!(s.contains(b));
-        assert!(s.remove(a));
-        assert!(!s.contains(a));
-        assert!(!s.contains(content_hash(b"never seen")));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lru_eviction_without_disk_is_final() {
-        let mut s = GraphStore::new(1);
-        let (a, _) = intern(&mut s, TOY);
-        let (_b, _) = intern(&mut s, TOY2);
-        assert_eq!(s.stats().evictions, 1);
-        assert_eq!(s.len(), 1);
-        assert!(fetch(&mut s, a).is_none(), "evicted graph is gone");
-        assert_eq!(s.list().len(), 1, "catalog forgets unreachable graphs");
-    }
-
-    #[test]
-    fn disk_tier_reloads_evicted_and_restarted_graphs() {
-        let dir = tmp_dir("disk");
-        let a = {
-            let mut s = GraphStore::with_disk(1, &dir, 0).unwrap();
-            let (a, _) = intern(&mut s, TOY);
-            let _ = intern(&mut s, TOY2); // evicts a from memory
-            assert_eq!(s.stats().evictions, 1);
-            let g = fetch(&mut s, a).expect("reloaded from disk");
-            assert_eq!(g.node_count(), 3);
-            assert_eq!(s.stats().disk_hits, 1);
-            assert_eq!(s.stats().parses, 2, "reload is not a parse");
-            a
-        };
-        // A fresh store over the same directory still serves the graph.
-        let mut s2 = GraphStore::with_disk(4, &dir, 0).unwrap();
-        let (id, _) = intern(&mut s2, TOY);
-        assert_eq!(id, a);
-        assert_eq!(s2.stats().parses, 0, "restart reuses the spill");
-        assert_eq!(s2.stats().disk_hits, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn remove_deletes_every_tier_but_borrowers_keep_their_arc() {
-        let dir = tmp_dir("remove");
-        let mut s = GraphStore::with_disk(4, &dir, 0).unwrap();
-        let (id, g) = intern(&mut s, TOY);
-        let spill = s.disk_path(id).unwrap();
-        assert!(spill.exists());
-        assert!(s.remove(id));
-        assert!(!spill.exists());
-        assert!(fetch(&mut s, id).is_none());
-        assert!(s.meta(id).is_none());
-        assert!(!s.remove(id), "second delete is a no-op");
-        assert_eq!(g.node_count(), 3, "borrowed Arc still valid");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn list_reports_residency() {
-        let dir = tmp_dir("list");
-        let mut s = GraphStore::with_disk(1, &dir, 0).unwrap();
-        let (a, _) = intern(&mut s, TOY);
-        let (b, _) = intern(&mut s, TOY2);
-        let listed = s.list();
-        assert_eq!(listed.len(), 2);
-        let find = |id| listed.iter().find(|m| m.id == id).unwrap();
-        assert!(!find(a).resident, "evicted to disk");
-        assert!(find(b).resident);
-        assert_eq!(find(a).nodes, 3);
-        assert_eq!(find(b).steps, 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1272,49 +733,5 @@ mod tests {
         assert!(ix2.contains(keep));
         assert_eq!(ix2.len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn probe_path_answers_misses_without_filesystem_access() {
-        let dir = tmp_dir("probe");
-        let mut s = GraphStore::with_disk(1, &dir, 0).unwrap();
-        let (a, _) = intern(&mut s, TOY);
-        let never = content_hash(b"never spilled");
-        assert!(s.probe_path(a).is_some(), "spilled graph probes");
-        assert!(s.disk_contains(a));
-        assert!(
-            s.probe_path(never).is_none(),
-            "definite miss without touching the directory"
-        );
-        assert!(!s.disk_contains(never));
-        // Self-heal: a sibling evicts the spill behind our back; the
-        // reader observes ENOENT and reports it, after which the index
-        // answers absent from memory.
-        std::fs::remove_file(s.disk_path(a).unwrap()).unwrap();
-        assert!(s.probe_path(a).is_some(), "index is stale until told");
-        s.record_disk_gone(a);
-        assert!(s.probe_path(a).is_none(), "healed");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unbounded_capacity_never_evicts() {
-        let mut s = GraphStore::new(0);
-        for i in 0..20 {
-            let gfa = format!("S\tn{i}\tACGT\nP\tp\tn{i}+\t*\n");
-            intern(&mut s, &gfa);
-        }
-        assert_eq!(s.len(), 20);
-        assert_eq!(s.stats().evictions, 0);
-    }
-
-    #[test]
-    fn graphs_written_via_write_gfa_round_trip_through_the_store() {
-        let mut s = GraphStore::new(4);
-        let text = write_gfa(&fig1_graph());
-        let (_, g) = intern(&mut s, &text);
-        let lean = LeanGraph::from_graph(&fig1_graph());
-        assert_eq!(g.node_len, lean.node_len);
-        assert_eq!(g.step_pos, lean.step_pos);
     }
 }

@@ -4,8 +4,6 @@
 //!   `.lay` files (the artifact ships `layouts_cpu/chr*.lay` /
 //!   `layouts_gpu/chr*.lay`): magic + node count + both endpoints' f64
 //!   coordinates, little-endian, with integrity checks on read.
-//! * [`lean`] — file I/O for `.lean` parsed-graph spills (the graph
-//!   store's disk tier format; codec in `pangraph::store`).
 //! * [`tsv`] — plain-text exports: per-endpoint layout tables (odgi's
 //!   `layout -T` equivalent) and generic report tables used by the
 //!   benchmark harness.
@@ -16,10 +14,8 @@
 
 pub mod json;
 pub mod lay;
-pub mod lean;
 pub mod tsv;
 
 pub use json::{quote, Json, JsonError};
 pub use lay::{load_lay, read_lay, save_lay, write_lay, LayError};
-pub use lean::{load_lean, read_lean, save_lean, write_lean};
 pub use tsv::{layout_to_tsv, Table};

@@ -5,7 +5,7 @@
 //! * [`stress`] — the per-term and per-node-pair stress
 //!   `((‖v_i − v_j‖ − d_ref) / d_ref)²` (Alg. 1 line 14), with the paper's
 //!   four-endpoint-combination average for node pairs.
-//! * [`path_stress`] — **path stress** (Eq. 1): the exact average over all
+//! * [`mod@path_stress`] — **path stress** (Eq. 1): the exact average over all
 //!   node pairs on all paths. Quadratic in path length; parallelized with
 //!   a Rayon reduction (the paper uses a GPU reduction-tree kernel).
 //! * [`sampled`] — **sampled path stress** (Eq. 2): the scalable

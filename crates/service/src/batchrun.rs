@@ -300,7 +300,7 @@ pub fn run_batch(dir: &Path, out_dir: &Path, opts: &BatchOptions) -> Result<Batc
             outcomes.push(outcome);
         }
     }
-    let graph_parses = service.stats().graphs.parses;
+    let graph_parses = service.stats().parses;
     Ok(BatchReport {
         outcomes,
         graph_parses,

@@ -14,10 +14,10 @@
 //! Design decisions, in one place:
 //!
 //! * **One front end.** The coordinator's routes are a
-//!   [`crate::http::Router`] served by the same HTTP server as a
+//!   `crate::http::Router` served by the same HTTP server as a
 //!   worker's, so parsing, the handler pool, shedding, metrics and the
 //!   `/v1` checks are shared. It differs only in closing every
-//!   connection after its answer (see [`KEEP_ALIVE`]).
+//!   connection after its answer (see `KEEP_ALIVE`).
 //! * **The typed [`JobSpec`] is the wire format.** Forwarding a job is
 //!   `POST /v1/jobs?{spec.to_query()}` — the exact surface a human
 //!   client uses, so workers need zero cluster-specific code paths for
@@ -44,7 +44,7 @@
 //! * **Proxies rewrite only the job id.** Status, trace, result, and
 //!   event-stream bytes come from the owning worker with the remote id
 //!   swapped for the coordinator's. A proxied event stream tracks the
-//!   worker's per-line `seq` through a [`StreamCursor`]: re-attaching
+//!   worker's per-line `seq` through a `StreamCursor`: re-attaching
 //!   to the *same* run after a transient drop resumes with
 //!   `?from=<last_seq+1>` (a dedupe guard drops anything the worker
 //!   replays anyway), while a job requeued onto a *new* worker is a new

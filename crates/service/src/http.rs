@@ -1,6 +1,6 @@
 //! The one HTTP/1.1 server of the system: a dependency-free front end
 //! over `std::net::TcpListener`, hardened for sustained traffic. It
-//! serves a route table its caller supplies (a [`Router`]): `pgl serve`
+//! serves a route table its caller supplies (a `Router`): `pgl serve`
 //! plugs in the layout service's routes ([`HttpServer`]), and
 //! `pgl coordinator` plugs in the fleet's
 //! ([`crate::cluster::Coordinator`]). Both answer one versioned surface:
@@ -23,7 +23,7 @@
 //! | `POST /v1/cluster/<op>`      | worker `join` / `heartbeat` (coordinator only) |
 //!
 //! Only `/v1/...` paths answer; every other path is a `404`. The server
-//! resolves each request to an [`Endpoint`] before the route table sees
+//! resolves each request to an `Endpoint` before the route table sees
 //! it, so the `/v1` prefix, the path-id checks and the unknown-parameter
 //! allowlist exist once, here: a typo like `?frm=5` is a `400` on every
 //! route instead of being silently ignored.
@@ -44,7 +44,7 @@
 //! (`{"event":"heartbeat"}`) flow during long gaps so dead clients are
 //! detected. A stream pins its handler thread for the job's lifetime,
 //! so at most half the handler pool may stream concurrently
-//! ([`max_event_streams`]); excess watchers are shed with `503 +
+//! (`max_event_streams`); excess watchers are shed with `503 +
 //! Retry-After`.
 //!
 //! ## Traffic model
@@ -664,7 +664,7 @@ impl Pool {
 }
 
 /// The layout service's HTTP server, as `pgl serve` runs it: a bound
-/// [`Server`] with the service's route table.
+/// `Server` with the service's route table.
 pub struct HttpServer {
     server: Server,
     service: Arc<LayoutService>,
@@ -1478,7 +1478,7 @@ fn stats(service: &LayoutService, metrics: &HttpMetrics) -> Response {
             s.cache.disk_ttl_evictions,
             s.graph_entries,
             s.graph_bytes,
-            s.graphs.parses,
+            s.parses,
             s.graphs.hits,
             s.graphs.disk_hits,
             s.graphs.misses,
@@ -1488,7 +1488,7 @@ fn stats(service: &LayoutService, metrics: &HttpMetrics) -> Response {
             s.graphs.disk_errors,
             s.graphs.disk_cap_evictions,
             s.graphs.disk_ttl_evictions,
-            s.graphs.preloaded,
+            s.preloaded,
             h.accepted,
             h.rejected_503,
             h.keepalive_reuses,

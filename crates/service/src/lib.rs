@@ -10,12 +10,12 @@
 //!
 //! ```text
 //!                 ┌─────────────────────────────────────────────────┐
-//! POST /v1/graphs►│ GraphStore: content hash ─► parse ONCE ─►       │
+//! POST /v1/graphs►│ graph store: content hash ─► parse ONCE ─►      │
 //!                 │   Arc<LeanGraph>  (LRU + .lean disk tier)       │
 //!                 │        ▲ shared by every job referencing it     │
 //! POST /v1/jobs ─►│ LayoutService                                   │
-//!  pgl batch ────►│  submit ──► content-addressed LayoutCache       │
-//!                 │     │ miss     (graph hash + config, LRU+disk)  │
+//!  pgl batch ────►│  submit ──► layout cache (LRU + .lay disk tier) │
+//!                 │     │ miss     keyed on graph hash + config     │
 //!                 │     ▼                                           │
 //!                 │  job queue ──► worker pool ──► EngineRegistry   │
 //!                 │  (Queued →      (N threads)     cpu | batch |   │
@@ -28,12 +28,26 @@
 //!
 //! * [`registry::EngineRegistry`] — engines addressable by name; one
 //!   fresh engine per job, so jobs never share mutable state.
-//! * [`pangraph::GraphStore`] (owned by the service) — graphs are
-//!   **upload-once, content-addressed artifacts**: `POST /v1/graphs`
-//!   interns the GFA (hash → parse → `Arc<LeanGraph>`), and every
-//!   subsequent layout request — across engines, configs, and even
-//!   server restarts via the `.lean` disk tier — shares the single
-//!   parsed form. Jobs carry graph references, never GFA text.
+//! * [`cache::TieredStore`] — the one two-tier content-addressed store,
+//!   an LRU over an optional disk tier of spill files, driven through
+//!   one [`cache::get`] / [`cache::put`] pair that keeps file I/O
+//!   outside its lock. The service owns two:
+//!   - the **graph store** ([`cache::GraphStore`]): graphs are
+//!     **upload-once, content-addressed artifacts**. `POST /v1/graphs`
+//!     interns the GFA (hash → parse → `Arc<LeanGraph>`), and every
+//!     subsequent layout request — across engines, configs, and even
+//!     server restarts via the `.lean` disk tier — shares the single
+//!     parsed form. Jobs carry graph references, never GFA text.
+//!   - the **layout cache** ([`cache::LayoutCache`]), keyed on
+//!     `(graph hash, engine, config)` ([`cache::cache_key`]): repeated
+//!     requests are answered without recomputation, and by-reference
+//!     requests are keyed without rehashing graph text.
+//!
+//!   With `ServiceConfig::cache_dir` both write through to disk
+//!   (`.lay` files, and `.lean` files under `graphs/`), so a restarted
+//!   server keeps hitting on old work; each disk tier is bounded by
+//!   `ServiceConfig::cache_max_bytes` (oldest spills evicted first)
+//!   and `ServiceConfig::cache_ttl`.
 //! * [`spec::JobSpec`] — the typed `/v1` submission surface: engine,
 //!   graph, layout overrides, a [`spec::Priority`] class
 //!   (`interactive | normal | bulk`), a client identity, and an
@@ -50,14 +64,6 @@
 //!   queue itself is a [`sched::FairScheduler`]: strict priority
 //!   bands, deficit round-robin across client keys within each band —
 //!   one client's bulk flood cannot starve another's interactive job.
-//! * [`cache::LayoutCache`] — a content-addressed, LRU-evicting layout
-//!   cache keyed on `(graph hash, engine, config)`: repeated requests
-//!   are answered without recomputation, and by-reference requests are
-//!   keyed without rehashing graph text. An optional **disk tier**
-//!   (`ServiceConfig::cache_dir`) writes layouts through as `.lay`
-//!   files so a restarted server keeps hitting on old work; both it
-//!   and the graph tier are size-bounded by
-//!   `ServiceConfig::cache_max_bytes` (oldest spills evicted first).
 //! * [`http`] — the one dependency-free HTTP/1.1 server over
 //!   `std::net`. It serves a route table supplied by its caller: the
 //!   layout service's ([`http::HttpServer`], wired into the CLI as
@@ -123,7 +129,9 @@ pub mod service;
 pub mod spec;
 
 pub use batchrun::{run_batch, BatchOptions, BatchOutcome, BatchReport};
-pub use cache::{cache_key, CacheKey, CacheStats, LayoutCache};
+pub use cache::{
+    cache_key, CacheKey, GraphMeta, GraphStore, LayoutCache, TierStats, TierValue, TieredStore,
+};
 pub use cluster::{
     spawn_heartbeat, ClusterRole, Coordinator, CoordinatorConfig, CoordinatorHandle, FaultPlan,
     HashRing, Journal,
@@ -134,7 +142,7 @@ pub use httpmetrics::{
 };
 pub use job::{EventKind, GraphSpec, JobEvent, JobId, JobState, JobStatus, JobTrace, TraceSpan};
 pub use obs::LogLevel;
-pub use pangraph::store::{ContentHash, GraphMeta, GraphStore, GraphStoreStats};
+pub use pangraph::store::ContentHash;
 pub use ratelimit::RateLimiter;
 pub use registry::{EngineRegistry, EngineRequest};
 pub use sched::FairScheduler;

@@ -62,7 +62,7 @@ const STEPS_PER_COST_UNIT: u64 = 100_000;
 const MAX_JOB_COST: u64 = 64;
 
 /// DRR cost of a job laying out a graph with `total_steps` path steps:
-/// `1 + steps/100k`, capped at [`MAX_JOB_COST`]. Every job costs at
+/// `1 + steps/100k`, capped at `MAX_JOB_COST`. Every job costs at
 /// least one unit, so zero-step degenerate graphs still drain.
 pub fn job_cost(total_steps: u64) -> u64 {
     (1 + total_steps / STEPS_PER_COST_UNIT).min(MAX_JOB_COST)

@@ -3,7 +3,7 @@
 //! registry, the graph store, and the layout cache.
 //!
 //! ```text
-//! upload(gfa) ──► GraphStore: hash ─► parse once ─► Arc<LeanGraph>
+//! upload(gfa) ──► graph store: hash ─► parse once ─► Arc<LeanGraph>
 //!
 //! submit(JobSpec{engine, graph, config, priority, client, ttl})
 //!    │  layout-cache hit ─────────► job born Done (cached=true)
@@ -12,11 +12,11 @@
 //!    ▼
 //! FairScheduler ──► worker: registry.create(engine) ─►
 //!  (priority bands,  engine.layout_controlled(lean, ctl)
-//!   DRR per client)    ─► cache.insert ─► Done
+//!   DRR per client)    ─► layout cache put ─► Done
 //! ```
 //!
 //! **Parse-once pipeline:** graphs are content-addressed artifacts
-//! ([`pangraph::GraphStore`]). An inline GFA body is interned at submit
+//! ([`GraphStore`]). An inline GFA body is interned at submit
 //! time — hashed, parsed if never seen, validated (zero-segment bodies
 //! are rejected *before* a queue slot is spent) — and from then on every
 //! job, across every engine, shares one `Arc<LeanGraph>`. A by-reference
@@ -43,19 +43,18 @@
 //! their control flag flipped and the engine stops at its next iteration
 //! boundary.
 
-use crate::cache::{cache_key, write_spill, CacheKey, CacheStats, LayoutCache};
+use crate::cache::{
+    self, cache_key, CacheKey, GraphMeta, GraphStore, LayoutCache, TierStats, TierValue,
+    TieredStore,
+};
 use crate::job::{GraphSpec, Job, JobEvent, JobId, JobState, JobStatus};
 use crate::obs::{self, ServiceMetrics};
 use crate::registry::{EngineRegistry, EngineRequest};
 use crate::sched::{job_cost, FairScheduler};
 use crate::spec::{JobSpec, Priority};
 use layout_core::LayoutControl;
-use pangraph::store::{
-    content_hash, evict_dir_to_cap, evict_dir_to_ttl, load_graph_spill, write_graph_spill,
-    ContentHash, GraphMeta, GraphStore, GraphStoreStats,
-};
+use pangraph::store::{content_hash, ContentHash};
 use pangraph::{parse_gfa, Layout2D, LeanGraph};
-use pgio::load_lay;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
@@ -77,7 +76,8 @@ const METRICS_EVENT_PERIOD: Duration = Duration::from_millis(200);
 pub struct ServiceConfig {
     /// Worker threads (0 ⇒ one per available core).
     pub workers: usize,
-    /// Layout-cache capacity in entries (0 disables caching).
+    /// Layout-cache capacity in entries (0 turns the memory tier off;
+    /// with a `cache_dir` the cache is then disk-only).
     pub cache_entries: usize,
     /// Graph-store capacity in parsed graphs resident in memory
     /// (0 ⇒ unbounded — a batch run's graphs are its working set).
@@ -237,16 +237,21 @@ pub struct ServiceStats {
     /// Cached layouts resident right now.
     pub cache_entries: usize,
     /// Approximate cache payload bytes.
-    pub cache_bytes: usize,
-    /// Cache counters.
-    pub cache: CacheStats,
+    pub cache_bytes: u64,
+    /// Layout-cache counters.
+    pub cache: TierStats,
     /// Parsed graphs resident in the store right now.
     pub graph_entries: usize,
     /// Resident parsed-graph bytes.
     pub graph_bytes: u64,
-    /// Graph-store counters (`parses` is the number the whole
-    /// architecture exists to minimize).
-    pub graphs: GraphStoreStats,
+    /// Graph-store counters.
+    pub graphs: TierStats,
+    /// GFA documents actually parsed: the number the parse-once
+    /// architecture exists to keep at one per distinct graph.
+    pub parses: u64,
+    /// Graphs interned by a startup preload pass
+    /// (`pgl serve --preload-graphs`).
+    pub preloaded: u64,
     /// Milliseconds since the service started.
     pub uptime_ms: u128,
 }
@@ -273,9 +278,6 @@ struct Shared {
     max_finished: usize,
     next_id: AtomicU64,
     shutdown: AtomicBool,
-    /// Disk-tier TTL ([`ServiceConfig::cache_ttl`]), applied by the
-    /// insert paths' eviction passes.
-    cache_ttl: Option<Duration>,
     /// Phase/queue-wait histograms and engine-level counters for
     /// `/metrics`.
     metrics: ServiceMetrics,
@@ -286,6 +288,8 @@ struct Shared {
     cancelled: AtomicU64,
     expired: AtomicU64,
     running: AtomicU64,
+    parses: AtomicU64,
+    preloaded: AtomicU64,
 }
 
 /// A running layout service: engine registry + graph store + fair
@@ -300,45 +304,10 @@ impl LayoutService {
     /// Start the worker pool.
     pub fn start(registry: EngineRegistry, cfg: ServiceConfig) -> Self {
         let workers = cfg.resolved_workers();
-        let cache = match &cfg.cache_dir {
-            Some(dir) => {
-                LayoutCache::with_disk(cfg.cache_entries, dir, cfg.cache_max_bytes).unwrap_or_else(
-                    |e| {
-                        // A broken disk tier must not take the service
-                        // down; degrade to memory-only and say so.
-                        obs::warn(
-                            "service",
-                            "disk cache unavailable; running memory-only",
-                            &[
-                                ("path", dir.display().to_string()),
-                                ("error", e.to_string()),
-                            ],
-                        );
-                        LayoutCache::new(cfg.cache_entries)
-                    },
-                )
-            }
-            None => LayoutCache::new(cfg.cache_entries),
-        };
-        let graphs = match &cfg.cache_dir {
-            Some(dir) => {
-                let gdir = dir.join("graphs");
-                GraphStore::with_disk(cfg.graph_entries, &gdir, cfg.cache_max_bytes).unwrap_or_else(
-                    |e| {
-                        obs::warn(
-                            "service",
-                            "graph store disk tier unavailable; running memory-only",
-                            &[
-                                ("path", gdir.display().to_string()),
-                                ("error", e.to_string()),
-                            ],
-                        );
-                        GraphStore::new(cfg.graph_entries)
-                    },
-                )
-            }
-            None => GraphStore::new(cfg.graph_entries),
-        };
+        let graph_capacity = (cfg.graph_entries > 0).then_some(cfg.graph_entries);
+        let graph_dir = cfg.cache_dir.as_ref().map(|dir| dir.join("graphs"));
+        let cache = open_tier(&cfg, Some(cfg.cache_entries), cfg.cache_dir.clone());
+        let graphs = open_tier(&cfg, graph_capacity, graph_dir);
         let shared = Arc::new(Shared {
             registry,
             jobs: Mutex::new(HashMap::new()),
@@ -353,7 +322,6 @@ impl LayoutService {
             max_finished: cfg.max_finished_jobs.max(1),
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
-            cache_ttl: cfg.cache_ttl,
             metrics: ServiceMetrics::new(),
             started: Instant::now(),
             submitted: AtomicU64::new(0),
@@ -362,6 +330,8 @@ impl LayoutService {
             cancelled: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             running: AtomicU64::new(0),
+            parses: AtomicU64::new(0),
+            preloaded: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -417,7 +387,7 @@ impl LayoutService {
     /// so a fresh server answers by-reference requests immediately.
     /// `.lean` files must be named `<content-hash>.lean` (the spill
     /// naming); others are counted as failures. Interned graphs are
-    /// recorded in the store's `preloaded` counter (`/stats`).
+    /// counted in `preloaded` (`/v1/stats`).
     pub fn preload_dir(&self, dir: &std::path::Path) -> std::io::Result<PreloadReport> {
         let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(dir)?
             .filter_map(|e| e.ok().map(|e| e.path()))
@@ -444,7 +414,7 @@ impl LayoutService {
             match outcome {
                 Ok(true) => report.dedup += 1,
                 Ok(false) => {
-                    self.shared.graphs.lock().unwrap().record_preload();
+                    self.shared.preloaded.fetch_add(1, Ordering::Relaxed);
                     report.loaded += 1;
                 }
                 Err(msg) => {
@@ -469,22 +439,27 @@ impl LayoutService {
             .unwrap_or_default();
         let id = ContentHash::from_hex(stem)
             .ok_or_else(|| format!("file stem {stem:?} is not a 32-hex-digit content hash"))?;
-        if graph_known(&self.shared, id) {
+        if self.shared.graphs.lock().unwrap().contains(id) {
             return Ok(true);
         }
-        let graph = load_graph_spill(path).map_err(|e| format!("decode: {e}"))?;
-        graph_insert(&self.shared, id, &Arc::new(graph));
+        let graph = std::fs::read(path)
+            .and_then(|bytes| LeanGraph::decode(&bytes))
+            .map_err(|e| format!("decode: {e}"))?;
+        cache::put(&self.shared.graphs, id, &Arc::new(graph));
         Ok(false)
     }
 
-    /// Every graph the store knows about (resident or disk-spilled).
+    /// Every graph this process stored that the store can still
+    /// produce (resident or disk-spilled), ordered by id.
     pub fn graphs(&self) -> Vec<GraphMeta> {
-        self.shared.graphs.lock().unwrap().list()
+        let listed = self.shared.graphs.lock().unwrap().list();
+        listed.into_iter().map(with_residency).collect()
     }
 
     /// Metadata for one stored graph.
     pub fn graph_meta(&self, id: ContentHash) -> Option<GraphMeta> {
-        self.shared.graphs.lock().unwrap().meta(id)
+        let meta = self.shared.graphs.lock().unwrap().meta(id);
+        meta.map(with_residency)
     }
 
     /// Delete a graph from the store (memory and disk tiers). Jobs
@@ -528,9 +503,9 @@ impl LayoutService {
                 // Existence is checked before the layout cache so a
                 // DELETEd graph really stops answering: a stale cached
                 // layout must not resurrect a removed resource. The
-                // check is O(1) store metadata + one `stat`, not a
+                // check is O(1) store metadata + the disk index, not a
                 // graph load.
-                if !graph_known(&self.shared, *id) {
+                if !self.shared.graphs.lock().unwrap().contains(*id) {
                     return Err(SubmitError::NoSuchGraph(format!(
                         "no such graph {}",
                         id.hex()
@@ -541,7 +516,7 @@ impl LayoutService {
         };
         let key = cache_key(&spec.engine, &spec.config, spec.batch_size, graph_hash);
         let probe_start = t0.elapsed();
-        let hit = cache_lookup(&self.shared, key);
+        let hit = cache::get(&self.shared.cache, key);
         let probe_dur = t0.elapsed().saturating_sub(probe_start);
         // Resolve the parsed graph only on a cache miss: a hit never
         // loads the artifact, and an inline hit never re-parses. The
@@ -560,7 +535,7 @@ impl LayoutService {
                     }
                     g
                 }
-                GraphSpec::Stored(id) => graph_lookup(&self.shared, *id).ok_or_else(|| {
+                GraphSpec::Stored(id) => cache::get(&self.shared.graphs, *id).ok_or_else(|| {
                     SubmitError::NoSuchGraph(format!("no such graph {}", id.hex()))
                 })?,
             }),
@@ -804,14 +779,8 @@ impl LayoutService {
 
     /// Aggregate counters.
     pub fn stats(&self) -> ServiceStats {
-        let (cache_entries, cache_bytes, cache) = {
-            let cache = self.shared.cache.lock().unwrap();
-            (cache.len(), cache.bytes(), cache.stats())
-        };
-        let (graph_entries, graph_bytes, graphs) = {
-            let store = self.shared.graphs.lock().unwrap();
-            (store.len(), store.bytes(), store.stats())
-        };
+        let (cache_entries, cache_bytes, cache) = tier_gauges(&self.shared.cache);
+        let (graph_entries, graph_bytes, graphs) = tier_gauges(&self.shared.graphs);
         let (queued, queued_by_band, active_clients) = {
             let queue = self.shared.queue.lock().unwrap();
             (
@@ -841,6 +810,8 @@ impl LayoutService {
             graph_entries,
             graph_bytes,
             graphs,
+            parses: self.shared.parses.load(Ordering::Relaxed),
+            preloaded: self.shared.preloaded.load(Ordering::Relaxed),
             uptime_ms: self.shared.started.elapsed().as_millis(),
         }
     }
@@ -911,69 +882,56 @@ impl LayoutService {
             let _ = writeln!(out, "pgl_jobs_total{{outcome=\"{outcome}\"}} {n}");
         }
 
-        family(
-            &mut out,
-            "pgl_cache_entries",
-            "gauge",
-            "Resident entries per cache tier.",
-        );
-        let _ = writeln!(
-            out,
-            "pgl_cache_entries{{tier=\"layout\"}} {}",
-            stats.cache_entries
-        );
-        let _ = writeln!(
-            out,
-            "pgl_cache_entries{{tier=\"graph\"}} {}",
-            stats.graph_entries
-        );
-        family(
-            &mut out,
-            "pgl_cache_bytes",
-            "gauge",
-            "Resident payload bytes per cache tier.",
-        );
-        let _ = writeln!(
-            out,
-            "pgl_cache_bytes{{tier=\"layout\"}} {}",
-            stats.cache_bytes
-        );
-        let _ = writeln!(
-            out,
-            "pgl_cache_bytes{{tier=\"graph\"}} {}",
-            stats.graph_bytes
-        );
-
+        // One line per tier in every cache family: (label, entries,
+        // bytes, counters, disk-index ops).
+        let tiers = [
+            (
+                "layout",
+                stats.cache_entries,
+                stats.cache_bytes,
+                stats.cache,
+                self.shared.cache.lock().unwrap().index_ops(),
+            ),
+            (
+                "graph",
+                stats.graph_entries,
+                stats.graph_bytes,
+                stats.graphs,
+                self.shared.graphs.lock().unwrap().index_ops(),
+            ),
+        ];
         // Hit ratio over every lookup that reached the tier (memory or
         // disk hit ÷ all lookups); 0 before any traffic.
-        let ratio = |hits: u64, disk_hits: u64, misses: u64| {
-            let total = hits + disk_hits + misses;
+        let ratio = |s: TierStats| {
+            let total = s.hits + s.disk_hits + s.misses;
             if total == 0 {
                 0.0
             } else {
-                (hits + disk_hits) as f64 / total as f64
+                (s.hits + s.disk_hits) as f64 / total as f64
             }
         };
-        family(
-            &mut out,
-            "pgl_cache_hit_ratio",
-            "gauge",
-            "Lookup hit ratio per cache tier (memory + disk hits over all lookups).",
-        );
-        let _ = writeln!(
-            out,
-            "pgl_cache_hit_ratio{{tier=\"layout\"}} {:.4}",
-            ratio(stats.cache.hits, stats.cache.disk_hits, stats.cache.misses)
-        );
-        let _ = writeln!(
-            out,
-            "pgl_cache_hit_ratio{{tier=\"graph\"}} {:.4}",
-            ratio(
-                stats.graphs.hits,
-                stats.graphs.disk_hits,
-                stats.graphs.misses
-            )
-        );
+        for (name, help, values) in [
+            (
+                "pgl_cache_entries",
+                "Resident entries per cache tier.",
+                tiers.map(|t| t.1.to_string()),
+            ),
+            (
+                "pgl_cache_bytes",
+                "Resident payload bytes per cache tier.",
+                tiers.map(|t| t.2.to_string()),
+            ),
+            (
+                "pgl_cache_hit_ratio",
+                "Lookup hit ratio per cache tier (memory + disk hits over all lookups).",
+                tiers.map(|t| format!("{:.4}", ratio(t.3))),
+            ),
+        ] {
+            family(&mut out, name, "gauge", help);
+            for (tier, value) in tiers.iter().zip(values) {
+                let _ = writeln!(out, "{name}{{tier=\"{}\"}} {value}", tier.0);
+            }
+        }
 
         family(
             &mut out,
@@ -981,11 +939,7 @@ impl LayoutService {
             "counter",
             "Disk-tier index operations, by tier and op.",
         );
-        let tiers = [
-            ("layout", self.shared.cache.lock().unwrap().index_ops()),
-            ("graph", self.shared.graphs.lock().unwrap().index_ops()),
-        ];
-        for (tier, ops) in tiers {
+        for (tier, _, _, _, ops) in tiers {
             let Some(ops) = ops else { continue };
             for (op, n) in [
                 ("append", ops.appends),
@@ -1049,12 +1003,41 @@ fn parse_lean(gfa: &str) -> Result<Arc<LeanGraph>, String> {
     Ok(Arc::new(lean))
 }
 
-/// Is `id` producible by the store right now (resident, catalogued, or
-/// spilled on disk)? Pure memory — the disk tier answers through its
-/// index, so this costs no `stat` even on huge cache directories.
-fn graph_known(shared: &Shared, id: ContentHash) -> bool {
-    let store = shared.graphs.lock().unwrap();
-    store.contains(id) || store.disk_contains(id)
+/// Open one tier: memory-only without a `dir`; with one, a disk tier
+/// there, bounded by the config's byte cap and TTL. A broken disk tier
+/// must not take the service down: it degrades to memory-only and says
+/// so.
+fn open_tier<V: TierValue>(
+    cfg: &ServiceConfig,
+    capacity: Option<usize>,
+    dir: Option<std::path::PathBuf>,
+) -> TieredStore<V> {
+    let Some(dir) = dir else {
+        return TieredStore::new(capacity);
+    };
+    let ttl = cfg.cache_ttl.unwrap_or_default();
+    TieredStore::with_disk(capacity, &dir, cfg.cache_max_bytes, ttl).unwrap_or_else(|e| {
+        obs::warn(
+            "service",
+            "disk tier unavailable; running memory-only",
+            &[
+                ("path", dir.display().to_string()),
+                ("error", e.to_string()),
+            ],
+        );
+        TieredStore::new(capacity)
+    })
+}
+
+/// Resident entries, resident bytes and counters of one tier.
+fn tier_gauges<V: TierValue>(tier: &Mutex<TieredStore<V>>) -> (usize, u64, TierStats) {
+    let tier = tier.lock().unwrap();
+    (tier.len(), tier.bytes(), tier.stats())
+}
+
+/// A listed graph's metadata, stamped with its current residency.
+fn with_residency((meta, resident): (GraphMeta, bool)) -> GraphMeta {
+    GraphMeta { resident, ..meta }
 }
 
 /// Intern one GFA document under the parse-once guarantee: memory tier,
@@ -1068,7 +1051,7 @@ fn intern_gfa_once(
     text: &str,
 ) -> Result<(Arc<LeanGraph>, bool), String> {
     loop {
-        if let Some(g) = graph_lookup(shared, id) {
+        if let Some(g) = cache::get(&shared.graphs, id) {
             return Ok((g, false));
         }
         let mut parsing = shared.parsing.lock().unwrap();
@@ -1081,145 +1064,14 @@ fn intern_gfa_once(
     }
     let result = parse_lean(text);
     if let Ok(lean) = &result {
-        shared.graphs.lock().unwrap().record_parse();
-        graph_insert(shared, id, lean);
+        shared.parses.fetch_add(1, Ordering::Relaxed);
+        cache::put(&shared.graphs, id, lean);
     }
     let mut parsing = shared.parsing.lock().unwrap();
     parsing.remove(&id);
     shared.parsing_cv.notify_all();
     drop(parsing);
     result.map(|lean| (lean, true))
-}
-
-/// Two-tier graph lookup with the disk read performed *outside* the
-/// store lock, so reloading a multi-gigabyte spill cannot serialize
-/// every upload and submission behind one file read.
-fn graph_lookup(shared: &Shared, id: ContentHash) -> Option<Arc<LeanGraph>> {
-    let disk_path = {
-        let mut store = shared.graphs.lock().unwrap();
-        if let Some(g) = store.lookup(id) {
-            return Some(g);
-        }
-        // Index-gated probe: a definite miss returns None here and
-        // never touches the spill directory.
-        store.probe_path(id)
-    };
-    let Some(path) = disk_path else {
-        shared.graphs.lock().unwrap().record_miss();
-        return None;
-    };
-    match load_graph_spill(&path) {
-        Ok(graph) => {
-            let graph = Arc::new(graph);
-            shared.graphs.lock().unwrap().record_disk_hit(id, &graph);
-            Some(graph)
-        }
-        Err(e) => {
-            let mut store = shared.graphs.lock().unwrap();
-            if e.kind() == std::io::ErrorKind::NotFound {
-                // A sibling evicted the spill: self-heal the index.
-                store.record_disk_gone(id);
-            } else {
-                store.record_disk_error();
-            }
-            store.record_miss();
-            None
-        }
-    }
-}
-
-/// Insert a parsed graph: spill to the disk tier and enforce its byte
-/// and TTL caps (file I/O outside the store lock), then place it in
-/// memory.
-fn graph_insert(shared: &Shared, id: ContentHash, graph: &Arc<LeanGraph>) {
-    let (spill, cap, dir) = {
-        let store = shared.graphs.lock().unwrap();
-        (store.disk_path(id), store.disk_cap(), store.disk_dir())
-    };
-    let spill_ok = spill.map(|path| write_graph_spill(graph, &path));
-    let cap_evicted = cap.map(|(dir, max)| evict_dir_to_cap(&dir, max, "lean"));
-    let ttl_evicted = match (shared.cache_ttl, dir) {
-        (Some(ttl), Some(dir)) => Some(evict_dir_to_ttl(&dir, ttl, "lean")),
-        _ => None,
-    };
-    let mut store = shared.graphs.lock().unwrap();
-    if let Some(ok) = spill_ok {
-        store.record_spill(id, ok);
-    }
-    if let Some(removed) = cap_evicted {
-        store.record_cap_evictions(&removed);
-    }
-    if let Some(removed) = ttl_evicted {
-        store.record_ttl_evictions(&removed);
-    }
-    store.insert(id, Arc::clone(graph));
-}
-
-/// Two-tier cache lookup with the disk read performed *outside* the
-/// cache lock, so a slow spill directory cannot serialize every
-/// submission and completion behind one file read.
-fn cache_lookup(shared: &Shared, key: CacheKey) -> Option<Arc<Layout2D>> {
-    let disk_path = {
-        let mut cache = shared.cache.lock().unwrap();
-        if let Some(hit) = cache.lookup(key) {
-            return Some(hit);
-        }
-        // Index-gated probe: a definite miss never touches the spill
-        // directory.
-        cache.probe_path(key)
-    };
-    let Some(path) = disk_path else {
-        shared.cache.lock().unwrap().record_miss();
-        return None;
-    };
-    match load_lay(&path) {
-        Ok(layout) => {
-            let layout = Arc::new(layout);
-            shared.cache.lock().unwrap().record_disk_hit(key, &layout);
-            Some(layout)
-        }
-        Err(e) => {
-            let mut cache = shared.cache.lock().unwrap();
-            if e.kind() == std::io::ErrorKind::NotFound {
-                cache.record_disk_gone(key);
-            } else {
-                cache.record_disk_error();
-            }
-            cache.record_miss();
-            None
-        }
-    }
-}
-
-/// Insert a finished layout: spill to the disk tier and enforce its
-/// byte and TTL caps (file I/O outside the cache lock), then place it
-/// in the memory tier.
-fn cache_insert(shared: &Shared, key: CacheKey, layout: &Arc<Layout2D>) {
-    let (spill, cap, dir) = {
-        let cache = shared.cache.lock().unwrap();
-        (
-            cache.disk_path(key),
-            cache.disk_cap(),
-            cache.disk_dir().map(|d| d.to_path_buf()),
-        )
-    };
-    let spill_ok = spill.map(|path| write_spill(layout, &path));
-    let cap_evicted = cap.map(|(dir, max)| evict_dir_to_cap(&dir, max, "lay"));
-    let ttl_evicted = match (shared.cache_ttl, dir) {
-        (Some(ttl), Some(dir)) => Some(evict_dir_to_ttl(&dir, ttl, "lay")),
-        _ => None,
-    };
-    let mut cache = shared.cache.lock().unwrap();
-    if let Some(ok) = spill_ok {
-        cache.record_spill(key, ok);
-    }
-    if let Some(removed) = cap_evicted {
-        cache.record_cap_evictions(&removed);
-    }
-    if let Some(removed) = ttl_evicted {
-        cache.record_ttl_evictions(&removed);
-    }
-    cache.insert_memory(key, Arc::clone(layout));
 }
 
 /// Free a popped job's per-graph quota slot and wake a parked worker.
@@ -1424,7 +1276,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         let mut spill_span = None;
         if let Ok(layout) = &outcome {
             let spill_start_us = submitted.elapsed().as_micros() as u64;
-            cache_insert(shared, key, layout);
+            cache::put(&shared.cache, key, layout);
             let spill_dur_us = (submitted.elapsed().as_micros() as u64) - spill_start_us;
             shared.metrics.observe_phase("spill", spill_dur_us);
             spill_span = Some((spill_start_us, spill_dur_us));
@@ -1608,7 +1460,7 @@ mod tests {
         );
         let stats = svc.stats();
         assert_eq!(stats.cache.hits, 1);
-        assert_eq!(stats.graphs.parses, 1, "one parse across three submits");
+        assert_eq!(stats.parses, 1, "one parse across three submits");
     }
 
     #[test]
@@ -1677,7 +1529,7 @@ mod tests {
             );
         }
         let stats = svc.stats();
-        assert_eq!(stats.graphs.parses, 1, "uploaded graph parsed exactly once");
+        assert_eq!(stats.parses, 1, "uploaded graph parsed exactly once");
         assert!(stats.graphs.hits >= 3);
     }
 
@@ -1755,11 +1607,7 @@ mod tests {
             1,
             "exactly one caller parsed"
         );
-        assert_eq!(
-            svc.stats().graphs.parses,
-            1,
-            "dogpiled uploads share one parse"
-        );
+        assert_eq!(svc.stats().parses, 1, "dogpiled uploads share one parse");
     }
 
     #[test]
@@ -1876,7 +1724,120 @@ mod tests {
             svc2.wait(t2.id, Duration::from_secs(60)).unwrap().state,
             JobState::Done
         );
-        assert_eq!(svc2.stats().graphs.parses, 0, "restart never re-parses");
+        assert_eq!(svc2.stats().parses, 0, "restart never re-parses");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A one-worker service whose disk tiers live in a fresh directory.
+    fn disk_service(tag: &str, cfg: ServiceConfig) -> (LayoutService, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("pgl_svc_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServiceConfig {
+            workers: 1,
+            cache_dir: Some(dir.clone()),
+            ..cfg
+        };
+        let svc = LayoutService::start(EngineRegistry::with_default_engines(), cfg);
+        (svc, dir)
+    }
+
+    /// Age a spill file so the disk tier's eviction order is unambiguous.
+    fn backdate(spill: &std::path::Path) {
+        let old = std::time::SystemTime::now() - Duration::from_secs(600);
+        let file = std::fs::File::options().append(true).open(spill).unwrap();
+        file.set_modified(old).unwrap();
+    }
+
+    /// A graph whose spill left the disk after it left memory is gone:
+    /// unlisted, without metadata, unreachable by reference, and not
+    /// there to delete.
+    fn assert_forgotten(svc: &LayoutService, id: ContentHash) {
+        assert!(svc.graphs().iter().all(|m| m.id != id), "still listed");
+        assert!(svc.graph_meta(id).is_none());
+        assert!(matches!(
+            svc.submit(JobSpec::by_ref("cpu", id)).unwrap_err(),
+            SubmitError::NoSuchGraph(_)
+        ));
+        assert!(!svc.delete_graph(id), "nothing left to delete");
+    }
+
+    #[test]
+    fn graph_spills_evicted_by_the_disk_cap_leave_the_listing() {
+        let gfas = [small_gfa(100), small_gfa(101), small_gfa(102)];
+        let spill_bytes = |gfa: &String| parse_lean(gfa).unwrap().encode().as_ref().len() as u64;
+        let cfg = ServiceConfig {
+            graph_entries: 1,
+            cache_max_bytes: gfas.iter().map(spill_bytes).sum::<u64>() - 1,
+            ..ServiceConfig::default()
+        };
+        let (svc, dir) = disk_service("graph_cap", cfg);
+        let a = svc.upload_graph(&gfas[0]).unwrap().id;
+        svc.upload_graph(&gfas[1]).unwrap(); // evicts A from memory
+        assert!(!svc.graph_meta(a).unwrap().resident, "A's spill remains");
+        backdate(&dir.join(format!("graphs/{}.lean", a.hex())));
+        svc.upload_graph(&gfas[2]).unwrap(); // over the cap: A's spill goes
+        assert_eq!(svc.stats().graphs.disk_cap_evictions, 1);
+        assert_forgotten(&svc, a);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn layouts_whose_spills_the_disk_cap_evicted_are_recomputed() {
+        let gfa = small_gfa(103);
+        let nodes = parse_lean(&gfa).unwrap().node_count() as u64;
+        // Room for one `.lay` spill (16 bytes + 32 per node), not two.
+        let cfg = ServiceConfig {
+            cache_entries: 1,
+            cache_max_bytes: 2 * (16 + 32 * nodes) - 1,
+            ..ServiceConfig::default()
+        };
+        let (svc, dir) = disk_service("layout_cap", cfg);
+        let x = quick_spec("cpu", gfa.clone());
+        let mut y = x.clone();
+        y.config.iter_max += 1;
+        let run = |spec: &JobSpec| {
+            let t = svc.submit(spec.clone()).unwrap();
+            svc.wait(t.id, Duration::from_secs(60)).unwrap();
+            t.cached
+        };
+        assert!(!run(&x));
+        let x_key = cache_key("cpu", &x.config, x.batch_size, content_hash(gfa.as_bytes()));
+        backdate(&dir.join(format!("{}.lay", x_key.hex())));
+        // Y's spill pushes X's off the disk, and Y's placement evicts X
+        // from memory.
+        assert!(!run(&y));
+        assert_eq!(svc.stats().cache.disk_cap_evictions, 1);
+        assert!(!run(&x), "X is recomputed, not served");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn expired_spills_leave_both_tiers_and_the_listing() {
+        let cfg = ServiceConfig {
+            graph_entries: 1,
+            cache_ttl: Some(Duration::from_millis(300)),
+            ..ServiceConfig::default()
+        };
+        let (svc, dir) = disk_service("ttl", cfg);
+        let by_ref = |id| {
+            let mut spec = JobSpec::by_ref("cpu", id);
+            spec.config.iter_max = 4;
+            spec.config.threads = 1;
+            let t = svc.submit(spec).unwrap();
+            svc.wait(t.id, Duration::from_secs(60)).unwrap().state
+        };
+        let a = svc.upload_graph(&small_gfa(104)).unwrap().id;
+        assert_eq!(by_ref(a), JobState::Done); // spills A's layout
+        svc.upload_graph(&small_gfa(105)).unwrap(); // evicts A from memory
+        std::thread::sleep(Duration::from_millis(600));
+        // C's graph spill sweeps A's and B's; C's layout sweeps A's.
+        let c = svc.upload_graph(&small_gfa(106)).unwrap().id;
+        assert_eq!(by_ref(c), JobState::Done);
+        let stats = svc.stats();
+        assert_eq!(stats.graphs.disk_ttl_evictions, 2);
+        assert_eq!(stats.cache.disk_ttl_evictions, 1);
+        assert_forgotten(&svc, a);
+        assert_eq!(svc.graphs().len(), 1, "only C is left");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2075,10 +2036,11 @@ mod tests {
         let lean_src = small_gfa(86);
         let lean_id = content_hash(lean_src.as_bytes());
         let lean = parse_lean(&lean_src).unwrap();
-        assert!(write_graph_spill(
-            &lean,
-            &dir.join(format!("{}.lean", lean_id.hex()))
-        ));
+        std::fs::write(
+            dir.join(format!("{}.lean", lean_id.hex())),
+            lean.encode().as_ref(),
+        )
+        .unwrap();
         std::fs::write(dir.join("junk.lean"), b"not a lean file").unwrap();
         std::fs::write(dir.join("notes.txt"), b"ignored").unwrap();
 
@@ -2087,7 +2049,7 @@ mod tests {
         assert_eq!(report.loaded, 2, "{report:?}");
         assert_eq!(report.failed, 1, "junk .lean counted");
         assert_eq!(report.dedup, 0);
-        assert_eq!(svc.stats().graphs.preloaded, 2);
+        assert_eq!(svc.stats().preloaded, 2);
         // Both graphs answer by-reference submissions with no parse
         // beyond the .gfa's own.
         for id in [content_hash(gfa.as_bytes()), lean_id] {
@@ -2100,7 +2062,7 @@ mod tests {
                 JobState::Done
             );
         }
-        assert_eq!(svc.stats().graphs.parses, 1, "only the .gfa parsed");
+        assert_eq!(svc.stats().parses, 1, "only the .gfa parsed");
         // Preloading again is pure dedup.
         let again = svc.preload_dir(&dir).unwrap();
         assert_eq!(again.loaded, 0);
@@ -2122,7 +2084,7 @@ mod tests {
         assert_eq!(s.cache.hits, 1);
         assert_eq!(s.cache_entries, 1);
         assert!(s.cache_bytes > 0);
-        assert_eq!(s.graphs.parses, 1);
+        assert_eq!(s.parses, 1);
         assert_eq!(s.graph_entries, 1);
         assert!(s.graph_bytes > 0);
         assert_eq!(s.workers, 2);

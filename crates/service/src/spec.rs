@@ -148,7 +148,7 @@ impl JobSpec {
 
     /// Serialize the spec back to its `/v1` query-string form — the
     /// inverse of [`parse_job_spec`] over the wire-representable
-    /// surface ([`KNOWN_PARAMS`]). The cluster coordinator forwards
+    /// surface (`KNOWN_PARAMS`). The cluster coordinator forwards
     /// jobs to workers with exactly this string, so the typed spec *is*
     /// the wire format.
     ///
@@ -314,7 +314,7 @@ const KNOWN_PARAMS: [&str; 14] = [
 ];
 
 /// Build a validated [`JobSpec`] from a request's query parameters and
-/// body. A parameter outside [`KNOWN_PARAMS`] is rejected.
+/// body. A parameter outside `KNOWN_PARAMS` is rejected.
 pub fn parse_job_spec(params: &[(String, String)], body: Vec<u8>) -> Result<JobSpec, SpecError> {
     if let Some((k, _)) = params
         .iter()
