@@ -13,31 +13,34 @@
 //! directly comparable and `--baseline` (a prior run's updates/sec)
 //! turns the report into a speedup statement.
 //!
-//! Schema `pgl-bench/2` (additive over `/1`):
+//! Schema `pgl-bench/3` (`/2` without the per-record `simd` and
+//! `write_shard` booleans, which named kernel shapes the CPU engine no
+//! longer has), additive over `/1`:
 //!
 //! * per-record run statistics over `--repeat` timings — `wall_s_mean`,
 //!   `wall_s_stddev`, `cv`, `updates_per_sec_mean` — alongside the
 //!   historical best-of `wall_s`/`updates_per_sec`,
-//! * `simd`/`write_shard` booleans recording the resolved kernel shape,
 //! * multi-thread rows from `--threads-sweep`, plus a top-level
 //!   `host.cores` so scaling rows are interpretable,
 //! * optional `anchor_ratio` per record from `--ab` mode: each row's
 //!   repeats are interleaved with a fixed in-process *anchor* workload
-//!   (cpu / f64 / aos / 1 thread / scalar — present in every committed
+//!   (cpu / f64 / aos / 1 thread — present in every committed
 //!   baseline), and the row is summarized as its throughput relative to
 //!   the anchor's. Gating on the ratio makes multiplicative machine
 //!   drift (VM performance regimes, thermal state) cancel between a
 //!   baseline recorded yesterday and a candidate run today.
 
-use layout_core::{BatchEngine, CpuEngine, DataLayout, LayoutConfig, Precision, Toggle};
+use layout_core::{BatchEngine, CpuEngine, DataLayout, LayoutConfig, Precision};
 use pangraph::lean::LeanGraph;
 use pgio::{quote, Json};
 use workloads::{generate, PangenomeSpec};
 
 /// JSON schema tag; bump when the document shape changes.
-pub const BENCH_SCHEMA: &str = "pgl-bench/2";
-/// Previous schema tag, still accepted by [`validate_json`] and
+pub const BENCH_SCHEMA: &str = "pgl-bench/3";
+/// Previous schema tags, still accepted by [`validate_json`] and
 /// [`guard_against_baseline`] so older committed baselines keep working.
+pub const BENCH_SCHEMA_V2: &str = "pgl-bench/2";
+/// See [`BENCH_SCHEMA_V2`].
 pub const BENCH_SCHEMA_V1: &str = "pgl-bench/1";
 
 /// What to measure.
@@ -51,10 +54,6 @@ pub struct BenchOptions {
     /// Thread counts to sweep; each produces its own headline rows.
     /// Empty ⇒ just `threads`.
     pub threads_sweep: Vec<usize>,
-    /// Sharded-write mode for cpu rows (auto ⇒ on at ≥ 4 threads).
-    pub write_shard: Toggle,
-    /// SIMD apply kernel for cpu rows (auto ⇒ on for multithreaded rows).
-    pub simd: Toggle,
     /// Schedule length per run.
     pub iters: u32,
     /// Timed repetitions per configuration; the document reports both
@@ -77,8 +76,6 @@ impl Default for BenchOptions {
             preset: "medium".into(),
             threads: 1,
             threads_sweep: Vec::new(),
-            write_shard: Toggle::Auto,
-            simd: Toggle::Auto,
             iters: 15,
             repeat: 2,
             ab: false,
@@ -105,10 +102,6 @@ pub struct BenchRecord {
     pub batch: usize,
     /// Iterations run.
     pub iters: u32,
-    /// Resolved SIMD-kernel state of this row.
-    pub simd: bool,
-    /// Resolved sharded-write state of this row.
-    pub write_shard: bool,
     /// Terms actually applied.
     pub terms_applied: u64,
     /// Wall seconds of the best repetition.
@@ -225,18 +218,12 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchReport, String> {
         threads,
         precision,
         data_layout,
-        simd: opts.simd,
-        write_shard: opts.write_shard,
         seed: 0xBE9C_5EED,
         ..LayoutConfig::default()
     };
     // The `--ab` anchor: the one configuration every committed baseline
-    // carries (cpu / f64 / aos / 1 thread, scalar kernel, unsharded).
-    let anchor_engine = CpuEngine::new(LayoutConfig {
-        simd: Toggle::Off,
-        write_shard: Toggle::Off,
-        ..base_cfg(Precision::F64, DataLayout::CacheFriendlyAos, 1)
-    });
+    // carries (cpu / f64 / aos / 1 thread).
+    let anchor_engine = CpuEngine::new(base_cfg(Precision::F64, DataLayout::CacheFriendlyAos, 1));
 
     // Time one runner `repeat` times; in `--ab` mode alternate with
     // anchor runs so candidate and anchor sample the same machine
@@ -318,8 +305,6 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchReport, String> {
                     term_block: cfg.resolved_term_block(),
                     batch: 0,
                     iters,
-                    simd: cfg.resolved_simd(),
-                    write_shard: cfg.resolved_write_shard(),
                     terms_applied: terms,
                     wall_s: 0.0,
                     updates_per_sec: 0.0,
@@ -351,8 +336,6 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchReport, String> {
                 term_block: batch_size,
                 batch: batch_size,
                 iters,
-                simd: false,
-                write_shard: false,
                 terms_applied: terms,
                 wall_s: 0.0,
                 updates_per_sec: 0.0,
@@ -425,7 +408,6 @@ pub fn to_json(report: &BenchReport) -> String {
         out.push_str(&format!(
             "    {{\"engine\": {}, \"precision\": {}, \"layout\": {}, \
              \"threads\": {}, \"term_block\": {}, \"batch\": {}, \"iters\": {}, \
-             \"simd\": {}, \"write_shard\": {}, \
              \"terms_applied\": {}, \"wall_s\": {}, \"updates_per_sec\": {}, \
              \"wall_s_mean\": {}, \"wall_s_stddev\": {}, \"cv\": {}, \
              \"updates_per_sec_mean\": {}, \"anchor_ratio\": {}, \
@@ -437,8 +419,6 @@ pub fn to_json(report: &BenchReport) -> String {
             r.term_block,
             r.batch,
             r.iters,
-            r.simd,
-            r.write_shard,
             r.terms_applied,
             json_f64(r.wall_s),
             json_f64(r.updates_per_sec),
@@ -463,19 +443,20 @@ pub fn to_json(report: &BenchReport) -> String {
 
 /// Validate a `BENCH_*.json` document — what the CI smoke job runs
 /// against the artifact it just produced. The document must parse as
-/// JSON, carry a schema tag (`pgl-bench/2`, or `/1` for older committed
-/// baselines) and at least one result record, and every record must
-/// carry the required keys — including the `/2` statistics keys for
-/// `/2` documents — with a positive `updates_per_sec`. Returns the
-/// parsed document.
+/// JSON, carry a schema tag (`pgl-bench/3`, or `/2` and `/1` for older
+/// committed baselines) and at least one result record, and every
+/// record must carry the required keys — the statistics keys from `/2`
+/// on, and the `simd`/`write_shard` keys in `/2` documents — with a
+/// positive `updates_per_sec`. Returns the parsed document.
 pub fn validate_json(text: &str) -> Result<Json, String> {
     let doc = Json::parse(text).map_err(|e| format!("not a JSON document: {e}"))?;
-    let v2 = match doc.get("schema").and_then(Json::str) {
-        Some(BENCH_SCHEMA) => true,
-        Some(BENCH_SCHEMA_V1) => false,
+    let (stats, kernel_keys) = match doc.get("schema").and_then(Json::str) {
+        Some(BENCH_SCHEMA) => (true, false),
+        Some(BENCH_SCHEMA_V2) => (true, true),
+        Some(BENCH_SCHEMA_V1) => (false, false),
         _ => {
             return Err(format!(
-                "missing schema tag ({BENCH_SCHEMA:?} or {BENCH_SCHEMA_V1:?})"
+                "missing schema tag ({BENCH_SCHEMA:?}, {BENCH_SCHEMA_V2:?} or {BENCH_SCHEMA_V1:?})"
             ))
         }
     };
@@ -493,15 +474,11 @@ pub fn validate_json(text: &str) -> Result<Json, String> {
         "wall_s",
         "updates_per_sec",
     ];
-    if v2 {
-        required.extend([
-            "wall_s_mean",
-            "wall_s_stddev",
-            "cv",
-            "updates_per_sec_mean",
-            "simd",
-            "write_shard",
-        ]);
+    if stats {
+        required.extend(["wall_s_mean", "wall_s_stddev", "cv", "updates_per_sec_mean"]);
+    }
+    if kernel_keys {
+        required.extend(["simd", "write_shard"]);
     }
     for (i, rec) in records.iter().enumerate() {
         if let Some(key) = required.iter().find(|key| rec.get(key).is_none()) {
@@ -531,11 +508,11 @@ struct BaselineRow {
     threads: usize,
     /// Best-of updates/sec (present since `pgl-bench/1`).
     ups_best: f64,
-    /// Mean updates/sec (`pgl-bench/2`).
+    /// Mean updates/sec (since `pgl-bench/2`).
     ups_mean: Option<f64>,
-    /// Coefficient of variation (`pgl-bench/2`).
+    /// Coefficient of variation (since `pgl-bench/2`).
     cv: Option<f64>,
-    /// Anchor-relative throughput (`pgl-bench/2`, `--ab` runs).
+    /// Anchor-relative throughput (since `pgl-bench/2`, `--ab` runs).
     anchor_ratio: Option<f64>,
 }
 
@@ -724,9 +701,19 @@ mod tests {
         assert!(validate_json(&zeroed).is_err(), "non-positive rate");
         let missing = good.replace("\"wall_s\":", "\"wall\":");
         assert!(validate_json(&missing).is_err(), "missing key");
-        // A /2 document must carry the statistics keys.
+        // A /3 document must carry the statistics keys.
         let no_stats = good.replace("\"wall_s_mean\":", "\"wall_mean\":");
-        assert!(validate_json(&no_stats).is_err(), "missing /2 key");
+        assert!(validate_json(&no_stats).is_err(), "missing /3 key");
+    }
+
+    #[test]
+    fn v2_baselines_still_need_their_kernel_keys() {
+        let committed = include_str!("../../../BENCH_8.json");
+        assert!(validate_json(committed).is_ok());
+        let no_simd = committed.replace("\"simd\":", "\"lanes\":");
+        assert!(validate_json(&no_simd).is_err(), "a /2 row lacks simd");
+        let good = to_json(&run_bench(&quick_opts()).unwrap());
+        assert!(!good.contains("\"simd\""), "/3 rows carry no kernel keys");
     }
 
     /// A hand-written `pgl-bench/1` document, as committed by older PRs.
@@ -762,9 +749,6 @@ mod tests {
         let counts: Vec<usize> = report.results.iter().map(|r| r.threads).collect();
         assert_eq!(counts, vec![1, 1, 2, 2], "two headline rows per count");
         assert!(report.host_cores >= 1);
-        // Multithreaded rows resolve the auto toggles.
-        let row2 = report.results.iter().find(|r| r.threads == 2).unwrap();
-        assert!(row2.simd, "simd auto-on for multithread rows");
         let json = to_json(&report);
         validate_json(&json).unwrap();
         assert!(json.contains("\"host\": {\"cores\":"));

@@ -65,8 +65,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--from",
     "--term-block",
     "--threads-sweep",
-    "--simd",
-    "--write-shard",
     "--baseline",
     "--repeat",
     "--validate",
@@ -313,11 +311,9 @@ mod tests {
 
     #[test]
     fn simd_and_sharding_flags_parse() {
-        let p = parse("--threads-sweep 1,2,4 --simd on --write-shard off --ab");
+        let p = parse("--threads-sweep 1,2,4 --ab");
         p.validate().unwrap();
         assert_eq!(p.value("--threads-sweep").unwrap(), "1,2,4");
-        assert_eq!(p.value("--simd").unwrap(), "on");
-        assert_eq!(p.value("--write-shard").unwrap(), "off");
         assert!(p.has("--ab"));
     }
 

@@ -6,7 +6,7 @@ use gpu_sim::{GpuEngine, GpuSpec, KernelConfig};
 use layout_core::batch::BatchEngine;
 use layout_core::coords::{DataLayout, Precision};
 use layout_core::cpu::CpuEngine;
-use layout_core::{LayoutConfig, Toggle};
+use layout_core::LayoutConfig;
 use pangraph::lean::LeanGraph;
 use pangraph::stats::GraphStats;
 use pangraph::{parse_gfa_reader, write_gfa, VariationGraph};
@@ -23,14 +23,6 @@ use workloads::hprc_catalog;
 
 type CmdResult = Result<(), String>;
 
-/// Parse an `auto|on|off` toggle flag (absent ⇒ auto).
-fn parse_toggle(p: &ArgParser, flag: &str) -> Result<Toggle, String> {
-    match p.value(flag) {
-        None => Ok(Toggle::Auto),
-        Some(v) => Toggle::parse_name(v).ok_or_else(|| format!("bad {flag} {v:?} (auto, on, off)")),
-    }
-}
-
 /// Per-subcommand usage text for `pgl <cmd> --help`.
 pub fn usage(cmd: &str) -> Option<&'static str> {
     Some(match cmd {
@@ -46,9 +38,7 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
         }
         "layout" => {
             "pgl layout <in.gfa> -o <out.lay> [--gpu | --gpu-a100 | --batch <size>]\n\
-             \u{20}          [--threads N] [--iters N] [--seed N] [--soa] [--f32]\n\
-             \u{20}          [--term-block N] [--simd auto|on|off]\n\
-             \u{20}          [--write-shard auto|on|off]\n\
+             \u{20}          [--threads N] [--iters N] [--seed N] [--soa] [--f32] [--term-block N]\n\
              Run path-guided SGD layout with the chosen engine.\n\
              --f32 stores and computes coordinates in single precision (the paper's\n\
              GPU coordinate format; half the memory traffic, stress parity within\n\
@@ -56,11 +46,7 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
              cache-friendly AoS default. --term-block N sets how many terms each\n\
              worker samples before applying them in one batched pass (default 256;\n\
              purely a performance knob — single-threaded results are bit-identical\n\
-             across block sizes). --simd selects the lane-vectorized apply kernel\n\
-             (auto: on for multithreaded runs; single-thread runs keep the scalar\n\
-             loop, which is bit-stable and measured faster). --write-shard gives each thread a node\n\
-             range it alone writes, exchanging cross-range terms through spill\n\
-             buffers (auto: on at >= 4 threads; off = pure Hogwild)."
+             across block sizes)."
         }
         "stress" => {
             "pgl stress <in.gfa> <in.lay> [--exact] [--samples-per-node N] [--seed N]\n\
@@ -168,27 +154,25 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
         }
         "bench" => {
             "pgl bench [-o <out.json>] [--preset small|medium|large] [--threads N]\n\
-             \u{20}         [--threads-sweep 1,2,4] [--iters N] [--repeat N] [--quick]\n\
-             \u{20}         [--simd auto|on|off] [--write-shard auto|on|off] [--ab]\n\
+             \u{20}         [--threads-sweep 1,2,4] [--iters N] [--repeat N] [--quick] [--ab]\n\
              \u{20}         [--baseline UPDATES_PER_SEC] [--validate <bench.json>]\n\
              \u{20}         [--guard <bench.json>] [--tolerance F]\n\
              Reproducible SGD-throughput harness over the bundled workload presets.\n\
              Sweeps the hot-path axes (engine x precision x memory layout), reports\n\
-             applied updates/sec per configuration, and writes a pgl-bench/2 JSON\n\
+             applied updates/sec per configuration, and writes a pgl-bench/3 JSON\n\
              document (committed as BENCH_<n>.json per perf PR, so the repository\n\
              records its own performance trajectory). --threads-sweep repeats the\n\
              headline rows at each listed thread count (the multi-core scaling\n\
-             trajectory; host core count is recorded in the document). --simd and\n\
-             --write-shard force the kernel shape; auto follows the engine defaults.\n\
+             trajectory; host core count is recorded in the document).\n\
              --quick is the CI smoke mode: a tiny graph, 3 iterations, only the\n\
              headline rows. --repeat N runs each configuration N times; records\n\
              carry both the best repetition and mean/stddev/cv. --ab interleaves\n\
-             every row's repeats with a fixed anchor workload (cpu f64 aos 1t,\n\
-             scalar) and records the row:anchor ratio, so machine-wide performance\n\
+             every row's repeats with a fixed anchor workload (cpu f64 aos 1t)\n\
+             and records the row:anchor ratio, so machine-wide performance\n\
              drift cancels when gating. --baseline takes a previous run's\n\
              updates/sec and adds speedup_vs_baseline to every record. --validate\n\
              parses an existing document, checks its schema and rows, and exits\n\
-             (accepts pgl-bench/1 and /2). --guard <bench.json> compares this run's\n\
+             (accepts pgl-bench/1, /2 and /3). --guard <bench.json> compares this run's\n\
              records against a committed baseline per (engine, precision, layout,\n\
              threads) row and fails on regression beyond --tolerance (default 0.02\n\
              = 2%) widened by 2 sigma of the two runs' combined cv; with --ab and\n\
@@ -210,8 +194,7 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
         "submit" => {
             "pgl submit <in.gfa> [--addr HOST] [--port N] [--engine E] [--iters N]\n\
              \u{20}          [--threads N] [--seed N] [--batch N] [--soa] [--f32]\n\
-             \u{20}          [--term-block N] [--simd auto|on|off]\n\
-             \u{20}          [--write-shard auto|on|off]\n\
+             \u{20}          [--term-block N]\n\
              \u{20}          [--priority interactive|normal|bulk] [--client KEY]\n\
              \u{20}          [--ttl-ms N] [--watch]\n\
              Submit one layout job to a running `pgl serve` (POST /v1/jobs) and print\n\
@@ -326,8 +309,6 @@ pub fn layout(p: ArgParser) -> CmdResult {
             Precision::F64
         },
         term_block: p.parse_or("--term-block", LayoutConfig::default().term_block)?,
-        simd: parse_toggle(&p, "--simd")?,
-        write_shard: parse_toggle(&p, "--write-shard")?,
         ..LayoutConfig::default()
     };
 
@@ -622,11 +603,6 @@ pub fn submit(p: ArgParser) -> CmdResult {
     if let Some(v) = p.value("--term-block") {
         query.push(format!("term_block={}", client::encode_query(v)));
     }
-    for (flag, param) in [("--simd", "simd"), ("--write-shard", "write_shard")] {
-        if let Some(v) = p.value(flag) {
-            query.push(format!("{param}={}", client::encode_query(v)));
-        }
-    }
     if p.has("--soa") {
         query.push("soa=1".into());
     }
@@ -796,8 +772,9 @@ pub fn batch_cmd(p: ArgParser) -> CmdResult {
 pub fn bench(p: ArgParser) -> CmdResult {
     if let Some(path) = p.value("--validate") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        pgl_bench::validate_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("{path}: valid {} document", pgl_bench::BENCH_SCHEMA);
+        let doc = pgl_bench::validate_json(&text).map_err(|e| format!("{path}: {e}"))?;
+        let schema = doc.get("schema").and_then(Json::str).unwrap_or_default();
+        eprintln!("{path}: valid {schema} document");
         return Ok(());
     }
     let threads_sweep = match p.value("--threads-sweep") {
@@ -819,8 +796,6 @@ pub fn bench(p: ArgParser) -> CmdResult {
         preset: p.value("--preset").unwrap_or("medium").to_string(),
         threads: p.parse_or("--threads", 1usize)?,
         threads_sweep,
-        write_shard: parse_toggle(&p, "--write-shard")?,
-        simd: parse_toggle(&p, "--simd")?,
         iters: p.parse_or("--iters", 15u32)?,
         repeat: p.parse_or("--repeat", 2usize)?,
         ab: p.has("--ab"),

@@ -8,53 +8,6 @@ use crate::coords::{DataLayout, Precision};
 /// terabyte allocation.
 pub const MAX_TERM_BLOCK: usize = 1 << 20;
 
-/// Tri-state engine knob: let the engine pick, or force a side. Used by
-/// the SIMD apply path ([`LayoutConfig::simd`]) and the sharded-write
-/// Hogwild mode ([`LayoutConfig::write_shard`]), both of which have a
-/// heuristic "on when it pays" default that benchmarks need to override
-/// in either direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Toggle {
-    /// Engine heuristic decides. The default.
-    #[default]
-    Auto,
-    /// Force on.
-    On,
-    /// Force off.
-    Off,
-}
-
-impl Toggle {
-    /// Lower-case wire/report name (`auto` / `on` / `off`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Toggle::Auto => "auto",
-            Toggle::On => "on",
-            Toggle::Off => "off",
-        }
-    }
-
-    /// Parse a wire name (`None` for anything unrecognized).
-    pub fn parse_name(s: &str) -> Option<Self> {
-        match s {
-            "auto" => Some(Toggle::Auto),
-            "on" => Some(Toggle::On),
-            "off" => Some(Toggle::Off),
-            _ => None,
-        }
-    }
-
-    /// Resolve against the heuristic's answer for `Auto`.
-    #[inline]
-    pub fn resolve(self, auto_default: bool) -> bool {
-        match self {
-            Toggle::Auto => auto_default,
-            Toggle::On => true,
-            Toggle::Off => false,
-        }
-    }
-}
-
 /// How node pairs are selected within a path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairSelection {
@@ -102,21 +55,6 @@ pub struct LayoutConfig {
     /// Amortizes sampler dispatch; larger blocks coarsen Hogwild
     /// interleaving but do not change the objective.
     pub term_block: usize,
-    /// SIMD apply path: restructure the term-block loop into gather →
-    /// lane-wide delta computation → scatter (4-wide f64 / 8-wide f32
-    /// via the std-only [`crate::simd`] shim). `Auto` enables it for
-    /// `f32` runs and for any multi-threaded run; the single-thread
-    /// `f64` scalar path stays the bit-exact faithful baseline. Lane
-    /// grouping reorders load/store interleaving within a group, so the
-    /// vector path is tolerance-equivalent (not bit-equal) to scalar.
-    pub simd: Toggle,
-    /// Sharded-write Hogwild mode: each worker thread owns a contiguous
-    /// node range and is the only writer of those coordinate cache
-    /// lines; updates to foreign nodes are exchanged through per-thread
-    /// spill buffers drained at term-block boundaries. Cuts cache-line
-    /// ping-pong on many-core boxes. `Auto` enables it at ≥ 4 threads;
-    /// `Off` is pure Hogwild (every thread writes everywhere).
-    pub write_shard: Toggle,
     /// Pair-selection scheme.
     pub pair_selection: PairSelection,
     /// Initial-placement jitter amplitude relative to graph length.
@@ -139,8 +77,6 @@ impl Default for LayoutConfig {
             data_layout: DataLayout::CacheFriendlyAos,
             precision: Precision::F64,
             term_block: 256,
-            simd: Toggle::Auto,
-            write_shard: Toggle::Auto,
             pair_selection: PairSelection::PgSgd,
             init_jitter: 0.01,
         }
@@ -187,26 +123,6 @@ impl LayoutConfig {
     /// network).
     pub fn resolved_term_block(&self) -> usize {
         self.term_block.clamp(1, MAX_TERM_BLOCK)
-    }
-
-    /// Whether the SIMD apply path is used. `Auto` ⇒ on for
-    /// multi-threaded runs (already nondeterministic under Hogwild, and
-    /// the block-structured gather/scatter doubles as the sharded write
-    /// path's routing stage); off for single-thread runs — the `f64`
-    /// baseline must stay bit-identical across releases, and for `f32`
-    /// interleaved A/B pairs measured the lane path a few percent
-    /// *slower* than the already memory-bound per-term loop at one
-    /// thread. `--simd on` forces it.
-    pub fn resolved_simd(&self) -> bool {
-        self.simd.resolve(self.resolved_threads() > 1)
-    }
-
-    /// Whether the Hogwild engine runs in sharded-write mode. `Auto` ⇒
-    /// on from 4 threads up, where coordinate cache-line ping-pong
-    /// starts to dominate; below that the spill-buffer exchange costs
-    /// more than the sharing it avoids.
-    pub fn resolved_write_shard(&self) -> bool {
-        self.write_shard.resolve(self.resolved_threads() >= 4)
     }
 }
 
@@ -268,71 +184,5 @@ mod tests {
             MAX_TERM_BLOCK,
             "network-supplied block sizes must not become giant allocations"
         );
-    }
-
-    #[test]
-    fn toggle_parses_and_resolves() {
-        assert_eq!(Toggle::parse_name("auto"), Some(Toggle::Auto));
-        assert_eq!(Toggle::parse_name("on"), Some(Toggle::On));
-        assert_eq!(Toggle::parse_name("off"), Some(Toggle::Off));
-        assert_eq!(Toggle::parse_name("maybe"), None);
-        assert_eq!(Toggle::default(), Toggle::Auto);
-        assert!(Toggle::On.resolve(false));
-        assert!(!Toggle::Off.resolve(true));
-        assert!(Toggle::Auto.resolve(true));
-        assert!(!Toggle::Auto.resolve(false));
-        for t in [Toggle::Auto, Toggle::On, Toggle::Off] {
-            assert_eq!(Toggle::parse_name(t.label()), Some(t));
-        }
-    }
-
-    #[test]
-    fn simd_auto_spares_the_faithful_f64_single_thread_baseline() {
-        use crate::coords::Precision;
-        let base = LayoutConfig {
-            threads: 1,
-            ..LayoutConfig::default()
-        };
-        assert!(!base.resolved_simd(), "f64 1-thread stays scalar");
-        let f32_run = LayoutConfig {
-            precision: Precision::F32,
-            ..base.clone()
-        };
-        assert!(
-            !f32_run.resolved_simd(),
-            "f32 1-thread stays on the per-term loop (measured faster)"
-        );
-        let mt = LayoutConfig {
-            threads: 2,
-            ..base.clone()
-        };
-        assert!(mt.resolved_simd());
-        let forced = LayoutConfig {
-            simd: Toggle::On,
-            ..base.clone()
-        };
-        assert!(forced.resolved_simd());
-        let off = LayoutConfig {
-            simd: Toggle::Off,
-            threads: 8,
-            precision: Precision::F32,
-            ..LayoutConfig::default()
-        };
-        assert!(!off.resolved_simd());
-    }
-
-    #[test]
-    fn write_shard_auto_starts_at_four_threads() {
-        let mk = |threads, write_shard| LayoutConfig {
-            threads,
-            write_shard,
-            ..LayoutConfig::default()
-        };
-        assert!(!mk(1, Toggle::Auto).resolved_write_shard());
-        assert!(!mk(3, Toggle::Auto).resolved_write_shard());
-        assert!(mk(4, Toggle::Auto).resolved_write_shard());
-        assert!(mk(8, Toggle::Auto).resolved_write_shard());
-        assert!(mk(1, Toggle::On).resolved_write_shard());
-        assert!(!mk(8, Toggle::Off).resolved_write_shard());
     }
 }

@@ -22,27 +22,10 @@
 //! Because sampling never reads coordinates, block application is
 //! bit-identical to interleaved sample/apply on a single thread — block
 //! size is purely a performance knob.
-//!
-//! Two optional kernel shapes layer on top (`LayoutConfig::simd`,
-//! `LayoutConfig::write_shard`):
-//!
-//! * **SIMD apply** — blocks go through
-//!   [`CoordStore::apply_block_simd`]'s gather → lane kernel → scatter
-//!   path. Auto-enabled for multithreaded runs, where results are
-//!   already not bit-pinned; single-thread runs keep the per-term loop
-//!   (bit-stability for `f64`, and measured faster for `f32` too).
-//! * **Sharded writes** — each thread owns a contiguous node range for
-//!   write-back. Deltas to foreign nodes are buffered in per-thread
-//!   spill vectors ([`ShardSpills`]) and posted to per-`(owner, sender)`
-//!   mailboxes at block boundaries; owners drain their mailboxes after
-//!   each block and once more at the iteration barrier. This trades a
-//!   bounded delta delay (within an iteration) for writes that never
-//!   cross shard cache lines, removing inter-core coherence traffic on
-//!   the coordinate slabs. Auto-enabled at ≥ 4 threads.
 
 use crate::config::LayoutConfig;
 use crate::control::LayoutControl;
-use crate::coords::{CoordStore, ShardSpills, SpillEntry};
+use crate::coords::CoordStore;
 use crate::init::init_linear;
 use crate::sampler::{PairSampler, Term};
 use crate::schedule::Schedule;
@@ -51,57 +34,8 @@ use pangraph::layout2d::Layout2D;
 use pangraph::lean::LeanGraph;
 use pgrng::Xoshiro256Plus;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
-
-/// Per-`(owner, sender)` spill mailboxes for sharded-write mode.
-/// Slot `owner * threads + sender` is only ever touched by those two
-/// threads, so lock contention is a two-party affair per slot.
-type Mailboxes = Vec<Mutex<Vec<SpillEntry>>>;
-
-/// Post this thread's accumulated foreign-shard deltas to the owners'
-/// mailboxes. An empty mailbox slot takes the whole buffer by swap
-/// (no copying); a non-empty one gets appended to.
-fn post_spills(mail: &Mailboxes, tid: usize, threads: usize, spills: &mut ShardSpills) {
-    for dst in 0..threads {
-        if dst == tid || spills.bufs[dst].is_empty() {
-            continue;
-        }
-        let mut slot = mail[dst * threads + tid].lock().unwrap();
-        if slot.is_empty() {
-            std::mem::swap(&mut *slot, &mut spills.bufs[dst]);
-        } else {
-            slot.append(&mut spills.bufs[dst]);
-        }
-    }
-}
-
-/// Drain every mailbox addressed to this thread, recomputing and
-/// applying the deferred term halves to the nodes it owns. The buffer
-/// is swapped out under the lock and applied outside it.
-fn drain_spills(
-    store: &CoordStore,
-    mail: &Mailboxes,
-    tid: usize,
-    threads: usize,
-    eta: f64,
-    scratch: &mut Vec<SpillEntry>,
-) {
-    for src in 0..threads {
-        if src == tid {
-            continue;
-        }
-        {
-            let mut slot = mail[tid * threads + src].lock().unwrap();
-            if slot.is_empty() {
-                continue;
-            }
-            std::mem::swap(&mut *slot, scratch);
-        }
-        store.apply_spills(scratch, eta);
-        scratch.clear();
-    }
-}
 
 /// Statistics from one engine run.
 #[derive(Debug, Clone)]
@@ -224,8 +158,6 @@ impl CpuEngine {
         let schedule = Schedule::new(cfg, d_max);
         let sampler = PairSampler::new(lean, cfg);
         let threads = cfg.resolved_threads();
-        let use_simd = cfg.resolved_simd();
-        let sharded = cfg.resolved_write_shard();
         let steps_per_iter = cfg.steps_per_iter(total_steps);
         let applied = AtomicU64::new(0);
         let iters_done = AtomicU64::new(0);
@@ -233,12 +165,6 @@ impl CpuEngine {
         let barrier = Barrier::new(threads);
         let rngs = Xoshiro256Plus::split_streams(cfg.seed, threads);
         let snapshots: std::sync::Mutex<Vec<(u32, Layout2D)>> = std::sync::Mutex::new(Vec::new());
-        // Spill mailboxes exist only in sharded-write mode.
-        let mailboxes: Option<Mailboxes> = sharded.then(|| {
-            (0..threads * threads)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect()
-        });
 
         let t0 = Instant::now();
         std::thread::scope(|scope| {
@@ -258,7 +184,6 @@ impl CpuEngine {
                 };
                 let iters_done = &iters_done;
                 let stop = &stop;
-                let mailboxes = &mailboxes;
                 let term_block = cfg.resolved_term_block();
                 scope.spawn(move || {
                     let mut my_applied = 0u64;
@@ -267,8 +192,6 @@ impl CpuEngine {
                     let mut my_flushed = 0u64;
                     let mut block: Vec<Term> =
                         Vec::with_capacity(term_block.min(my_steps as usize));
-                    let mut spills = ShardSpills::new(threads);
-                    let mut scratch: Vec<SpillEntry> = Vec::new();
                     for iter in 0..cfg.iter_max {
                         let eta = schedule.eta(iter);
                         // Sample a block of terms, then apply it in one
@@ -279,34 +202,8 @@ impl CpuEngine {
                             let want = left.min(term_block as u64) as usize;
                             left -= want as u64;
                             let got = sampler.sample_block(lean, &mut rng, iter, want, &mut block);
-                            match mailboxes {
-                                Some(mail) => {
-                                    store.apply_block_sharded(
-                                        &block,
-                                        eta,
-                                        use_simd,
-                                        tid,
-                                        threads,
-                                        &mut spills,
-                                    );
-                                    // Block boundary: hand foreign deltas
-                                    // to their owners, absorb ours.
-                                    post_spills(mail, tid, threads, &mut spills);
-                                    drain_spills(store, mail, tid, threads, eta, &mut scratch);
-                                }
-                                None if use_simd => store.apply_block_simd(&block, eta),
-                                None => store.apply_block(&block, eta),
-                            }
+                            store.apply_block(&block, eta);
                             my_applied += got as u64;
-                        }
-                        if let Some(mail) = mailboxes {
-                            // All posts for this iteration precede this
-                            // barrier; one final drain applies any deltas
-                            // posted after our last block-boundary drain.
-                            // The iteration barrier below then publishes
-                            // the fully-drained coordinates.
-                            barrier.wait();
-                            drain_spills(store, mail, tid, threads, eta, &mut scratch);
                         }
                         // Iteration barrier (odgi's join; the GPU's kernel
                         // boundary).
@@ -495,68 +392,6 @@ mod tests {
         assert!(a.all_finite());
         let q = quality(&a, &lean);
         assert!(q < 1.0, "f32 quality {q}");
-    }
-
-    #[test]
-    fn write_shard_on_is_bit_identical_to_off_at_one_thread() {
-        // With one thread every node is self-owned: the routed scatter
-        // degenerates to direct Hogwild adds and must not change bits.
-        use crate::config::Toggle;
-        let lean = test_graph(150, 4, 21);
-        let mk = |write_shard| LayoutConfig {
-            threads: 1,
-            iter_max: 6,
-            write_shard,
-            ..LayoutConfig::default()
-        };
-        let off = CpuEngine::new(mk(Toggle::Off)).run(&lean).0;
-        let on = CpuEngine::new(mk(Toggle::On)).run(&lean).0;
-        assert_eq!(off, on);
-    }
-
-    #[test]
-    fn simd_kernel_converges_on_one_thread_f64() {
-        // Forcing the vector path on the bit-pinned default combination:
-        // results may differ in bits (gather/scatter interleaving) but
-        // must match in quality.
-        use crate::config::Toggle;
-        let lean = test_graph(250, 5, 22);
-        let mk = |simd| LayoutConfig {
-            threads: 1,
-            iter_max: 12,
-            simd,
-            ..LayoutConfig::default()
-        };
-        let (scalar, _) = CpuEngine::new(mk(Toggle::Off)).run(&lean);
-        let (vector, _) = CpuEngine::new(mk(Toggle::On)).run(&lean);
-        let qs = quality(&scalar, &lean);
-        let qv = quality(&vector, &lean);
-        assert!(vector.all_finite());
-        assert!(
-            qv < qs * 1.5 + 0.05,
-            "vector-path quality {qv} should match scalar {qs}"
-        );
-    }
-
-    #[test]
-    fn sharded_multithread_quality_matches_hogwild() {
-        use crate::config::Toggle;
-        let lean = test_graph(400, 8, 23);
-        let mk = |write_shard| LayoutConfig {
-            threads: 4,
-            iter_max: 15,
-            write_shard,
-            ..LayoutConfig::default()
-        };
-        let (hog, _) = CpuEngine::new(mk(Toggle::Off)).run(&lean);
-        let (shard, _) = CpuEngine::new(mk(Toggle::On)).run(&lean);
-        let qh = quality(&hog, &lean);
-        let qs = quality(&shard, &lean);
-        assert!(shard.all_finite());
-        assert!(
-            qs < qh * 3.0 + 0.05,
-            "sharded quality {qs} should be comparable to pure Hogwild {qh}"
-        );
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   the GPU port's one-kernel-per-iteration design). Supports both the
 //!   original struct-of-arrays coordinate layout and the paper's
 //!   cache-friendly array-of-structs layout ([`coords::DataLayout`]),
-//!   which is the CPU half of the Table IX ablation.
+//!   which is the CPU half of the Table IX ablation, in `f64` or `f32`
+//!   ([`coords::Precision`]). Every run applies its term blocks through
+//!   one scalar Hogwild loop, [`coords::CoordStore::apply_block`].
 //! * [`batch::BatchEngine`] — the PyTorch-style implementation of paper
 //!   Sec. IV: synchronous mini-batch SGD assembled from tensor-like
 //!   "kernel ops" (`index` gather/scatter, `pow`, `mul`, `where`, `add`),
@@ -31,12 +33,11 @@ pub mod init;
 pub mod sampler;
 pub mod scalar;
 pub mod schedule;
-pub mod simd;
 pub mod sort1d;
 pub mod step;
 
 pub use batch::{BatchEngine, BatchReport, KernelOp};
-pub use config::{LayoutConfig, PairSelection, Toggle};
+pub use config::{LayoutConfig, PairSelection};
 pub use control::{EngineTelemetry, LayoutControl};
 pub use coords::{CoordStore, DataLayout, Precision};
 pub use cpu::{CpuEngine, RunReport};

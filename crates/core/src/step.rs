@@ -17,58 +17,9 @@
 //! without overshooting.
 
 use crate::scalar::LayoutScalar;
-use crate::simd::Lanes;
 
 /// Coordinate deltas for the two points of one term: `(Δv_i, Δv_j)`.
 pub type TermDeltas = ((f64, f64), (f64, f64));
-
-/// Lane-wide update step: `W` independent terms at once, the same
-/// arithmetic as [`term_deltas_t`] per lane (identical ops in identical
-/// order, so each lane's result is bit-equal to a scalar call on the
-/// same inputs). Returns `(rx, ry)` such that `Δv_i = (−rx, −ry)` and
-/// `Δv_j = (rx, ry)` — the caller scatters both ends.
-///
-/// `#[inline(always)]`: this is the body the auto-vectorizer must see
-/// inside the gather/scatter loop of `CoordStore::apply_block`; an
-/// outlined call (cross-CGU without LTO) would forfeit the packed
-/// divide/sqrt that makes the path worthwhile.
-#[inline(always)]
-pub fn term_deltas_lanes<T: LayoutScalar, const W: usize>(
-    xi: Lanes<T, W>,
-    yi: Lanes<T, W>,
-    xj: Lanes<T, W>,
-    yj: Lanes<T, W>,
-    d_ref: Lanes<T, W>,
-    eta: Lanes<T, W>,
-) -> (Lanes<T, W>, Lanes<T, W>) {
-    let one = Lanes::splat(T::ONE);
-    let w = one / (d_ref * d_ref);
-    let mu = (eta * w).min(one);
-    let dx = xi - xj;
-    let dy = yi - yj;
-    let mag = (dx * dx + dy * dy).sqrt();
-    // Coincident-point fallback, as blends instead of the scalar
-    // branch: lanes with a degenerate magnitude get the deterministic
-    // infinitesimal x-offset.
-    let dx = Lanes::from_fn(|l| {
-        if mag.0[l] < T::MAG_EPS {
-            T::MAG_FALLBACK
-        } else {
-            dx.0[l]
-        }
-    });
-    let dy = Lanes::from_fn(|l| {
-        if mag.0[l] < T::MAG_EPS {
-            T::ZERO
-        } else {
-            dy.0[l]
-        }
-    });
-    let mag = mag.select_lt(T::MAG_EPS, Lanes::splat(T::MAG_FALLBACK));
-    let delta = mu * (mag - d_ref) / Lanes::splat(T::TWO);
-    let r = delta / mag;
-    (r * dx, r * dy)
-}
 
 /// Precision-generic update step: the same arithmetic as [`term_deltas`],
 /// monomorphized per [`LayoutScalar`] so the `f32` hot path computes —
@@ -226,55 +177,6 @@ mod tests {
                     "f64 {a} vs f32 {b} for {vi:?} {vj:?} d={d} eta={eta}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn lane_kernel_is_bit_identical_to_scalar_kernel_per_lane() {
-        use crate::simd::Lanes;
-        // Mixed regular / degenerate / huge-eta lanes in one pack: every
-        // lane must reproduce the scalar kernel's bits exactly, for both
-        // precisions.
-        let cases = [
-            ((0.0, 0.0), (10.0, 0.0), 5.0, 1e3),
-            ((1.0, 2.0), (4.0, 6.0), 3.0, 2.0),
-            ((1.0, 1.0), (1.0, 1.0), 2.0, 1e9), // coincident fallback
-            ((-3.5, 0.25), (7.0, -1.5), 12.0, 0.7),
-        ];
-        let (rx, ry) = term_deltas_lanes::<f64, 4>(
-            Lanes(std::array::from_fn(|l| cases[l].0 .0)),
-            Lanes(std::array::from_fn(|l| cases[l].0 .1)),
-            Lanes(std::array::from_fn(|l| cases[l].1 .0)),
-            Lanes(std::array::from_fn(|l| cases[l].1 .1)),
-            Lanes(std::array::from_fn(|l| cases[l].2)),
-            Lanes(std::array::from_fn(|l| cases[l].3)),
-        );
-        for (l, (vi, vj, d, eta)) in cases.into_iter().enumerate() {
-            let (di, dj) = term_deltas_t::<f64>(vi, vj, d, eta);
-            assert_eq!(rx.0[l].to_bits(), dj.0.to_bits(), "lane {l} rx");
-            assert_eq!(ry.0[l].to_bits(), dj.1.to_bits(), "lane {l} ry");
-            assert_eq!((-rx.0[l]).to_bits(), di.0.to_bits(), "lane {l} -rx");
-        }
-        // f32, 8 lanes (cases cycled).
-        let at = |l: usize| cases[l % 4];
-        let (rx32, ry32) = term_deltas_lanes::<f32, 8>(
-            Lanes(std::array::from_fn(|l| at(l).0 .0 as f32)),
-            Lanes(std::array::from_fn(|l| at(l).0 .1 as f32)),
-            Lanes(std::array::from_fn(|l| at(l).1 .0 as f32)),
-            Lanes(std::array::from_fn(|l| at(l).1 .1 as f32)),
-            Lanes(std::array::from_fn(|l| at(l).2 as f32)),
-            Lanes(std::array::from_fn(|l| at(l).3 as f32)),
-        );
-        for l in 0..8 {
-            let (vi, vj, d, eta) = at(l);
-            let (_, sj) = term_deltas_t::<f32>(
-                (vi.0 as f32, vi.1 as f32),
-                (vj.0 as f32, vj.1 as f32),
-                d as f32,
-                eta as f32,
-            );
-            assert_eq!(rx32.0[l].to_bits(), sj.0.to_bits(), "f32 lane {l}");
-            assert_eq!(ry32.0[l].to_bits(), sj.1.to_bits(), "f32 lane {l}");
         }
     }
 

@@ -201,7 +201,10 @@ impl StreamingParser {
                         if tok.is_empty() {
                             continue;
                         }
-                        let (name, o) = tok.split_at(tok.len() - 1);
+                        // The orientation is the last char, which need
+                        // not be one byte: `1é` is a bad orientation.
+                        let o_len = tok.chars().next_back().map_or(0, char::len_utf8);
+                        let (name, o) = tok.split_at(tok.len() - o_len);
                         if name.is_empty() {
                             return Err(GfaError::Empty {
                                 line_no,

@@ -1,7 +1,7 @@
 //! Robustness tests: the GFA parser must return errors, never panic, on
 //! arbitrary and adversarial input.
 
-use pangraph::{parse_gfa, write_gfa};
+use pangraph::{parse_gfa, write_gfa, GfaError};
 use proptest::prelude::*;
 
 proptest! {
@@ -13,11 +13,12 @@ proptest! {
         let _ = parse_gfa(&input);
     }
 
-    /// Arbitrary tab-separated record soup never panics.
+    /// Arbitrary tab-separated record soup, multi-byte chars included,
+    /// never panics.
     #[test]
     fn record_soup_never_panics(
         kinds in prop::collection::vec(prop::sample::select(vec!["S", "L", "P", "H", "#"]), 0..20),
-        fields in prop::collection::vec("[A-Za-z0-9+*,-]{0,12}", 0..60),
+        fields in prop::collection::vec("[A-Za-z0-9+*,éß✓€-]{0,12}", 0..60),
     ) {
         let mut doc = String::new();
         let mut fi = fields.iter();
@@ -78,6 +79,21 @@ fn pathological_inputs_error_cleanly() {
     ];
     for c in cases {
         assert!(parse_gfa(c).is_err(), "should reject {c:?}");
+    }
+}
+
+#[test]
+fn multi_byte_orientations_are_errors_not_panics() {
+    for step in ["1é", "1✓", "1🧬"] {
+        let doc = format!("S\t1\tA\nP\tp\t{step}\t*\n");
+        assert!(
+            matches!(
+                parse_gfa(&doc),
+                Err(GfaError::BadOrientation { line_no: 2, .. })
+            ),
+            "{step:?}: {:?}",
+            parse_gfa(&doc)
+        );
     }
 }
 

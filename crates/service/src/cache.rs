@@ -62,15 +62,18 @@ fn config_fingerprint(cfg: &LayoutConfig) -> String {
         term_block,
         pair_selection,
         init_jitter,
-        simd,
-        write_shard,
     } = cfg;
+    // The fixed `simd`/`shard` suffix once named two removed kernel
+    // knobs. Keeping the text keeps every key, so a cache directory
+    // written before their removal still hits: single-thread layouts
+    // are bit-identical, and Hogwild runs above one thread were never
+    // bit-pinned.
     format!(
         "iter_max={iter_max};steps={steps_per_path_node};eps={eps};eta_max={eta_max:?};\
          cool={cooling_start};theta={zipf_theta};zmax={zipf_space_max};zq={zipf_quant};\
          threads={threads};seed={seed};layout={data_layout:?};prec={precision:?};\
          block={term_block};pairs={pair_selection:?};jitter={init_jitter};\
-         simd={simd:?};shard={write_shard:?}"
+         simd=Auto;shard=Auto"
     )
 }
 
@@ -527,6 +530,23 @@ mod tests {
             "batch size must key"
         );
         assert_eq!(base, cache_key("cpu", &cfg.clone(), 0, g1), "stable");
+    }
+
+    #[test]
+    fn cache_keys_match_the_ones_existing_cache_dirs_were_written_with() {
+        use layout_core::{DataLayout, Precision};
+        let graph = content_hash(b"S\t1\t*\n");
+        let default = cache_key("cpu", &LayoutConfig::default(), 1024, graph);
+        assert_eq!(default.hex(), "b6550b1e8975a293910ef201d996db18");
+        let cfg = LayoutConfig {
+            threads: 2,
+            precision: Precision::F32,
+            data_layout: DataLayout::OriginalSoa,
+            term_block: 64,
+            ..Default::default()
+        };
+        let tuned = cache_key("batch", &cfg, 512, graph);
+        assert_eq!(tuned.hex(), "0c5b90a441858c99890a076d90280a0c");
     }
 
     #[test]

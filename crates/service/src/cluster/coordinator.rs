@@ -69,8 +69,8 @@ use crate::httpmetrics::HttpMetrics;
 use crate::job::{GraphSpec, JobId};
 use crate::obs;
 use crate::sched::{job_cost, FairScheduler};
+use crate::service::parse_layout_input;
 use crate::spec::{JobSpec, Priority};
-use pangraph::parse_gfa;
 use pangraph::store::{content_hash, evict_dir_to_cap, ContentHash};
 use pgio::{quote, Json};
 use std::collections::HashMap;
@@ -1056,7 +1056,7 @@ fn intern_gfa(
     if let Some(entry) = shared.vault.lock().unwrap().get(&id) {
         return Ok((id, entry.nodes, entry.paths, entry.steps, true));
     }
-    let parsed = parse_gfa(&gfa).map_err(|e| Response::error(400, &e.to_string()))?;
+    let parsed = parse_layout_input(&gfa).map_err(|e| Response::error(400, &e))?;
     let (nodes, paths, steps) = (
         parsed.node_count(),
         parsed.path_count(),

@@ -54,7 +54,7 @@ use crate::sched::{job_cost, FairScheduler};
 use crate::spec::{JobSpec, Priority};
 use layout_core::LayoutControl;
 use pangraph::store::{content_hash, ContentHash};
-use pangraph::{parse_gfa, Layout2D, LeanGraph};
+use pangraph::{parse_gfa, Layout2D, LeanGraph, VariationGraph};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
@@ -138,8 +138,9 @@ impl ServiceConfig {
 /// status codes (400 / 404 / 503).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// Malformed request: unknown engine, empty or unparseable GFA,
-    /// zero-segment graph. (HTTP 400.)
+    /// Malformed request: unknown engine, empty or unparseable GFA, a
+    /// graph with no segments or no path of two or more steps. (HTTP
+    /// 400.)
     Rejected(String),
     /// The request failed typed [`crate::spec::JobSpec`] validation.
     /// (HTTP 400.)
@@ -361,8 +362,9 @@ impl LayoutService {
     /// upload once, lay out many times. Re-uploading an already-known
     /// graph is a cheap dedup (hash + store hit, no parse), and
     /// concurrent uploads of the same bytes wait for one parse instead
-    /// of each running their own. Zero-segment documents are rejected —
-    /// a layout server must not accept graphs it can only fail on.
+    /// of each running their own. Documents with no segments, or with no
+    /// path of two or more steps, are rejected — a layout server must
+    /// not accept graphs it cannot lay out.
     pub fn upload_graph(&self, gfa: &str) -> Result<GraphUpload, SubmitError> {
         if self.shared.shutdown.load(Ordering::Relaxed) {
             return Err(SubmitError::ShuttingDown);
@@ -989,18 +991,29 @@ impl Drop for LayoutService {
     }
 }
 
-/// Parse + flatten + validate one GFA document (the only place the
-/// service ever parses).
-fn parse_lean(gfa: &str) -> Result<Arc<LeanGraph>, String> {
+/// Parse one GFA document and check it has something to lay out — the
+/// graph-acceptance rule of both front ends (this service and the
+/// cluster coordinator), on upload and on inline submit.
+pub(crate) fn parse_layout_input(gfa: &str) -> Result<VariationGraph, String> {
     let graph = parse_gfa(gfa).map_err(|e| format!("GFA parse error: {e}"))?;
-    let lean = LeanGraph::from_graph(&graph);
-    if lean.node_count() == 0 {
+    if graph.node_count() == 0 {
         // The parser skips lines it does not understand, so arbitrary
         // text "parses" into an empty graph; a layout server must
         // reject that rather than accept a job it can only fail.
         return Err("GFA parse error: no segments found in body".into());
     }
-    Ok(Arc::new(lean))
+    if graph.paths().iter().all(|p| p.steps.len() < 2) {
+        // The engines would return the initial layout untouched, and
+        // the job would report `done`.
+        return Err("GFA parse error: no path with two or more steps; nothing to lay out".into());
+    }
+    Ok(graph)
+}
+
+/// Parse, validate and flatten one GFA document (the only place the
+/// service ever parses).
+fn parse_lean(gfa: &str) -> Result<Arc<LeanGraph>, String> {
+    parse_layout_input(gfa).map(|graph| Arc::new(LeanGraph::from_graph(&graph)))
 }
 
 /// Open one tier: memory-only without a `dir`; with one, a disk tier
@@ -1481,6 +1494,22 @@ mod tests {
         let err = svc.submit(JobSpec::new("cpu", "S\tx\t*\n")).unwrap_err();
         assert!(matches!(err, SubmitError::Rejected(_)));
         assert_eq!(svc.stats().submitted, 0, "no queue slot was consumed");
+    }
+
+    #[test]
+    fn a_multi_byte_orientation_is_rejected_on_every_upload() {
+        // The parse runs under a per-hash reservation: the second upload
+        // of the same bytes must get the same answer, not wait forever.
+        let svc = service(1);
+        for _ in 0..2 {
+            match svc.upload_graph("S\t1\tA\nP\tp\t1é\t*\n") {
+                Err(SubmitError::Rejected(msg)) => {
+                    assert!(msg.contains("bad orientation"), "{msg}")
+                }
+                other => panic!("expected Rejected, got {other:?}"),
+            }
+        }
+        assert_eq!(svc.stats().parses, 0);
     }
 
     #[test]

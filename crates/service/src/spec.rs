@@ -15,7 +15,7 @@
 //! running at the default priority.
 
 use crate::job::GraphSpec;
-use layout_core::{DataLayout, LayoutConfig, Precision, Toggle};
+use layout_core::{DataLayout, LayoutConfig, Precision};
 use pangraph::store::ContentHash;
 use std::fmt;
 use std::sync::Arc;
@@ -180,8 +180,6 @@ impl JobSpec {
         }
         push("precision", self.config.precision.label());
         push("term_block", &self.config.term_block.to_string());
-        push("simd", self.config.simd.label());
-        push("write_shard", self.config.write_shard.label());
         push("batch", &self.batch_size.to_string());
         push("priority", self.priority.as_str());
         if let Some(client) = &self.client {
@@ -198,6 +196,13 @@ impl JobSpec {
     /// accepted job is journaled as its wire form and rebuilt from it
     /// at crash recovery. Strict parsing, no body: journaled jobs are
     /// always by-reference (`graph=<hex>`).
+    ///
+    /// Journals written before the CPU engine lost its `simd` and
+    /// `write_shard` knobs carry both keys in every record (for example
+    /// `simd=auto&write_shard=auto`). They are dropped here, and only
+    /// here, so those records still replay instead of being skipped as
+    /// unreplayable; a `/v1/jobs` request that sends them is still a
+    /// [`SpecError::UnknownParam`].
     pub fn from_query(query: &str) -> Result<Self, SpecError> {
         let params: Vec<(String, String)> = query
             .split('&')
@@ -206,6 +211,7 @@ impl JobSpec {
                 Some((k, v)) => (decode_component(k), decode_component(v)),
                 None => (decode_component(p), String::new()),
             })
+            .filter(|(k, _)| k != "simd" && k != "write_shard")
             .collect();
         parse_job_spec(&params, Vec::new())
     }
@@ -296,7 +302,7 @@ impl std::error::Error for SpecError {}
 
 /// Query parameters the job-submission route defines. Anything else is
 /// a [`SpecError::UnknownParam`].
-const KNOWN_PARAMS: [&str; 14] = [
+const KNOWN_PARAMS: [&str; 12] = [
     "engine",
     "iters",
     "threads",
@@ -305,8 +311,6 @@ const KNOWN_PARAMS: [&str; 14] = [
     "soa",
     "precision",
     "term_block",
-    "simd",
-    "write_shard",
     "graph",
     "priority",
     "client",
@@ -373,20 +377,6 @@ pub fn parse_job_spec(params: &[(String, String)], body: Vec<u8>) -> Result<JobS
             param: "precision",
             value: v.to_string(),
             expected: "f32 | f64",
-        })?;
-    }
-    if let Some(v) = get("simd") {
-        config.simd = Toggle::parse_name(v).ok_or(SpecError::BadValue {
-            param: "simd",
-            value: v.to_string(),
-            expected: "auto | on | off",
-        })?;
-    }
-    if let Some(v) = get("write_shard") {
-        config.write_shard = Toggle::parse_name(v).ok_or(SpecError::BadValue {
-            param: "write_shard",
-            value: v.to_string(),
-            expected: "auto | on | off",
         })?;
     }
     parse_param!("term_block", config.term_block, "a non-negative integer");
@@ -471,8 +461,6 @@ mod tests {
             ("batch", "256"),
             ("precision", "f32"),
             ("term_block", "64"),
-            ("simd", "on"),
-            ("write_shard", "off"),
             ("graph", &id.hex()),
             ("priority", "interactive"),
             ("client", "alice"),
@@ -485,8 +473,6 @@ mod tests {
         assert_eq!(spec.config.seed, 7);
         assert_eq!(spec.config.precision, Precision::F32);
         assert_eq!(spec.config.term_block, 64);
-        assert_eq!(spec.config.simd, Toggle::On);
-        assert_eq!(spec.config.write_shard, Toggle::Off);
         assert_eq!(spec.batch_size, 256);
         assert!(matches!(spec.graph, GraphSpec::Stored(h) if h == id));
         assert_eq!(spec.priority, Priority::Interactive);
@@ -523,8 +509,6 @@ mod tests {
             ("ttl_ms", "-4"),
             ("batch", "x"),
             ("precision", "f16"),
-            ("simd", "yes"),
-            ("write_shard", "maybe"),
             ("term_block", "many"),
             ("term_block", "99999999999"),
         ] {
@@ -599,8 +583,6 @@ mod tests {
         spec.config.precision = Precision::F32;
         spec.config.data_layout = DataLayout::OriginalSoa;
         spec.config.term_block = 2048;
-        spec.config.simd = Toggle::On;
-        spec.config.write_shard = Toggle::Off;
         spec.batch_size = 512;
         spec.queue_ttl = Some(Duration::from_millis(2500));
         let back = reparse(&spec.to_query());
@@ -612,8 +594,6 @@ mod tests {
         assert_eq!(back.config.precision, Precision::F32);
         assert_eq!(back.config.data_layout, DataLayout::OriginalSoa);
         assert_eq!(back.config.term_block, 2048);
-        assert_eq!(back.config.simd, Toggle::On);
-        assert_eq!(back.config.write_shard, Toggle::Off);
         assert_eq!(back.batch_size, 512);
         assert_eq!(back.priority, Priority::Bulk);
         assert_eq!(back.client.as_deref(), Some("team a&b=c/…"));
@@ -655,6 +635,23 @@ mod tests {
         // Corrupt journal lines surface as typed errors, not panics.
         assert!(JobSpec::from_query("engine=cpu&bogus=1").is_err());
         assert!(JobSpec::from_query("iters=banana").is_err());
+    }
+
+    #[test]
+    fn journal_records_with_retired_kernel_knobs_still_replay() {
+        let old = "engine=cpu&graph=7a0ede822d68d9254c8d4222300ed296&iters=30&threads=2&seed=93992202&precision=f64&term_block=256&simd=auto&write_shard=auto&batch=1024&priority=normal";
+        let spec = JobSpec::from_query(old).expect("a parent-format journal record replays");
+        assert_eq!(spec.config.iter_max, 30);
+        assert_eq!(spec.config.threads, 2);
+        assert_eq!(spec.config.term_block, 256);
+        assert!(!spec.to_query().contains("simd"), "{}", spec.to_query());
+        // The submission API still rejects both keys.
+        for key in ["simd", "write_shard"] {
+            assert_eq!(
+                parse_job_spec(&q(&[(key, "auto")]), Vec::new()).unwrap_err(),
+                SpecError::UnknownParam(key.into())
+            );
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! multi-threaded Hogwild) against the faithful f64 single-thread
 //! baseline on a bundled workload preset.
 
-use layout_core::{CpuEngine, LayoutConfig, Precision, Toggle};
+use layout_core::{CpuEngine, LayoutConfig, Precision};
 use pangraph::layout2d::Layout2D;
 use pangraph::lean::LeanGraph;
 use pgmetrics::{sampled_path_stress, SamplingConfig};
@@ -77,27 +77,6 @@ fn term_block_size_is_invisible_to_single_thread_results() {
 }
 
 #[test]
-fn write_shard_toggle_is_invisible_to_single_thread_results() {
-    // At one thread every node is owned by the single shard, so the
-    // sharded write path must reduce to the direct path bit-for-bit —
-    // same sampling, same application order, no spills.
-    let lean = preset_graph();
-    for precision in [Precision::F64, Precision::F32] {
-        let mut off = cfg(1, precision);
-        off.write_shard = Toggle::Off;
-        off.iter_max = 5;
-        let mut on = off.clone();
-        on.write_shard = Toggle::On;
-        let a = CpuEngine::new(off).run(&lean).0;
-        let b = CpuEngine::new(on).run(&lean).0;
-        assert_eq!(
-            a, b,
-            "{precision:?}: write_shard must be a no-op at one thread"
-        );
-    }
-}
-
-#[test]
 fn fast_paths_reach_stress_parity_with_the_f64_single_thread_baseline() {
     // The acceptance bar of the hot-path overhaul: racing threads and
     // fp32 coordinates are performance axes, not quality axes. Each
@@ -115,31 +94,12 @@ fn fast_paths_reach_stress_parity_with_the_f64_single_thread_baseline() {
         stress(&layout, &lean)
     };
     assert!(baseline.is_finite() && baseline > 0.0);
-    let simd_1t_f64 = LayoutConfig {
-        simd: Toggle::On,
-        ..full(1, Precision::F64)
-    };
-    let sharded_4t = LayoutConfig {
-        write_shard: Toggle::On,
-        ..full(4, Precision::F64)
-    };
-    let pure_hogwild_4t = LayoutConfig {
-        write_shard: Toggle::Off,
-        ..full(4, Precision::F64)
-    };
     for (label, config) in [
         ("f32 single-thread", full(1, Precision::F32)),
-        (
-            "f64 four-thread (auto: simd + sharded)",
-            full(4, Precision::F64),
-        ),
-        (
-            "f32 four-thread (auto: simd + sharded)",
-            full(4, Precision::F32),
-        ),
-        ("f64 single-thread simd kernel", simd_1t_f64),
-        ("f64 four-thread sharded writes", sharded_4t),
-        ("f64 four-thread pure hogwild", pure_hogwild_4t),
+        // The `layout-cache` benchmark's configuration.
+        ("f64 two-thread", full(2, Precision::F64)),
+        ("f64 four-thread", full(4, Precision::F64)),
+        ("f32 four-thread", full(4, Precision::F32)),
     ] {
         let layout = CpuEngine::new(config).run(&lean).0;
         let s = stress(&layout, &lean);

@@ -143,6 +143,19 @@ fn converse(front: SocketAddr) -> Transcript {
         .and_then(Json::str)
         .expect("graph id");
     step("upload again", "POST", "/v1/graphs", gfa.as_bytes());
+    // Graphs with nothing to lay out are refused, never laid out `done`.
+    for (name, body, why) in [
+        ("upload without segments", "H\tVN:Z:1.0\n", "no segments"),
+        (
+            "upload without a path",
+            "S\t1\tACGT\nS\t2\tGG\nP\tp\t1+\t*\n",
+            "no path with two or more steps",
+        ),
+    ] {
+        let error = json(&step(name, "POST", "/v1/graphs", body.as_bytes()));
+        let error = error.get("error").and_then(Json::str).unwrap_or_default();
+        assert!(error.contains(why), "{name}: {error}");
+    }
     let submit = format!("/v1/jobs?graph={graph}&engine=cpu&iters=5&threads=1&seed=7");
     let ticket = json(&step("submit by reference", "POST", &submit, b""));
     let job = ticket.get("job").and_then(Json::u64).expect("job id");
@@ -217,9 +230,11 @@ fn converse(front: SocketAddr) -> Transcript {
     Transcript { statuses, lay }
 }
 
-const EXPECTED: [(&str, u16); 18] = [
+const EXPECTED: [(&str, u16); 20] = [
     ("upload", 201),
     ("upload again", 200),
+    ("upload without segments", 400),
+    ("upload without a path", 400),
     ("submit by reference", 202),
     ("status", 200),
     ("events", 200),
