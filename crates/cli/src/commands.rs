@@ -12,6 +12,7 @@ use pangraph::stats::GraphStats;
 use pangraph::{parse_gfa_reader, write_gfa, VariationGraph};
 use pgio::{layout_to_tsv, load_lay, save_lay, Json};
 use pgl_service::cluster::client;
+use pgl_service::http::percent_encode;
 use pgl_service::{
     run_batch, BatchOptions, EngineRegistry, HttpConfig, HttpServer, JobState, LayoutService,
     Priority, ServiceConfig,
@@ -68,8 +69,8 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
              path answers 404). Upload-once workflow: POST\n\
              /v1/graphs (GFA body) parses the graph once and returns {graph_id,...};\n\
              then POST /v1/jobs?graph=<id> lays it out by reference (engine=cpu|\n\
-             batch|gpu|gpu-a100, iters, threads, seed, batch, soa, precision=f32|\n\
-             f64, term_block=N) with no re-upload\n\
+             batch, iters, threads, seed, batch, soa, precision=f32|f64,\n\
+             term_block=N) with no re-upload\n\
              or re-parse — plus scheduling params priority=interactive|normal|bulk,\n\
              client=<key> (fair-share identity, default: peer IP), ttl_ms=<n> (fail\n\
              if still queued after n ms). Jobs are scheduled by priority band with\n\
@@ -180,7 +181,7 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
              throughput."
         }
         "batch" => {
-            "pgl batch <dir> -o <outdir> [--engine cpu|batch|gpu|gpu-a100[,more...]]\n\
+            "pgl batch <dir> -o <outdir> [--engine cpu|batch[,more...]]\n\
              \u{20}         [--workers N] [--iters N] [--threads N] [--seed N] [--tsv]\n\
              \u{20}         [--timeout SECS] [--resume] [--priority P] [--client KEY]\n\
              Lay out every .gfa in <dir> concurrently through the service worker pool,\n\
@@ -437,7 +438,6 @@ pub fn serve(p: ArgParser) -> CmdResult {
         cache_max_bytes: p.parse_or("--cache-max-bytes", 0u64)?,
         cache_ttl: (cache_ttl_secs > 0).then(|| std::time::Duration::from_secs(cache_ttl_secs)),
         graph_quota: p.parse_or("--graph-quota", 0usize)?,
-        ..ServiceConfig::default()
     };
     let http_defaults = HttpConfig::default();
     let http_cfg = HttpConfig {
@@ -446,7 +446,6 @@ pub fn serve(p: ArgParser) -> CmdResult {
             p.parse_or("--keep-alive", http_defaults.keep_alive.as_secs())?,
         ),
         rate_limit: p.parse_or("--rate-limit", 0.0f64)?,
-        ..http_defaults
     };
     let workers = cfg.resolved_workers();
     let cache_note = cfg
@@ -543,7 +542,6 @@ pub fn coordinator(p: ArgParser) -> CmdResult {
         max_conns: p.parse_or("--max-conns", defaults.max_conns)?.max(1),
         journal_dir: p.value("--journal-dir").map(std::path::PathBuf::from),
         vault_max_bytes: p.parse_or("--vault-max-bytes", defaults.vault_max_bytes)?,
-        ..defaults
     };
     let heartbeat_ms = cfg.heartbeat.as_millis();
     let max_conns = cfg.max_conns;
@@ -593,15 +591,15 @@ pub fn submit(p: ArgParser) -> CmdResult {
     let gfa = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
     let mut query = vec![format!(
         "engine={}",
-        client::encode_query(p.value("--engine").unwrap_or("cpu"))
+        percent_encode(p.value("--engine").unwrap_or("cpu"))
     )];
     for flag in ["--iters", "--threads", "--seed", "--batch"] {
         if let Some(v) = p.value(flag) {
-            query.push(format!("{}={}", &flag[2..], client::encode_query(v)));
+            query.push(format!("{}={}", &flag[2..], percent_encode(v)));
         }
     }
     if let Some(v) = p.value("--term-block") {
-        query.push(format!("term_block={}", client::encode_query(v)));
+        query.push(format!("term_block={}", percent_encode(v)));
     }
     if p.has("--soa") {
         query.push("soa=1".into());
@@ -611,10 +609,10 @@ pub fn submit(p: ArgParser) -> CmdResult {
     }
     query.push(format!("priority={}", parse_priority(&p)?.as_str()));
     if let Some(client) = p.value("--client") {
-        query.push(format!("client={}", client::encode_query(client)));
+        query.push(format!("client={}", percent_encode(client)));
     }
     if let Some(ttl) = p.value("--ttl-ms") {
-        query.push(format!("ttl_ms={}", client::encode_query(ttl)));
+        query.push(format!("ttl_ms={}", percent_encode(ttl)));
     }
     let path = format!("/v1/jobs?{}", query.join("&"));
     let (status, body) = client::request_with_timeout(&addr, "POST", &path, &gfa, SUBMIT_TIMEOUT)?;

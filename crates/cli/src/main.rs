@@ -14,7 +14,7 @@
 //! pgl draw     g.gfa g.lay -o g.svg [--ppm]             # render
 //! pgl tsv      g.lay -o g.tsv                           # export coordinates
 //! pgl serve    [--port 7878]                            # HTTP layout service (/v1 API)
-//! pgl batch    graphs/ -o layouts/ [--engine gpu]       # lay out a directory
+//! pgl batch    graphs/ -o layouts/ [--engine batch]     # lay out a directory
 //! pgl submit   g.gfa --priority interactive --watch     # job via a running server
 //! pgl watch    17                                       # stream a job's events
 //! ```

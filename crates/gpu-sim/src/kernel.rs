@@ -30,7 +30,7 @@ use layout_core::coords::DataLayout;
 use layout_core::init::init_linear;
 use layout_core::schedule::Schedule;
 use layout_core::step::term_deltas;
-use layout_core::{LayoutControl, LayoutEngine};
+use layout_core::LayoutEngine;
 use pangraph::layout2d::Layout2D;
 use pangraph::lean::LeanGraph;
 use pgrng::{AliasTable, Rng32, Rng64, StateLayout, StatePool, ZipfTable};
@@ -224,35 +224,6 @@ impl GpuEngine {
 
     /// Run the full layout schedule on the simulated device.
     pub fn run(&self, lean: &LeanGraph) -> (Layout2D, GpuReport) {
-        self.run_inner(lean, None)
-            .expect("uncontrolled run cannot be cancelled")
-    }
-
-    /// Run under a [`LayoutControl`]: progress is published after every
-    /// simulated kernel launch and cancellation is honored at launch
-    /// boundaries — the device-side analog of the CPU engine's
-    /// iteration barrier (one launch per iteration, Sec. V-A). Returns
-    /// `None` when the run was cancelled.
-    pub fn run_controlled(
-        &self,
-        lean: &LeanGraph,
-        ctl: &LayoutControl,
-    ) -> Option<(Layout2D, GpuReport)> {
-        if ctl.is_cancelled() {
-            return None;
-        }
-        let result = self.run_inner(lean, Some(ctl));
-        if result.is_some() {
-            ctl.finish();
-        }
-        result
-    }
-
-    fn run_inner(
-        &self,
-        lean: &LeanGraph,
-        ctl: Option<&LayoutControl>,
-    ) -> Option<(Layout2D, GpuReport)> {
         let lcfg = &self.lcfg;
         let kcfg = &self.kcfg;
         let spec = &self.spec;
@@ -260,7 +231,7 @@ impl GpuEngine {
 
         let total_steps = lean.total_steps() as u64;
         if total_steps == 0 || lean.max_path_steps() < 2 {
-            return Some((
+            return (
                 coords.to_layout(),
                 GpuReport {
                     warp: WarpStats::default(),
@@ -276,7 +247,7 @@ impl GpuEngine {
                     terms_applied: 0,
                     sim_wall: Duration::ZERO,
                 },
-            ));
+            );
         }
 
         let d_max = (lean.max_path_nuc_len() as f64).max(1.0);
@@ -350,16 +321,6 @@ impl GpuEngine {
                     }
                 }
             });
-            // The par_iter join is the inter-block synchronization
-            // point — and therefore the cancellation boundary: every
-            // simulated SM has finished the launch before we decide
-            // whether to schedule the next one.
-            if let Some(ctl) = ctl {
-                ctl.set_progress(iter as u64 + 1, lcfg.iter_max as u64);
-                if ctl.is_cancelled() {
-                    return None;
-                }
-            }
         }
         let sim_wall = t0.elapsed();
 
@@ -378,7 +339,7 @@ impl GpuEngine {
         let launches = lcfg.iter_max as u64 + 1;
         let timing = TimingModel::evaluate(spec, &warp, &mem, launches);
 
-        Some((
+        (
             coords.to_layout(),
             GpuReport {
                 warp,
@@ -389,7 +350,7 @@ impl GpuEngine {
                 terms_applied: applied,
                 sim_wall,
             },
-        ))
+        )
     }
 }
 
@@ -729,10 +690,6 @@ impl LayoutEngine for GpuEngine {
     fn layout(&self, lean: &LeanGraph) -> Layout2D {
         self.run(lean).0
     }
-
-    fn layout_controlled(&self, lean: &LeanGraph, ctl: &LayoutControl) -> Option<Layout2D> {
-        self.run_controlled(lean, ctl).map(|(layout, _)| layout)
-    }
 }
 
 #[cfg(test)]
@@ -977,46 +934,5 @@ mod tests {
     #[should_panic(expected = "inflate")]
     fn bad_reuse_scheme_rejected() {
         let _ = KernelConfig::base(1.0).with_reuse(0, 1.0);
-    }
-
-    #[test]
-    fn controlled_run_completes_with_full_progress() {
-        let lean = test_graph(80, 3, 11);
-        let ctl = LayoutControl::new();
-        let engine = GpuEngine::new(GpuSpec::a6000(), fast_lcfg(), KernelConfig::optimized(0.01));
-        let (layout, report) = engine
-            .run_controlled(&lean, &ctl)
-            .expect("uncancelled run completes");
-        assert!(layout.all_finite());
-        assert_eq!(ctl.progress(), 1.0);
-        assert_eq!(report.launches, fast_lcfg().iter_max as u64 + 1);
-    }
-
-    #[test]
-    fn cancel_mid_run_stops_at_a_launch_boundary() {
-        let lean = test_graph(100, 3, 12);
-        // Far more launches than we are willing to simulate: the test
-        // only terminates promptly because cancellation works.
-        let lcfg = LayoutConfig {
-            iter_max: 1_000_000,
-            steps_per_path_node: 1.0,
-            ..LayoutConfig::default()
-        };
-        let engine = GpuEngine::new(GpuSpec::a6000(), lcfg, KernelConfig::optimized(0.01));
-        let ctl = LayoutControl::new();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                while ctl.progress() == 0.0 {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                ctl.cancel();
-            });
-            assert!(engine.run_controlled(&lean, &ctl).is_none());
-        });
-        // Pre-cancelled runs never start.
-        let pre = LayoutControl::new();
-        pre.cancel();
-        let quick = GpuEngine::new(GpuSpec::a6000(), fast_lcfg(), KernelConfig::optimized(0.01));
-        assert!(quick.run_controlled(&lean, &pre).is_none());
     }
 }

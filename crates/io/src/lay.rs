@@ -14,7 +14,6 @@
 //! ys      16N B f64 × 2N
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pangraph::layout2d::Layout2D;
 use std::fmt;
 
@@ -54,49 +53,45 @@ impl fmt::Display for LayError {
 impl std::error::Error for LayError {}
 
 /// Serialize a layout.
-pub fn write_lay(layout: &Layout2D) -> Bytes {
+pub fn write_lay(layout: &Layout2D) -> Vec<u8> {
     let n = layout.node_count();
-    let mut buf = BytesMut::with_capacity(16 + 32 * n);
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(n as u64);
-    for &x in layout.xs() {
-        buf.put_f64_le(x);
+    let mut buf = Vec::with_capacity(16 + 32 * n);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&(n as u64).to_le_bytes());
+    for &v in layout.xs().iter().chain(layout.ys()) {
+        buf.extend_from_slice(&v.to_le_bytes());
     }
-    for &y in layout.ys() {
-        buf.put_f64_le(y);
-    }
-    buf.freeze()
+    buf
 }
 
 /// Deserialize a layout.
-pub fn read_lay(mut data: &[u8]) -> Result<Layout2D, LayError> {
-    if data.len() < 16 {
+pub fn read_lay(data: &[u8]) -> Result<Layout2D, LayError> {
+    let Some((header, body)) = data.split_first_chunk::<16>() else {
         return Err(LayError::Truncated {
             expected: 16,
             actual: data.len(),
         });
-    }
-    if &data[..8] != MAGIC {
+    };
+    let (magic, count) = header.split_at(8);
+    if magic != MAGIC {
         return Err(LayError::BadMagic);
     }
-    data.advance(8);
-    let n = data.get_u64_le();
+    let n = u64::from_le_bytes(count.try_into().expect("8-byte count"));
     let payload = (n as usize).checked_mul(32).ok_or(LayError::BadCount(n))?;
-    if data.len() < payload {
+    if body.len() < payload {
         return Err(LayError::Truncated {
             expected: 16 + payload,
-            actual: 16 + data.len(),
+            actual: data.len(),
         });
     }
-    let mut xs = Vec::with_capacity(2 * n as usize);
-    for _ in 0..2 * n {
-        xs.push(data.get_f64_le());
-    }
-    let mut ys = Vec::with_capacity(2 * n as usize);
-    for _ in 0..2 * n {
-        ys.push(data.get_f64_le());
-    }
-    Ok(Layout2D::from_flat(xs, ys))
+    let (xs, ys) = body[..payload].split_at(payload / 2);
+    let floats = |bytes: &[u8]| -> Vec<f64> {
+        bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect()
+    };
+    Ok(Layout2D::from_flat(floats(xs), floats(ys)))
 }
 
 /// Write a layout to a file path.
@@ -169,9 +164,8 @@ mod tests {
 
     #[test]
     fn absurd_count_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u64_le(u64::MAX);
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
         match read_lay(&buf) {
             Err(LayError::BadCount(_)) | Err(LayError::Truncated { .. }) => {}
             other => panic!("expected failure, got {other:?}"),

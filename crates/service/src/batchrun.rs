@@ -4,7 +4,7 @@
 //!
 //! **Parse-once fan-out:** each input file is read and interned into the
 //! service's graph store exactly once, then submitted by reference to
-//! every requested engine (`--engine cpu,gpu` compares engines without
+//! every requested engine (`--engine cpu,batch` compares engines without
 //! paying ingestion twice). With one engine, outputs are
 //! `<stem>.lay` as before; with several, `<stem>.<engine>.lay`.
 

@@ -322,28 +322,15 @@ fn read_chunked(
     }
 }
 
-/// Minimal query-component escaping for addresses and client keys.
-pub fn encode_query(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for b in value.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::percent_encode;
 
     #[test]
     fn query_encoding_escapes_reserved_bytes() {
-        assert_eq!(encode_query("127.0.0.1:7878"), "127.0.0.1%3A7878");
-        assert_eq!(encode_query("plain-key_1.~"), "plain-key_1.~");
+        assert_eq!(percent_encode("127.0.0.1:7878"), "127.0.0.1%3A7878");
+        assert_eq!(percent_encode("plain-key_1.~"), "plain-key_1.~");
     }
 
     #[test]

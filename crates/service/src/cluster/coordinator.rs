@@ -34,13 +34,13 @@
 //!   resubmits. Both hash the same bytes, so the ids agree by
 //!   construction.
 //! * **Death is drain-and-requeue, at-least-once.** Workers heartbeat;
-//!   after [`CoordinatorConfig::dead_after`] missed intervals (or a
-//!   connection error) a worker is marked dead and its forwarded jobs
+//!   after three missed intervals (`DEAD_AFTER`) or a connection
+//!   error, a worker is marked dead and its forwarded jobs
 //!   are pushed back into the queue, routing to the next worker in the
 //!   ring's preference order. A job that was mid-run on a partitioned
 //!   worker may therefore execute twice — layouts are deterministic
 //!   per spec, so duplicated work is wasted, not wrong. A job is
-//!   failed only after [`CoordinatorConfig::max_attempts`] forwards.
+//!   failed only after five forwards (`MAX_ATTEMPTS`).
 //! * **Proxies rewrite only the job id.** Status, trace, result, and
 //!   event-stream bytes come from the owning worker with the remote id
 //!   swapped for the coordinator's. A proxied event stream tracks the
@@ -62,14 +62,16 @@
 use super::client::{self, Backoff};
 use super::journal::{self, GraphRecord, JobRecordState, Journal};
 use super::ring::HashRing;
+use crate::cache::GraphMeta;
 use crate::http::{
-    Endpoint, EventStream, HttpConfig, Request, Response, Routed, Router, Server, PROMETHEUS_TEXT,
+    graph_deleted, graph_listing, graph_uploaded, job_ticket, Endpoint, EventStream, HttpConfig,
+    Request, Response, Routed, Router, Server, PROMETHEUS_TEXT,
 };
 use crate::httpmetrics::HttpMetrics;
 use crate::job::{GraphSpec, JobId};
 use crate::obs;
 use crate::sched::{job_cost, FairScheduler};
-use crate::service::parse_layout_input;
+use crate::service::{parse_layout_input, GraphUpload, SubmitTicket};
 use crate::spec::{JobSpec, Priority};
 use pangraph::store::{content_hash, evict_dir_to_cap, ContentHash};
 use pgio::{quote, Json};
@@ -86,11 +88,6 @@ pub struct CoordinatorConfig {
     /// Worker heartbeat interval, advertised in the join/heartbeat
     /// response so the fleet shares one clock.
     pub heartbeat: Duration,
-    /// Missed heartbeat intervals before a worker is declared dead and
-    /// its in-flight jobs are requeued.
-    pub dead_after: u32,
-    /// Forward attempts per job before it is failed outright.
-    pub max_attempts: u32,
     /// Fleet-wide cap on concurrently forwarded jobs per graph
     /// (`0` = unlimited): one hot graph cannot monopolize its owning
     /// worker while other graphs' jobs wait.
@@ -113,8 +110,6 @@ impl Default for CoordinatorConfig {
     fn default() -> Self {
         Self {
             heartbeat: Duration::from_secs(2),
-            dead_after: 3,
-            max_attempts: 5,
             graph_quota: 0,
             max_conns: 64,
             journal_dir: None,
@@ -122,6 +117,13 @@ impl Default for CoordinatorConfig {
         }
     }
 }
+
+/// Missed heartbeat intervals before a worker is declared dead and its
+/// in-flight jobs are requeued.
+const DEAD_AFTER: u32 = 3;
+
+/// Forward attempts per job before it is failed outright.
+const MAX_ATTEMPTS: u32 = 5;
 
 /// Job states a worker reports that end the coordinator's involvement.
 const TERMINAL_STATES: [&str; 4] = ["done", "failed", "cancelled", "expired"];
@@ -705,7 +707,7 @@ fn requeue(shared: &CoordShared, id: JobId, count: bool, reason: &str) {
         if count {
             job.attempts += 1;
         }
-        if job.attempts >= shared.cfg.max_attempts {
+        if job.attempts >= MAX_ATTEMPTS {
             true
         } else {
             job.state = CoordJobState::Queued;
@@ -724,7 +726,7 @@ fn requeue(shared: &CoordShared, id: JobId, count: bool, reason: &str) {
             "failed",
             Some(&format!(
                 "gave up after {} forward attempts ({reason})",
-                shared.cfg.max_attempts
+                MAX_ATTEMPTS
             )),
         );
         return;
@@ -779,7 +781,7 @@ fn monitor(shared: &CoordShared) {
 }
 
 fn death_sweep(shared: &CoordShared) {
-    let deadline = shared.cfg.heartbeat * shared.cfg.dead_after;
+    let deadline = shared.cfg.heartbeat * DEAD_AFTER;
     let newly_dead: Vec<String> = {
         let mut workers = shared.workers.lock().unwrap();
         workers
@@ -934,7 +936,7 @@ impl Router for CoordShared {
             Endpoint::Join => register(self, req.param("addr"), true),
             Endpoint::Heartbeat => register(self, req.param("addr"), false),
             Endpoint::UploadGraph => intern_graph(req, self),
-            Endpoint::ListGraphs => list_graphs(self),
+            Endpoint::ListGraphs => list_graphs(self, req.if_none_match.as_deref()),
             Endpoint::DeleteGraph(id) => delete_graph(self, id),
             Endpoint::Submit => submit(req, self),
             Endpoint::Events { job, from } => {
@@ -1028,18 +1030,8 @@ fn intern_graph(req: &mut Request, shared: &CoordShared) -> Response {
         return Response::error(400, "empty GFA body");
     }
     match intern_gfa(shared, gfa) {
+        Ok(up) => graph_uploaded(&up),
         Err(response) => response,
-        Ok((id, nodes, paths, steps, dedup)) => Response::json(
-            if dedup { 200 } else { 201 },
-            format!(
-                "{{\"graph_id\":{},\"nodes\":{},\"paths\":{},\"steps\":{},\"dedup\":{}}}",
-                quote(&id.hex()),
-                nodes,
-                paths,
-                steps,
-                dedup
-            ),
-        ),
     }
 }
 
@@ -1047,14 +1039,17 @@ fn intern_graph(req: &mut Request, shared: &CoordShared) -> Response {
 /// hash, validate-parse new documents, and — in journal mode — spill
 /// the bytes to the on-disk vault write-through (they do not stay
 /// resident), journal the `G` record (fsync'd), and enforce the vault
-/// byte cap. Returns `(id, nodes, paths, steps, dedup)`.
-fn intern_gfa(
-    shared: &CoordShared,
-    gfa: String,
-) -> Result<(ContentHash, usize, usize, usize, bool), Response> {
+/// byte cap.
+fn intern_gfa(shared: &CoordShared, gfa: String) -> Result<GraphUpload, Response> {
     let id = content_hash(gfa.as_bytes());
-    if let Some(entry) = shared.vault.lock().unwrap().get(&id) {
-        return Ok((id, entry.nodes, entry.paths, entry.steps, true));
+    if let Some(g) = shared.vault.lock().unwrap().get(&id) {
+        return Ok(GraphUpload {
+            id,
+            nodes: g.nodes,
+            paths: g.paths,
+            steps: g.steps,
+            dedup: true,
+        });
     }
     let parsed = parse_layout_input(&gfa).map_err(|e| Response::error(400, &e))?;
     let (nodes, paths, steps) = (
@@ -1106,7 +1101,13 @@ fn intern_gfa(
         }
         enforce_vault_cap(shared);
     }
-    Ok((id, nodes, paths, steps, raced))
+    Ok(GraphUpload {
+        id,
+        nodes,
+        paths,
+        steps,
+        dedup: raced,
+    })
 }
 
 /// Evict the oldest vault spills until the on-disk tier fits
@@ -1136,35 +1137,26 @@ fn enforce_vault_cap(shared: &CoordShared) {
     }
 }
 
-/// `GET /v1/graphs` — the vault's catalog.
-fn list_graphs(shared: &CoordShared) -> Response {
-    let vault = shared.vault.lock().unwrap();
-    let mut rows: Vec<(String, String)> = vault
+/// `GET /v1/graphs` — the vault's catalog. A row's `bytes` is the GFA
+/// text's length; `resident` says whether that text is held in memory
+/// (no journal) or only in the on-disk vault.
+fn list_graphs(shared: &CoordShared, if_none_match: Option<&str>) -> Response {
+    let mut graphs: Vec<GraphMeta> = shared
+        .vault
+        .lock()
+        .unwrap()
         .iter()
-        .map(|(id, g)| {
-            (
-                id.hex(),
-                format!(
-                    "{{\"graph_id\":{},\"nodes\":{},\"paths\":{},\"steps\":{},\"bytes\":{}}}",
-                    quote(&id.hex()),
-                    g.nodes,
-                    g.paths,
-                    g.steps,
-                    g.bytes
-                ),
-            )
+        .map(|(&id, g)| GraphMeta {
+            id,
+            nodes: g.nodes,
+            paths: g.paths,
+            steps: g.steps,
+            bytes: g.bytes,
+            resident: g.gfa.is_some(),
         })
         .collect();
-    rows.sort();
-    let graphs: Vec<String> = rows.into_iter().map(|(_, row)| row).collect();
-    Response::json(
-        200,
-        format!(
-            "{{\"count\":{},\"graphs\":[{}]}}",
-            graphs.len(),
-            graphs.join(",")
-        ),
-    )
+    graphs.sort_by_key(|m| m.id);
+    graph_listing(&graphs, if_none_match)
 }
 
 /// `DELETE /v1/graphs/<id>` — drop from the vault and (best effort)
@@ -1184,7 +1176,7 @@ fn delete_graph(shared: &CoordShared, id: ContentHash) -> Response {
     for worker in ring.owners(id) {
         let _ = client::request(worker, "DELETE", &format!("/v1/graphs/{}", id.hex()), b"");
     }
-    Response::json(200, format!("{{\"deleted\":{}}}", quote(&id.hex())))
+    graph_deleted(id)
 }
 
 /// `POST /v1/jobs` — parse the spec exactly like a worker would, intern
@@ -1197,13 +1189,13 @@ fn submit(req: &mut Request, shared: &CoordShared) -> Response {
     };
     let (graph, steps) = match &spec.graph {
         GraphSpec::Gfa(text) => {
-            let (id, _, _, steps, _) = match intern_gfa(shared, text.as_ref().clone()) {
-                Ok(interned) => interned,
+            let up = match intern_gfa(shared, text.as_ref().clone()) {
+                Ok(up) => up,
                 Err(response) => return response,
             };
             // Forward by reference: the body already lives in the vault.
-            spec.graph = GraphSpec::Stored(id);
-            (id, steps)
+            spec.graph = GraphSpec::Stored(up.id);
+            (up.id, up.steps)
         }
         GraphSpec::Stored(id) => match shared.vault.lock().unwrap().get(id) {
             Some(entry) => (*id, entry.steps),
@@ -1251,14 +1243,12 @@ fn submit(req: &mut Request, shared: &CoordShared) -> Response {
         .push_keyed(priority, &client_key, id, cost, graph);
     shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
     shared.queue_cv.notify_all();
-    Response::json(
-        202,
-        format!(
-            "{{\"job\":{id},\"cached\":false,\"state\":\"queued\",\"graph\":{},\"priority\":\"{}\"}}",
-            quote(&graph.hex()),
-            priority.as_str()
-        ),
-    )
+    job_ticket(&SubmitTicket {
+        id,
+        cached: false,
+        graph,
+        priority,
+    })
 }
 
 /// Synthesized status for a job the coordinator still holds (queued or
@@ -1990,8 +1980,6 @@ mod tests {
     fn config_defaults_are_sane() {
         let cfg = CoordinatorConfig::default();
         assert!(cfg.heartbeat >= Duration::from_millis(100));
-        assert!(cfg.dead_after >= 1);
-        assert!(cfg.max_attempts >= 1);
         assert!(cfg.max_conns >= 1);
         assert!(cfg.journal_dir.is_none(), "journal is opt-in");
         assert_eq!(cfg.vault_max_bytes, 0, "vault cap off by default");

@@ -12,6 +12,7 @@
 //! nothing here; the *coordinator* owns death detection.
 
 use super::client;
+use crate::http::percent_encode;
 use crate::obs;
 use pgio::{quote, Json};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -135,10 +136,7 @@ pub fn spawn_heartbeat(
             let mut interval = interval.max(STOP_CHECK);
             let mut endpoint = "join";
             while !stop.load(Ordering::Relaxed) {
-                let path = format!(
-                    "/v1/cluster/{endpoint}?addr={}",
-                    client::encode_query(&advertise)
-                );
+                let path = format!("/v1/cluster/{endpoint}?addr={}", percent_encode(&advertise));
                 match client::request(&coordinator, "POST", &path, b"") {
                     Ok((200, body)) => {
                         let reply = Json::parse(&body).ok();

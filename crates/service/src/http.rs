@@ -53,7 +53,9 @@
 //! of [`HttpConfig::max_conns`] handler threads. When the queue is full
 //! the acceptor answers `503 Service Unavailable` with a `Retry-After`
 //! header instead of spawning unboundedly or hanging the client — an
-//! overloaded server stays responsive and sheds load explicitly.
+//! overloaded server stays responsive and sheds load explicitly. A
+//! request whose handler panics gets a `500` and loses its connection;
+//! the handler thread keeps serving.
 //!
 //! Handlers speak **HTTP/1.1 keep-alive**: sequential requests are
 //! served on one connection until the client sends `Connection: close`,
@@ -73,18 +75,20 @@
 //! `Retry-After`, counted in `/v1/metrics` as
 //! `pgl_http_rate_limited_total`.
 
+use crate::cache::GraphMeta;
 use crate::cluster::ClusterRole;
 use crate::httpmetrics::{route_index, HttpMetrics, OTHER_ROUTE};
 use crate::job::{EventKind, JobEvent, JobId};
 use crate::obs;
 use crate::ratelimit::RateLimiter;
-use crate::service::{LayoutService, SubmitError};
+use crate::service::{GraphUpload, LayoutService, SubmitError, SubmitTicket};
 use crate::spec::{parse_job_spec, JobSpec, SpecError};
 use pangraph::store::{content_hash, ContentHash};
 use pgio::{layout_to_tsv, quote, write_lay};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -116,6 +120,9 @@ const SLOW_REQUEST_WARN: Duration = Duration::from_secs(1);
 /// fails once the peer is gone).
 const EVENT_HEARTBEAT: Duration = Duration::from_secs(15);
 
+/// Seconds advertised in the `Retry-After` header of 429s and 503s.
+const RETRY_AFTER_SECS: u32 = 1;
+
 /// Content type of the Prometheus text exposition.
 pub(crate) const PROMETHEUS_TEXT: &str = "text/plain; version=0.0.4";
 
@@ -138,8 +145,6 @@ pub struct HttpConfig {
     /// Keep-alive idle timeout between requests on one connection.
     /// Zero disables connection reuse (every response closes).
     pub keep_alive: Duration,
-    /// Seconds advertised in the `Retry-After` header of overload 503s.
-    pub retry_after_secs: u32,
     /// Sustained requests per second allowed per client IP (burst of
     /// about one second's worth). `0.0` disables rate limiting.
     pub rate_limit: f64,
@@ -150,7 +155,6 @@ impl Default for HttpConfig {
         Self {
             max_conns: 64,
             keep_alive: Duration::from_secs(5),
-            retry_after_secs: 1,
             rate_limit: 0.0,
         }
     }
@@ -280,7 +284,7 @@ pub(crate) struct Request {
     /// Client-side keep-alive verdict (version default + `Connection`).
     keep_alive: bool,
     /// `If-None-Match` value, for `ETag` revalidation on `GET /v1/graphs`.
-    if_none_match: Option<String>,
+    pub(crate) if_none_match: Option<String>,
     /// The peer's IP: the rate limiter's bucket and the default
     /// fair-share client key.
     peer: IpAddr,
@@ -318,8 +322,8 @@ pub(crate) struct Response {
     status: u16,
     content_type: &'static str,
     body: Vec<u8>,
-    /// Seconds for a `Retry-After` header (rate-limit 429s).
-    retry_after: Option<u32>,
+    /// Send a `Retry-After` header (429s and stream-cap 503s).
+    retry_after: bool,
     /// `ETag` header value (already quoted), when the resource has one.
     etag: Option<String>,
 }
@@ -334,7 +338,7 @@ impl Response {
             status,
             content_type,
             body,
-            retry_after: None,
+            retry_after: false,
             etag: None,
         }
     }
@@ -451,7 +455,7 @@ impl Server {
                 Ok(()) => pool.metrics.record_accepted(),
                 Err(stream) => {
                     pool.metrics.record_rejected();
-                    reject_overloaded(stream, &pool.cfg);
+                    reject_overloaded(stream);
                 }
             }
         }
@@ -594,27 +598,45 @@ impl Pool {
             if_none_match: head.if_none_match,
             peer,
         };
+        // A panicking handler costs its request a 500 and its
+        // connection, never the handler thread.
         let routed = match resolve(&req) {
-            Ok(endpoint) => self.router.route(endpoint, &mut req),
-            Err(response) => Routed::Plain(response),
+            Ok(endpoint) => {
+                catch_unwind(AssertUnwindSafe(|| self.router.route(endpoint, &mut req)))
+            }
+            Err(response) => Ok(Routed::Plain(response)),
         };
         let response = match routed {
-            Routed::Plain(response) => response,
-            Routed::Events { job, from } => {
+            Ok(Routed::Plain(response)) => response,
+            Ok(Routed::Events { job, from }) => {
                 // Streams pin this handler thread until the job's log
                 // completes; shed beyond the pool-share cap.
                 if self.streams.fetch_add(1, Ordering::Relaxed) < max_event_streams(&self.cfg) {
-                    let outcome = self.stream_events(reader.get_mut(), job, from);
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        self.stream_events(reader.get_mut(), job, from)
+                    }));
                     self.streams.fetch_sub(1, Ordering::Relaxed);
-                    let status = if outcome.is_ok() { 200 } else { 408 };
-                    self.metrics
-                        .observe_idx(route_idx, status, started.elapsed());
+                    match outcome {
+                        Ok(result) => {
+                            let status = if result.is_ok() { 200 } else { 408 };
+                            self.metrics
+                                .observe_idx(route_idx, status, started.elapsed());
+                        }
+                        Err(_) => self.handler_panicked(&req, route_idx, started),
+                    }
                     // The connection closes after a stream (Connection:
-                    // close sent).
+                    // close sent); a panicked one ends unterminated.
                     return None;
                 }
                 self.streams.fetch_sub(1, Ordering::Relaxed);
                 self.retry_later(503, "too many concurrent event streams; retry later")
+            }
+            Err(_) => {
+                self.handler_panicked(&req, route_idx, started);
+                return Some((
+                    Response::error(500, "internal error: handler panicked"),
+                    false,
+                ));
             }
         };
         let elapsed = started.elapsed();
@@ -635,6 +657,16 @@ impl Pool {
         Some((response, keep(req.keep_alive)))
     }
 
+    /// Log a request whose handler panicked and count it as a 500.
+    fn handler_panicked(&self, req: &Request, route_idx: usize, started: Instant) {
+        obs::error(
+            "http",
+            "request handler panicked",
+            &[("method", req.method.clone()), ("path", req.path.clone())],
+        );
+        self.metrics.observe_idx(route_idx, 500, started.elapsed());
+    }
+
     /// A malformed request: counted, then answered `400` and closed.
     fn bad_request(&self, msg: &str) -> Response {
         self.metrics.record_bad_request();
@@ -645,7 +677,7 @@ impl Pool {
     /// A refusal the client should retry: `status` + `Retry-After`.
     fn retry_later(&self, status: u16, msg: &str) -> Response {
         let mut response = Response::error(status, msg);
-        response.retry_after = Some(self.cfg.retry_after_secs.max(1));
+        response.retry_after = true;
         response
     }
 
@@ -853,17 +885,16 @@ const MAX_CONCURRENT_REJECTS: usize = 32;
 /// Shed one connection with `503` + `Retry-After` without occupying a
 /// handler thread — and without stalling the acceptor: the write and
 /// the drain below run on a short-lived, count-bounded thread.
-fn reject_overloaded(stream: TcpStream, cfg: &HttpConfig) {
+fn reject_overloaded(stream: TcpStream) {
     static ACTIVE_REJECTS: AtomicUsize = AtomicUsize::new(0);
     if ACTIVE_REJECTS.fetch_add(1, Ordering::Relaxed) >= MAX_CONCURRENT_REJECTS {
         ACTIVE_REJECTS.fetch_sub(1, Ordering::Relaxed);
         return; // flood: drop without ceremony
     }
-    let retry_after_secs = cfg.retry_after_secs;
     let spawned = std::thread::Builder::new()
         .name("pgl-http-shed".into())
         .spawn(move || {
-            write_503(stream, retry_after_secs);
+            write_503(stream);
             ACTIVE_REJECTS.fetch_sub(1, Ordering::Relaxed);
         });
     if spawned.is_err() {
@@ -871,12 +902,12 @@ fn reject_overloaded(stream: TcpStream, cfg: &HttpConfig) {
     }
 }
 
-fn write_503(mut stream: TcpStream, retry_after_secs: u32) {
+fn write_503(mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let body = b"{\"error\":\"server overloaded; retry later\"}";
     let head = format!(
         "HTTP/1.1 503 {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
-         Retry-After: {retry_after_secs}\r\nConnection: close\r\n\r\n",
+         Retry-After: {RETRY_AFTER_SECS}\r\nConnection: close\r\n\r\n",
         reason_phrase(503),
         body.len(),
     );
@@ -921,8 +952,8 @@ fn write_response(
         response.content_type,
         response.body.len()
     );
-    if let Some(secs) = response.retry_after {
-        head.push_str(&format!("Retry-After: {secs}\r\n"));
+    if response.retry_after {
+        head.push_str(&format!("Retry-After: {RETRY_AFTER_SECS}\r\n"));
     }
     if let Some(etag) = &response.etag {
         head.push_str(&format!("ETag: {etag}\r\n"));
@@ -1006,10 +1037,7 @@ fn read_request_head(reader: &mut BufReader<TcpStream>) -> Result<Option<Request
     let mut keep_alive = parts
         .next()
         .is_some_and(|v| v.eq_ignore_ascii_case("HTTP/1.1"));
-    let (path, query_str) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target.to_string(), String::new()),
-    };
+    let (path, query_str) = target.split_once('?').unwrap_or((target, ""));
     let mut content_length: Option<usize> = None;
     let mut if_none_match: Option<String> = None;
     let mut headers_done = false;
@@ -1063,18 +1091,10 @@ fn read_request_head(reader: &mut BufReader<TcpStream>) -> Result<Option<Request
     if content_length > MAX_BODY {
         return Err(format!("body of {content_length} bytes exceeds limit"));
     }
-    let query = query_str
-        .split('&')
-        .filter(|kv| !kv.is_empty())
-        .map(|kv| match kv.split_once('=') {
-            Some((k, v)) => (percent_decode(k), percent_decode(v)),
-            None => (percent_decode(kv), String::new()),
-        })
-        .collect();
     Ok(Some(RequestHead {
         method,
-        path,
-        query,
+        path: path.to_string(),
+        query: split_query(query_str),
         keep_alive,
         content_length,
         if_none_match,
@@ -1126,7 +1146,7 @@ impl Router for LayoutRoutes {
             Endpoint::Trace(id) => job_trace(id, service),
             Endpoint::Result(id) => job_result(id, req.param("format").unwrap_or("tsv"), service),
             Endpoint::UploadGraph => post_graph(req, service),
-            Endpoint::ListGraphs => list_graphs(service, req.if_none_match.as_deref()),
+            Endpoint::ListGraphs => graph_listing(&service.graphs(), req.if_none_match.as_deref()),
             Endpoint::DeleteGraph(id) => delete_graph(id, service),
             Endpoint::Stats => stats(service, &self.metrics),
             Endpoint::Metrics => {
@@ -1234,28 +1254,33 @@ fn post_graph(req: &mut Request, service: &LayoutService) -> Response {
         Err(_) => return Response::error(400, "GFA body must be UTF-8"),
     };
     match service.upload_graph(&gfa) {
-        Ok(up) => Response::json(
-            if up.dedup { 200 } else { 201 },
-            format!(
-                "{{\"graph_id\":{},\"nodes\":{},\"paths\":{},\"steps\":{},\"dedup\":{}}}",
-                quote(&up.id.hex()),
-                up.nodes,
-                up.paths,
-                up.steps,
-                up.dedup
-            ),
-        ),
+        Ok(up) => graph_uploaded(&up),
         Err(SubmitError::ShuttingDown) => Response::error(503, "service is shutting down"),
         Err(e) => Response::error(400, &e.to_string()),
     }
 }
 
-/// `GET /v1/graphs` — list stored graphs, with an `ETag` over the listing
-/// so pollers revalidate with `If-None-Match` → `304` instead of
-/// re-downloading an unchanged catalog.
-fn list_graphs(service: &LayoutService, if_none_match: Option<&str>) -> Response {
-    let graphs: Vec<String> = service
-        .graphs()
+/// The answer to `POST /v1/graphs` on both front ends: `201` for a new
+/// graph, `200` when the same bytes were already interned.
+pub(crate) fn graph_uploaded(up: &GraphUpload) -> Response {
+    Response::json(
+        if up.dedup { 200 } else { 201 },
+        format!(
+            "{{\"graph_id\":{},\"nodes\":{},\"paths\":{},\"steps\":{},\"dedup\":{}}}",
+            quote(&up.id.hex()),
+            up.nodes,
+            up.paths,
+            up.steps,
+            up.dedup
+        ),
+    )
+}
+
+/// The answer to `GET /v1/graphs` on both front ends, with an `ETag`
+/// over the listing so pollers revalidate with `If-None-Match` → `304`
+/// instead of re-downloading an unchanged catalog.
+pub(crate) fn graph_listing(graphs: &[GraphMeta], if_none_match: Option<&str>) -> Response {
+    let rows: Vec<String> = graphs
         .iter()
         .map(|m| {
             format!(
@@ -1272,16 +1297,15 @@ fn list_graphs(service: &LayoutService, if_none_match: Option<&str>) -> Response
         .collect();
     let body = format!(
         "{{\"count\":{},\"graphs\":[{}]}}",
-        graphs.len(),
-        graphs.join(",")
+        rows.len(),
+        rows.join(",")
     );
     let etag = format!("\"{}\"", content_hash(body.as_bytes()).hex());
-    if if_none_match.is_some_and(|header| etag_matches(header, &etag)) {
-        let mut response = Response::bytes(304, "application/json", Vec::new());
-        response.etag = Some(etag);
-        return response;
-    }
-    let mut response = Response::json(200, body);
+    let mut response = if if_none_match.is_some_and(|header| etag_matches(header, &etag)) {
+        Response::bytes(304, "application/json", Vec::new())
+    } else {
+        Response::json(200, body)
+    };
     response.etag = Some(etag);
     response
 }
@@ -1296,10 +1320,16 @@ fn etag_matches(header: &str, etag: &str) -> bool {
     })
 }
 
+/// The answer to a successful `DELETE /v1/graphs/<id>` on both front
+/// ends.
+pub(crate) fn graph_deleted(id: ContentHash) -> Response {
+    Response::json(200, format!("{{\"deleted\":{}}}", quote(&id.hex())))
+}
+
 /// `DELETE /v1/graphs/<id>` — drop a stored graph from every tier.
 fn delete_graph(id: ContentHash, service: &LayoutService) -> Response {
     if service.delete_graph(id) {
-        Response::json(200, format!("{{\"deleted\":{}}}", quote(&id.hex())))
+        graph_deleted(id)
     } else {
         Response::error(404, &format!("no such graph {}", id.hex()))
     }
@@ -1313,25 +1343,27 @@ fn post_layout(req: &mut Request, service: &LayoutService) -> Response {
         Err(e) => return Response::error(400, &e.to_string()),
     };
     match service.submit(spec) {
-        Ok(ticket) => {
-            let state = if ticket.cached { "done" } else { "queued" };
-            Response::json(
-                202,
-                format!(
-                    "{{\"job\":{},\"cached\":{},\"state\":\"{}\",\"graph\":{},\"priority\":\"{}\"}}",
-                    ticket.id,
-                    ticket.cached,
-                    state,
-                    quote(&ticket.graph.hex()),
-                    ticket.priority.as_str()
-                ),
-            )
-        }
+        Ok(ticket) => job_ticket(&ticket),
         Err(SubmitError::Rejected(msg)) => Response::error(400, &msg),
         Err(SubmitError::Invalid(e)) => Response::error(400, &e.to_string()),
         Err(SubmitError::NoSuchGraph(msg)) => Response::error(404, &msg),
         Err(SubmitError::ShuttingDown) => Response::error(503, "service is shutting down"),
     }
+}
+
+/// The `202` answer to `POST /v1/jobs` on both front ends.
+pub(crate) fn job_ticket(ticket: &SubmitTicket) -> Response {
+    Response::json(
+        202,
+        format!(
+            "{{\"job\":{},\"cached\":{},\"state\":\"{}\",\"graph\":{},\"priority\":\"{}\"}}",
+            ticket.id,
+            ticket.cached,
+            if ticket.cached { "done" } else { "queued" },
+            quote(&ticket.graph.hex()),
+            ticket.priority.as_str()
+        ),
+    )
 }
 
 fn job_status(id: JobId, service: &LayoutService) -> Response {
@@ -1428,7 +1460,7 @@ fn job_result(id: JobId, format: &str, service: &LayoutService) -> Response {
             "text/tab-separated-values",
             layout_to_tsv(&layout).into_bytes(),
         ),
-        "lay" => Response::bytes(200, "application/octet-stream", write_lay(&layout).to_vec()),
+        "lay" => Response::bytes(200, "application/octet-stream", write_lay(&layout)),
         other => Response::error(400, &format!("unknown format {other:?} (tsv, lay)")),
     }
 }
@@ -1535,39 +1567,56 @@ fn status_json(s: &crate::job::JobStatus) -> String {
     )
 }
 
-/// Minimal percent-decoding (`%XX` and `+` → space).
+// ─── the `/v1` query codec ──────────────────────────────────────────
+
+/// Percent-encode one query component: unreserved characters (RFC 3986
+/// §2.3) pass through and every other byte becomes `%XX`, `+` included,
+/// so the server's query decoder reads the component back unchanged.
+pub fn percent_encode(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for b in s.bytes() {
+        match b {
+            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
+                out.push(b as char)
+            }
+            _ => out.push_str(&format!("%{b:02X}")),
+        }
+    }
+    out
+}
+
+/// Decode one query component: `%XX` escapes, and `+` as a space.
+/// Malformed escapes pass through literally.
 fn percent_decode(s: &str) -> String {
     let bytes = s.as_bytes();
+    let hex = |i: usize| bytes.get(i).and_then(|&b| (b as char).to_digit(16));
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        match bytes[i] {
-            b'+' => {
-                out.push(b' ');
-                i += 1;
+        match (bytes[i], hex(i + 1), hex(i + 2)) {
+            (b'%', Some(hi), Some(lo)) => {
+                out.push((hi * 16 + lo) as u8);
+                i += 2;
             }
-            b'%' if i + 2 < bytes.len() => {
-                // Decode from the byte slice, not the &str: slicing the
-                // string panics when a multibyte char follows the '%'.
-                let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).ok();
-                match hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(b'%');
-                        i += 1;
-                    }
-                }
-            }
-            b => {
-                out.push(b);
-                i += 1;
-            }
+            (b'+', ..) => out.push(b' '),
+            (b, ..) => out.push(b),
         }
+        i += 1;
     }
     String::from_utf8_lossy(&out).into_owned()
+}
+
+/// Split a query string into decoded `(key, value)` pairs; a key with
+/// no `=` gets an empty value.
+pub(crate) fn split_query(query: &str) -> Vec<(String, String)> {
+    query
+        .split('&')
+        .filter(|kv| !kv.is_empty())
+        .map(|kv| {
+            let (k, v) = kv.split_once('=').unwrap_or((kv, ""));
+            (percent_decode(k), percent_decode(v))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1580,6 +1629,14 @@ mod tests {
         assert_eq!(percent_decode("plain"), "plain");
         assert_eq!(percent_decode("%zz"), "%zz", "bad escapes pass through");
         assert_eq!(percent_decode("trail%2"), "trail%2");
+        assert_eq!(percent_decode("%+5%é"), "% 5%é", "only hex digits escape");
+        assert_eq!(percent_encode("a+b c"), "a%2Bb%20c");
+        assert_eq!(percent_decode(&percent_encode("a+b c/…")), "a+b c/…");
+        let pairs = [("a", "1"), ("flag", ""), ("c", "x=y"), ("d", "e=f")];
+        assert_eq!(
+            split_query("a=1&&flag&c=x%3Dy&d=e=f"),
+            pairs.map(|(k, v)| (k.to_string(), v.to_string()))
+        );
     }
 
     #[test]
@@ -1599,7 +1656,62 @@ mod tests {
         let cfg = HttpConfig::default();
         assert!(cfg.max_conns >= 1);
         assert!(!cfg.keep_alive.is_zero());
-        assert!(cfg.retry_after_secs >= 1);
+    }
+
+    /// Answers every route with 200, except `/v1/stats`, which panics.
+    struct PanickingStats;
+
+    impl Router for PanickingStats {
+        fn route(&self, endpoint: Endpoint, _: &mut Request) -> Routed {
+            match endpoint {
+                Endpoint::Stats => panic!("stats handler failed"),
+                _ => Routed::Plain(Response::json(200, "{\"ok\":true}".into())),
+            }
+        }
+
+        fn stream_events(
+            &self,
+            _: JobId,
+            _: u64,
+            _: &mut EventStream<'_>,
+            _: &AtomicBool,
+        ) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_keeps_its_thread() {
+        let cfg = HttpConfig {
+            max_conns: 1,
+            ..HttpConfig::default()
+        };
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = Server::bind("127.0.0.1:0", cfg, Arc::clone(&stop)).unwrap();
+        let addr = server.local_addr();
+        let metrics = server.metrics();
+        let serving = std::thread::spawn(move || server.serve(Arc::new(PanickingStats)));
+        let get = |path: &str| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            write!(stream, "GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
+            let mut answer = String::new();
+            let _ = stream.read_to_string(&mut answer);
+            answer
+        };
+        let stats = get("/v1/stats");
+        assert!(stats.starts_with("HTTP/1.1 500"), "{stats:?}");
+        assert!(stats.contains("Connection: close") && stats.contains("\"error\""));
+        // The pool's one handler thread survived to serve a new connection.
+        let health = get("/v1/healthz");
+        assert!(health.starts_with("HTTP/1.1 200"), "{health:?}");
+        let exposition = metrics.render_prometheus();
+        assert!(exposition.contains("pgl_http_requests_total{route=\"/v1/stats\",class=\"5xx\"} 1"));
+        stop.store(true, Ordering::Relaxed);
+        let _ = TcpStream::connect(addr);
+        serving.join().unwrap();
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! chromosome-scale graphs, dashboards re-request the same layouts, and
 //! exploratory runs get abandoned halfway. This crate turns the
 //! workspace's interchangeable engines (`layout_core::LayoutEngine`:
-//! Hogwild CPU, PyTorch-style batch, simulated GPU) into a **serving
-//! subsystem**:
+//! Hogwild CPU and PyTorch-style batch) into a **serving subsystem**:
 //!
 //! ```text
 //!                 ┌─────────────────────────────────────────────────┐
@@ -18,8 +17,8 @@
 //!                 │     │ miss     keyed on graph hash + config     │
 //!                 │     ▼                                           │
 //!                 │  job queue ──► worker pool ──► EngineRegistry   │
-//!                 │  (Queued →      (N threads)     cpu | batch |   │
-//!                 │   Running →                     gpu | gpu-a100  │
+//!                 │  (Queued →      (N threads)     cpu | batch     │
+//!                 │   Running →                                     │
 //!                 │   Done/Failed/Cancelled)                        │
 //!                 └─────────────────────────────────────────────────┘
 //! ```

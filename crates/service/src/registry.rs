@@ -6,7 +6,6 @@
 //! are cheap, configuration-only objects) so a worker never shares
 //! engine state with another job.
 
-use gpu_sim::{GpuEngine, GpuSpec, KernelConfig};
 use layout_core::{BatchEngine, CpuEngine, LayoutConfig, LayoutEngine};
 
 /// Everything a factory may need to build an engine for one job.
@@ -16,16 +15,6 @@ pub struct EngineRequest {
     pub config: LayoutConfig,
     /// Mini-batch size for the batch engine.
     pub batch_size: usize,
-    /// Node count of the parsed graph (drives GPU cache scaling).
-    pub node_count: usize,
-}
-
-impl EngineRequest {
-    /// GPU memory-system scale: ratio of this graph to a full Chr.1,
-    /// mirroring the CLI's default.
-    fn mem_scale(&self) -> f64 {
-        (self.node_count as f64 / 1.1e7).clamp(1e-6, 1.0)
-    }
 }
 
 type Factory = Box<dyn Fn(&EngineRequest) -> Box<dyn LayoutEngine> + Send + Sync>;
@@ -43,28 +32,13 @@ impl EngineRegistry {
         }
     }
 
-    /// The standard engine set: `cpu` (Hogwild), `batch`
-    /// (PyTorch-style mini-batch), `gpu` (simulated RTX A6000), and
-    /// `gpu-a100` (simulated A100).
+    /// The standard engine set: `cpu` (Hogwild) and `batch`
+    /// (PyTorch-style mini-batch).
     pub fn with_default_engines() -> Self {
         let mut r = Self::new();
         r.register("cpu", |req| Box::new(CpuEngine::new(req.config.clone())));
         r.register("batch", |req| {
             Box::new(BatchEngine::new(req.config.clone(), req.batch_size.max(1)))
-        });
-        r.register("gpu", |req| {
-            Box::new(GpuEngine::new(
-                GpuSpec::a6000(),
-                req.config.clone(),
-                KernelConfig::optimized(req.mem_scale()),
-            ))
-        });
-        r.register("gpu-a100", |req| {
-            Box::new(GpuEngine::new(
-                GpuSpec::a100(),
-                req.config.clone(),
-                KernelConfig::optimized(req.mem_scale()),
-            ))
         });
         r
     }
@@ -121,14 +95,13 @@ mod tests {
         EngineRequest {
             config: LayoutConfig::for_tests(1),
             batch_size: 64,
-            node_count: 100,
         }
     }
 
     #[test]
     fn default_registry_builds_every_engine() {
         let r = EngineRegistry::with_default_engines();
-        assert_eq!(r.names(), vec!["cpu", "batch", "gpu", "gpu-a100"]);
+        assert_eq!(r.names(), vec!["cpu", "batch"]);
         for name in r.names() {
             let engine = r.create(name, &req()).unwrap();
             assert!(!engine.name().is_empty());

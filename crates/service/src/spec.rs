@@ -14,6 +14,7 @@
 //! so typos like `?prioritiy=bulk` fail loudly instead of silently
 //! running at the default priority.
 
+use crate::http::{percent_encode, split_query};
 use crate::job::GraphSpec;
 use layout_core::{DataLayout, LayoutConfig, Precision};
 use pangraph::store::ContentHash;
@@ -88,7 +89,7 @@ impl fmt::Display for Priority {
 /// ([`crate::LayoutService::submit`]).
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// Engine registry key (`cpu`, `batch`, `gpu`, `gpu-a100`, ...).
+    /// Engine registry key (`cpu`, `batch`, ...).
     pub engine: String,
     /// The graph to lay out (inline GFA or stored reference).
     pub graph: GraphSpec,
@@ -166,7 +167,7 @@ impl JobSpec {
             }
             q.push_str(k);
             q.push('=');
-            q.push_str(&encode_component(v));
+            q.push_str(&percent_encode(v));
         };
         push("engine", &self.engine);
         if let GraphSpec::Stored(id) = &self.graph {
@@ -195,7 +196,10 @@ impl JobSpec {
     /// round-trip the coordinator's write-ahead journal relies on: an
     /// accepted job is journaled as its wire form and rebuilt from it
     /// at crash recovery. Strict parsing, no body: journaled jobs are
-    /// always by-reference (`graph=<hex>`).
+    /// always by-reference (`graph=<hex>`). The string is split and
+    /// decoded exactly as the HTTP server decodes a request's query, so
+    /// a `+` reads back as a space; [`JobSpec::to_query`] has always
+    /// escaped every `+`, so older journals replay unchanged.
     ///
     /// Journals written before the CPU engine lost its `simd` and
     /// `write_shard` knobs carry both keys in every record (for example
@@ -204,55 +208,10 @@ impl JobSpec {
     /// unreplayable; a `/v1/jobs` request that sends them is still a
     /// [`SpecError::UnknownParam`].
     pub fn from_query(query: &str) -> Result<Self, SpecError> {
-        let params: Vec<(String, String)> = query
-            .split('&')
-            .filter(|p| !p.is_empty())
-            .map(|p| match p.split_once('=') {
-                Some((k, v)) => (decode_component(k), decode_component(v)),
-                None => (decode_component(p), String::new()),
-            })
-            .filter(|(k, _)| k != "simd" && k != "write_shard")
-            .collect();
+        let mut params = split_query(query);
+        params.retain(|(k, _)| k != "simd" && k != "write_shard");
         parse_job_spec(&params, Vec::new())
     }
-}
-
-/// Percent-encode one query-string component: unreserved characters
-/// (RFC 3986 §2.3) pass through, everything else becomes `%XX` — the
-/// encoding the HTTP front end's query parser decodes.
-fn encode_component(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for &b in s.as_bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
-/// Decode `%XX` escapes — the inverse of [`encode_component`].
-/// Malformed escapes pass through literally, mirroring the HTTP front
-/// end's lenient query decoder.
-fn decode_component(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' && i + 2 < bytes.len() {
-            let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).ok();
-            if let Some(b) = hex.and_then(|h| u8::from_str_radix(h, 16).ok()) {
-                out.push(b);
-                i += 3;
-                continue;
-            }
-        }
-        out.push(bytes[i]);
-        i += 1;
-    }
-    String::from_utf8_lossy(&out).into_owned()
 }
 
 /// Why a request failed to parse into a [`JobSpec`]. Every variant maps
@@ -541,36 +500,6 @@ mod tests {
         );
     }
 
-    /// Decode `%XX` escapes the way the HTTP front end's query parser
-    /// does, so the round trip below mirrors the real wire path.
-    fn decode(s: &str) -> String {
-        let bytes = s.as_bytes();
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < bytes.len() {
-            if bytes[i] == b'%' && i + 2 < bytes.len() {
-                let hex = std::str::from_utf8(&bytes[i + 1..i + 3]).unwrap();
-                out.push(u8::from_str_radix(hex, 16).unwrap());
-                i += 3;
-            } else {
-                out.push(bytes[i]);
-                i += 1;
-            }
-        }
-        String::from_utf8(out).unwrap()
-    }
-
-    fn reparse(query: &str) -> JobSpec {
-        let params: Vec<(String, String)> = query
-            .split('&')
-            .map(|kv| {
-                let (k, v) = kv.split_once('=').unwrap();
-                (decode(k), decode(v))
-            })
-            .collect();
-        parse_job_spec(&params, Vec::new()).expect("to_query emits only known params")
-    }
-
     #[test]
     fn to_query_round_trips_through_parse_job_spec() {
         let id = pangraph::store::content_hash(b"rt");
@@ -585,7 +514,7 @@ mod tests {
         spec.config.term_block = 2048;
         spec.batch_size = 512;
         spec.queue_ttl = Some(Duration::from_millis(2500));
-        let back = reparse(&spec.to_query());
+        let back = JobSpec::from_query(&spec.to_query()).unwrap();
         assert_eq!(back.engine, spec.engine);
         assert!(matches!(back.graph, GraphSpec::Stored(h) if h == id));
         assert_eq!(back.config.iter_max, 17);
@@ -608,7 +537,7 @@ mod tests {
         assert!(!q.contains("client="), "absent client stays absent");
         assert!(!q.contains("ttl_ms="), "absent TTL stays absent");
         assert!(!q.contains("soa"), "default layout emits no flag");
-        let back = reparse(&q);
+        let back = JobSpec::from_query(&q).unwrap();
         assert_eq!(back.engine, "cpu");
         assert_eq!(back.batch_size, spec.batch_size);
         assert_eq!(back.priority, Priority::Normal);

@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 use rapid_pangenome_layout::graph::layout2d::Layout2D;
+use rapid_pangenome_layout::graph::store::content_hash;
 use rapid_pangenome_layout::io::{read_lay, write_lay};
 use rapid_pangenome_layout::metrics::{path_stress, sampled_path_stress, SamplingConfig};
 use rapid_pangenome_layout::prelude::*;
@@ -126,5 +127,18 @@ proptest! {
         let cfg = LayoutConfig { iter_max: 6, threads: 2, seed, ..Default::default() };
         let (layout, _) = CpuEngine::new(cfg).run(&lean);
         prop_assert!(layout.all_finite());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A client key survives the `/v1` query form unchanged: `%`, `+`,
+    /// `&`, `=`, spaces and multi-byte characters included.
+    #[test]
+    fn client_keys_round_trip_the_query_form(key in "[a-zA-Z0-9%+&= ~._/é…中🧬-]{1,24}") {
+        let spec = JobSpec::by_ref("cpu", content_hash(b"g")).client(key.clone());
+        let back = JobSpec::from_query(&spec.to_query()).unwrap();
+        prop_assert_eq!(back.client, Some(key));
     }
 }

@@ -2,8 +2,8 @@
 //! against a standalone `pgl serve`-shaped server and against a
 //! coordinator fronting one worker must get the same status codes, an
 //! `"error"` field on every 4xx, byte-identical results for a
-//! deterministic job, and the same error text for a job whose engine
-//! panics. The coordinator's own extras — its metrics exposition,
+//! deterministic job, graph listings of one shape that revalidate to a
+//! 304, and the same error text for a job whose engine panics. The coordinator's own extras — its metrics exposition,
 //! overload shedding and `Connection: close` answers — are checked
 //! alone.
 
@@ -20,12 +20,23 @@ use std::time::{Duration, Instant};
 
 /// One blocking HTTP/1.1 exchange; returns (status, head, body).
 fn http(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, String, Vec<u8>) {
+    http_with(addr, method, path, "", body)
+}
+
+/// [`http`] with extra header lines (each ending in CRLF).
+fn http_with(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    headers: &str,
+    body: &[u8],
+) -> (u16, String, Vec<u8>) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
     let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n{headers}Connection: close\r\n\r\n",
         body.len()
     );
     stream.write_all(head.as_bytes()).unwrap();
@@ -117,6 +128,8 @@ struct Transcript {
     statuses: Vec<(&'static str, u16)>,
     /// The finished job's `?format=lay` bytes.
     lay: Vec<u8>,
+    /// The uploaded graph's row in `GET /v1/graphs`.
+    listed: Json,
 }
 
 /// Replay the conversation against `front`. Every 4xx must carry an
@@ -124,25 +137,46 @@ struct Transcript {
 fn converse(front: SocketAddr) -> Transcript {
     let gfa = write_gfa(&generate(&PangenomeSpec::basic("conform", 40, 3, 5)));
     let mut statuses = Vec::new();
-    let mut step = |name: &'static str, method: &str, path: &str, body: &[u8]| {
-        let (status, _, body) = http(front, method, path, body);
-        if (400..500).contains(&status) {
-            assert!(
-                json(&body).get("error").and_then(Json::str).is_some(),
-                "{name}: a {status} without an error field: {}",
-                text(&body)
-            );
-        }
-        statuses.push((name, status));
-        body
-    };
+    let mut step_with =
+        |name: &'static str, method: &str, path: &str, headers: &str, body: &[u8]| {
+            let (status, head, body) = http_with(front, method, path, headers, body);
+            if (400..500).contains(&status) {
+                assert!(
+                    json(&body).get("error").and_then(Json::str).is_some(),
+                    "{name}: a {status} without an error field: {}",
+                    text(&body)
+                );
+            }
+            statuses.push((name, status));
+            (head, body)
+        };
 
-    let upload = json(&step("upload", "POST", "/v1/graphs", gfa.as_bytes()));
+    let upload = json(&step_with("upload", "POST", "/v1/graphs", "", gfa.as_bytes()).1);
     let graph = upload
         .get("graph_id")
         .and_then(Json::str)
         .expect("graph id");
-    step("upload again", "POST", "/v1/graphs", gfa.as_bytes());
+    step_with("upload again", "POST", "/v1/graphs", "", gfa.as_bytes());
+    // The listing carries an ETag; sending it back revalidates to a 304.
+    let (head, listing) = step_with("list graphs", "GET", "/v1/graphs", "", b"");
+    let listed = json(&listing)
+        .get("graphs")
+        .and_then(Json::arr)
+        .and_then(|rows| {
+            rows.iter()
+                .find(|r| r.get("graph_id").and_then(Json::str) == Some(graph))
+        })
+        .cloned()
+        .expect("the uploaded graph is listed");
+    let etag = head
+        .lines()
+        .find_map(|l| l.strip_prefix("ETag: "))
+        .expect("an ETag on the listing");
+    let revalidate = format!("If-None-Match: {etag}\r\n");
+    step_with("revalidate graphs", "GET", "/v1/graphs", &revalidate, b"");
+    let mut step = |name: &'static str, method: &str, path: &str, body: &[u8]| {
+        step_with(name, method, path, "", body).1
+    };
     // Graphs with nothing to lay out are refused, never laid out `done`.
     for (name, body, why) in [
         ("upload without segments", "H\tVN:Z:1.0\n", "no segments"),
@@ -227,12 +261,18 @@ fn converse(front: SocketAddr) -> Transcript {
         Some(BOOM_ERROR),
         "{events:?}"
     );
-    Transcript { statuses, lay }
+    Transcript {
+        statuses,
+        lay,
+        listed,
+    }
 }
 
-const EXPECTED: [(&str, u16); 20] = [
+const EXPECTED: [(&str, u16); 22] = [
     ("upload", 201),
     ("upload again", 200),
+    ("list graphs", 200),
+    ("revalidate graphs", 304),
     ("upload without segments", 400),
     ("upload without a path", 400),
     ("submit by reference", 202),
@@ -318,6 +358,15 @@ fn standalone_server_and_coordinator_answer_the_same_conversation() {
         fleet.lay == alone.lay,
         "the same deterministic job gives the same .lay bytes"
     );
+    // Both listings have one shape; `bytes` is each store's own size.
+    let keys = |row: &Json| match row {
+        Json::Obj(members) => members.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("a graph row must be an object: {other:?}"),
+    };
+    assert_eq!(keys(&fleet.listed), keys(&alone.listed));
+    for key in ["graph_id", "nodes", "paths", "steps"] {
+        assert_eq!(fleet.listed.get(key), alone.listed.get(key), "{key}");
+    }
 }
 
 #[test]

@@ -142,10 +142,10 @@ fn upload_once_serves_many_layouts_across_engines_with_one_parse() {
     );
     assert_eq!(listing.get("count").and_then(Json::u64), Some(1));
 
-    // Four by-reference layout requests across three engines. Every
+    // Four by-reference layout requests across both engines. Every
     // request (line + headers + empty body) stays under 1 KB.
     let mut tsvs = Vec::new();
-    for (engine, iters) in [("cpu", 4), ("cpu", 5), ("batch", 4), ("gpu", 3)] {
+    for (engine, iters) in [("cpu", 4), ("cpu", 5), ("batch", 4), ("batch", 3)] {
         let path = format!("/v1/jobs?graph={id}&engine={engine}&iters={iters}&threads=1");
         let (status, body, request_bytes) = http_sized(addr, "POST", &path, b"");
         let text = body_text(&body);
