@@ -267,14 +267,8 @@ impl BatchEngine {
 
                 // -- Other: host-side sampling ("dataloader") ------------
                 let t = Instant::now();
-                terms.clear();
-                for _ in 0..b {
-                    if let Some(term) = sampler.sample(lean, &mut rng, iter) {
-                        terms.push(term);
-                    }
-                }
+                let m = sampler.sample_block(lean, &mut rng, iter, b, &mut terms);
                 op_time[5] += t.elapsed();
-                let m = terms.len();
                 applied += m as u64;
                 if m == 0 {
                     continue;

@@ -3,7 +3,7 @@
 use crate::coords::{DataLayout, Precision};
 
 /// Ceiling on [`LayoutConfig::term_block`]: each worker thread keeps a
-/// term buffer of this many entries (~56 B each ⇒ ≤ ~56 MB/thread at the
+/// term buffer of this many entries (40 B each ⇒ ≤ 40 MiB/thread at the
 /// cap), so a hostile or fat-fingered block size cannot turn into a
 /// terabyte allocation.
 pub const MAX_TERM_BLOCK: usize = 1 << 20;

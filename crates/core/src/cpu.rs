@@ -13,8 +13,9 @@
 //!   a thread samples a block of terms, then applies it through one
 //!   monomorphized straight-line pass
 //!   ([`CoordStore::apply_block`]) — the block hoists the layout ×
-//!   precision dispatch out of the per-term path and amortizes sampler
-//!   entry, mirroring the paper's batched term updates (Sec. V-B),
+//!   precision dispatch out of the per-term path and lets the sampler
+//!   overlap the block's step reads ([`PairSampler::sample_block`]),
+//!   mirroring the paper's batched term updates (Sec. V-B),
 //! * coordinate updates are relaxed-atomic read-modify-writes with **no**
 //!   synchronization (Hogwild!), racing exactly as the original does,
 //! * the shared [`PairSampler`] and [`LeanGraph`] are read-only.

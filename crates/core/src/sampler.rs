@@ -13,10 +13,19 @@
 //!
 //! Terms with `d_ref = 0` (coincident endpoints) are rejected, as in
 //! odgi-layout.
+//!
+//! Steps 1–4 are the *draw*: they consume the random stream and read
+//! only the alias table and a small per-path record (step offset, step
+//! count, and the Zipf parameters of the path's space). Step 5 is the
+//! *gather*: it reads step positions, node ids and node lengths — the
+//! graph-sized arrays, which miss cache on large graphs. A block is
+//! sampled in two passes, all draws first and then all gathers, so the
+//! gathers of a block do not wait on each other and the core keeps many
+//! of those reads in flight.
 
 use crate::config::{LayoutConfig, PairSelection};
 use pangraph::lean::LeanGraph;
-use pgrng::{AliasTable, Rng64, ZipfTable};
+use pgrng::{AliasTable, Rng64, ZipfParams, ZipfTable};
 
 /// One sampled SGD term.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,11 +46,24 @@ pub struct Term {
     pub d_ref: f64,
 }
 
+/// What the draw reads about one path.
+#[derive(Debug, Clone, Copy)]
+struct PathRecord {
+    /// Flat index of the path's first step.
+    offset: u32,
+    /// Steps on the path.
+    steps: u32,
+    /// The Zipf parameters of the path's rank-distance space,
+    /// `steps − 1` (unused below two steps).
+    zipf: ZipfParams,
+}
+
 /// Shared, read-only sampler state.
 #[derive(Debug)]
 pub struct PairSampler {
     alias: AliasTable,
     zipf: ZipfTable,
+    paths: Vec<PathRecord>,
     first_cooling: u32,
     selection: PairSelection,
 }
@@ -51,14 +73,30 @@ impl PairSampler {
     pub fn new(lean: &LeanGraph, cfg: &LayoutConfig) -> Self {
         let weights = lean.path_weights();
         let max_space = (lean.max_path_steps() as u64).max(2);
+        let zipf = ZipfTable::new(
+            cfg.zipf_theta,
+            cfg.zipf_space_max.min(max_space).max(2),
+            cfg.zipf_quant,
+            max_space,
+        );
+        let paths = (0..lean.path_count() as u32)
+            .map(|p| {
+                let steps = lean.steps_in(p);
+                PathRecord {
+                    offset: lean.step_offset[p as usize],
+                    steps: steps as u32,
+                    zipf: if steps >= 2 {
+                        zipf.params(steps as u64 - 1)
+                    } else {
+                        ZipfParams::default()
+                    },
+                }
+            })
+            .collect();
         Self {
             alias: AliasTable::new(&weights),
-            zipf: ZipfTable::new(
-                cfg.zipf_theta,
-                cfg.zipf_space_max.min(max_space).max(2),
-                cfg.zipf_quant,
-                max_space,
-            ),
+            zipf,
+            paths,
             first_cooling: cfg.first_cooling_iter(),
             selection: cfg.pair_selection,
         }
@@ -71,11 +109,62 @@ impl PairSampler {
 
     /// Draw one term for iteration `iter`, or `None` when the draw is
     /// rejected (single-step path, out-of-range fixed hop, or zero
-    /// reference distance).
+    /// reference distance). The per-term reference of
+    /// [`PairSampler::sample_block`], which runs the same draw and the
+    /// same gather.
     #[inline]
     pub fn sample<R: Rng64>(&self, lean: &LeanGraph, rng: &mut R, iter: u32) -> Option<Term> {
-        let p = self.alias.sample(rng) as u32;
-        let n = lean.steps_in(p);
+        gather(lean, self.draw(rng, iter)?)
+    }
+
+    /// Draw `want` times for iteration `iter`, collecting the accepted
+    /// terms into `out` (cleared first). One call per hot-loop block —
+    /// the engines sample a block, then apply it in a single
+    /// monomorphized pass ([`crate::coords::CoordStore::apply_block`]).
+    /// Returns the number accepted; RNG consumption and the accepted
+    /// terms are identical to `want` calls of [`PairSampler::sample`],
+    /// so block size never changes the random stream.
+    ///
+    /// Two passes: the draw pass fills `out` with every drawn pair's
+    /// steps and endpoint bits, then the gather pass reads their
+    /// positions, nodes and lengths and compacts the zero-distance
+    /// pairs out in place.
+    #[inline]
+    pub fn sample_block<R: Rng64>(
+        &self,
+        lean: &LeanGraph,
+        rng: &mut R,
+        iter: u32,
+        want: usize,
+        out: &mut Vec<Term>,
+    ) -> usize {
+        out.clear();
+        // A plain loop: behind `extend(filter_map(..))` the draw stayed
+        // out of line, with the generator state stored and reloaded on
+        // every call, and the engine ran about a third slower.
+        for _ in 0..want {
+            if let Some(t) = self.draw(rng, iter) {
+                out.push(t);
+            }
+        }
+        let mut kept = 0;
+        for k in 0..out.len() {
+            if let Some(t) = gather(lean, out[k]) {
+                out[kept] = t;
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
+        kept
+    }
+
+    /// The draw of one term: its two flat steps and endpoint bits, with
+    /// `node_i`, `node_j` and `d_ref` left for [`gather`]. `None` when
+    /// the path has one step or no second step fits.
+    #[inline(always)]
+    fn draw<R: Rng64>(&self, rng: &mut R, iter: u32) -> Option<Term> {
+        let path = self.paths[self.alias.sample(rng)];
+        let n = path.steps as usize;
         if n < 2 {
             return None;
         }
@@ -92,7 +181,7 @@ impl PairSampler {
             PairSelection::PgSgd => {
                 let cooling = iter >= self.first_cooling || coin_cool;
                 if cooling {
-                    let z = self.zipf.sample(rng, (n - 1) as u64) as usize;
+                    let z = self.zipf.sample_with(rng, n as u64 - 1, path.zipf) as usize;
                     // Random direction, falling back to the feasible side.
                     if coin_dir {
                         if i + z < n {
@@ -130,47 +219,34 @@ impl PairSampler {
             }
         };
         debug_assert_ne!(i, j);
-        let s_i = lean.flat_step(p, i);
-        let s_j = lean.flat_step(p, j);
-        let d_ref = lean.d_ref_endpoints(s_i, end_i, s_j, end_j);
-        if d_ref <= 0.0 {
-            return None;
-        }
+        let offset = path.offset as usize;
         Some(Term {
-            s_i,
-            s_j,
-            node_i: lean.node_of_flat(s_i),
-            node_j: lean.node_of_flat(s_j),
+            s_i: offset + i,
+            s_j: offset + j,
+            node_i: 0,
+            node_j: 0,
             end_i,
             end_j,
-            d_ref,
+            d_ref: 0.0,
         })
     }
+}
 
-    /// Draw `want` times for iteration `iter`, collecting the accepted
-    /// terms into `out` (cleared first). One call per hot-loop block —
-    /// the engines sample a block, then apply it in a single
-    /// monomorphized pass ([`crate::coords::CoordStore::apply_block`]),
-    /// amortizing sampler dispatch. Returns the number accepted; RNG
-    /// consumption is identical to `want` scalar [`PairSampler::sample`]
-    /// calls, so block size never changes the random stream.
-    #[inline]
-    pub fn sample_block<R: Rng64>(
-        &self,
-        lean: &LeanGraph,
-        rng: &mut R,
-        iter: u32,
-        want: usize,
-        out: &mut Vec<Term>,
-    ) -> usize {
-        out.clear();
-        for _ in 0..want {
-            if let Some(t) = self.sample(lean, rng, iter) {
-                out.push(t);
-            }
-        }
-        out.len()
+/// The gather of one drawn term: its node ids and reference distance
+/// from the step and node arrays, or `None` when its endpoints coincide
+/// (`d_ref = 0`).
+#[inline(always)]
+fn gather(lean: &LeanGraph, t: Term) -> Option<Term> {
+    let d_ref = lean.d_ref_endpoints(t.s_i, t.end_i, t.s_j, t.end_j);
+    if d_ref <= 0.0 {
+        return None;
     }
+    Some(Term {
+        node_i: lean.node_of_flat(t.s_i),
+        node_j: lean.node_of_flat(t.s_j),
+        d_ref,
+        ..t
+    })
 }
 
 #[cfg(test)]

@@ -42,10 +42,19 @@ pub fn path_sgd_order(lean: &LeanGraph, cfg: &LayoutConfig) -> Vec<NodeId> {
         let schedule = Schedule::new(cfg, (lean.max_path_nuc_len() as f64).max(1.0));
         let mut rng = Xoshiro256Plus::seed_from_u64(cfg.seed ^ 0x1D50);
         let steps_per_iter = cfg.steps_per_iter(lean.total_steps() as u64);
+        let term_block = cfg.resolved_term_block();
+        let mut block = Vec::with_capacity(term_block.min(steps_per_iter as usize));
         for iter in 0..cfg.iter_max {
             let eta = schedule.eta(iter);
-            for _ in 0..steps_per_iter {
-                if let Some(t) = sampler.sample(lean, &mut rng, iter) {
+            // Sampling never reads positions, so sampling a block before
+            // applying it draws and applies the same terms in the same
+            // order as interleaving them.
+            let mut left = steps_per_iter;
+            while left > 0 {
+                let want = left.min(term_block as u64) as usize;
+                left -= want as u64;
+                sampler.sample_block(lean, &mut rng, iter, want, &mut block);
+                for t in &block {
                     let (i, j) = (t.node_i as usize, t.node_j as usize);
                     let w = 1.0 / (t.d_ref * t.d_ref);
                     let mu = (eta * w).min(1.0);

@@ -36,7 +36,7 @@ pub use splitmix::SplitMix64;
 pub use states::{CoalescedStatePool, SoaOrAos, StateLayout, StatePool};
 pub use xorwow::XorWow;
 pub use xoshiro::{Xoshiro256Plus, Xoshiro256StarStar};
-pub use zipf::{ZipfGen, ZipfTable};
+pub use zipf::{ZipfGen, ZipfParams, ZipfTable};
 
 /// A 64-bit pseudo-random number generator.
 ///

@@ -43,7 +43,6 @@ pub fn sample_zipf<R: Rng64>(rng: &mut R, n: u64, theta: f64, zetan: f64) -> u64
         let _ = rng.next_f64();
         return 1;
     }
-    let alpha = 1.0 / (1.0 - theta);
     let nf = n as f64;
     let eta = zipf_eta(nf, theta, zetan);
     let u = rng.next_f64();
@@ -54,7 +53,8 @@ pub fn sample_zipf<R: Rng64>(rng: &mut R, n: u64, theta: f64, zetan: f64) -> u64
     if uz < 1.0 + 0.5f64.powf(theta) {
         return 2;
     }
-    let v = 1 + (nf * pow_alpha(eta * u - eta + 1.0, alpha)) as u64;
+    let tail = TailPow::new(1.0 / (1.0 - theta));
+    let v = 1 + (nf * tail.pow(eta * u - eta + 1.0)) as u64;
     v.min(n)
 }
 
@@ -69,22 +69,35 @@ pub fn sample_zipf<R: Rng64>(rng: &mut R, n: u64, theta: f64, zetan: f64) -> u64
 /// that depends only on `(θ, space)` — the `η` coefficient and the
 /// rank-2 threshold — because they cost several `powf` calls each and the
 /// layout hot loop draws one Zipf sample per cooled term. With the table,
-/// [`ZipfTable::sample`] performs exactly one `powf`. Beyond `space_max`
-/// the pre-evaluated `η` is the one of the rounded-down tabulated space
-/// ("dirty η", same spirit and error regime as the dirty ζ).
+/// [`ZipfTable::sample`] performs one power of the tail base. Beyond
+/// `space_max` the pre-evaluated `η` is the one of the rounded-down
+/// tabulated space ("dirty η", same spirit and error regime as the dirty
+/// ζ). A caller that draws many times over the same space looks its
+/// [`ZipfParams`] up once ([`ZipfTable::params`]) and draws with
+/// [`ZipfTable::sample_with`].
 #[derive(Debug, Clone)]
 pub struct ZipfTable {
     theta: f64,
     space_max: u64,
     quant_step: u64,
-    /// `exact[s]` = (ζ(s, θ), η(s, ζ)) for s in 0..=space_max (0 unused).
-    exact: Vec<(f64, f64)>,
-    /// `quantized[k]` = the same pair at `space_max + (k+1)·quant_step`.
-    quantized: Vec<(f64, f64)>,
-    /// `1 / (1 − θ)` — the inverse-CDF exponent.
-    alpha: f64,
+    /// `exact[s]` = the parameters of space s, for s in 0..=space_max
+    /// (0 unused).
+    exact: Vec<ZipfParams>,
+    /// `quantized[k]` = the same at `space_max + (k+1)·quant_step`.
+    quantized: Vec<ZipfParams>,
+    /// `x^α` with `α = 1 / (1 − θ)` — the inverse-CDF exponent.
+    tail: TailPow,
     /// `1 + 0.5^θ` — the rank-2 acceptance threshold.
     two_threshold: f64,
+}
+
+/// The tabulated inverse-CDF parameters of one space size.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ZipfParams {
+    /// The normalizer ζ(s, θ).
+    pub zeta: f64,
+    /// Gray et al.'s `η` coefficient for the same space and ζ.
+    pub eta: f64,
 }
 
 /// The `η` coefficient of Gray et al.'s inverse CDF for a space of `n`
@@ -94,21 +107,49 @@ fn zipf_eta(n: f64, theta: f64, zetan: f64) -> f64 {
     (1.0 - (2.0 / n).powf(1.0 - theta)) / (1.0 - zeta(2, theta) / zetan)
 }
 
-/// `x^α` for the inverse CDF's tail. For θ = 0.99 (odgi's default) the
-/// exponent is 100 up to floating-point representation of θ, and every
-/// hot-loop draw pays this pow — binary exponentiation (`powi`) is
-/// several times cheaper than the transcendental `powf`, so when α is
-/// within rounding of a small integer we use the integer exponent. The
-/// relative exponent perturbation (≤ 1e-9) is far below the "dirty"
-/// scheme's own quantization error. Shared by [`sample_zipf`] and
-/// [`ZipfTable::sample`] so both paths stay bit-identical to each other.
-#[inline]
-fn pow_alpha(x: f64, alpha: f64) -> f64 {
-    let k = alpha.round();
-    if (alpha - k).abs() < 1e-9 * k.max(1.0) && (1.0..=512.0).contains(&k) {
-        x.powi(k as i32)
-    } else {
-        x.powf(alpha)
+/// `x^α` for the inverse CDF's tail, with the exponent's kind fixed when
+/// the table is built. For θ = 0.99 (odgi's default) α is 100 up to the
+/// floating-point representation of θ, and every cooled draw pays this
+/// power: binary exponentiation (`powi`) is several times cheaper than
+/// the transcendental `powf`, so when α is within rounding of a small
+/// integer the integer exponent is used. The relative exponent
+/// perturbation (≤ 1e-9) is far below the "dirty" scheme's own
+/// quantization error. Shared by [`sample_zipf`] and [`ZipfTable`] so
+/// both stay bit-identical to each other.
+#[derive(Debug, Clone, Copy)]
+enum TailPow {
+    /// α rounds to 100: a literal exponent, which the compiler expands
+    /// into the same square-and-multiply sequence that a runtime
+    /// exponent runs in a library loop — the same bits, without the
+    /// call.
+    Hundred,
+    /// α rounds to another integer in `1..=512`.
+    Int(i32),
+    /// Any other α.
+    Real(f64),
+}
+
+impl TailPow {
+    fn new(alpha: f64) -> Self {
+        let k = alpha.round();
+        if (alpha - k).abs() < 1e-9 * k.max(1.0) && (1.0..=512.0).contains(&k) {
+            if k == 100.0 {
+                Self::Hundred
+            } else {
+                Self::Int(k as i32)
+            }
+        } else {
+            Self::Real(alpha)
+        }
+    }
+
+    #[inline]
+    fn pow(self, x: f64) -> f64 {
+        match self {
+            Self::Hundred => x.powi(100),
+            Self::Int(k) => x.powi(k),
+            Self::Real(alpha) => x.powf(alpha),
+        }
     }
 }
 
@@ -117,12 +158,16 @@ impl ZipfTable {
     pub fn new(theta: f64, space_max: u64, quant_step: u64, max_space: u64) -> Self {
         assert!(theta > 0.0 && theta < 1.0, "theta must be in (0,1)");
         assert!(space_max >= 2 && quant_step >= 1);
+        let params = |space: u64, zeta: f64| ZipfParams {
+            zeta,
+            eta: zipf_eta(space as f64, theta, zeta),
+        };
         let mut exact = Vec::with_capacity(space_max as usize + 1);
-        exact.push((0.0, 0.0));
+        exact.push(ZipfParams::default());
         let mut acc = 0.0;
         for k in 1..=space_max {
             acc += (k as f64).powf(-theta);
-            exact.push((acc, zipf_eta(k as f64, theta, acc)));
+            exact.push(params(k, acc));
         }
         let mut quantized = Vec::new();
         if max_space > space_max {
@@ -133,7 +178,7 @@ impl ZipfTable {
                 for j in (k + 1)..=next {
                     z += (j as f64).powf(-theta);
                 }
-                quantized.push((z, zipf_eta(next as f64, theta, z)));
+                quantized.push(params(next, z));
                 k = next;
             }
         }
@@ -143,7 +188,7 @@ impl ZipfTable {
             quant_step,
             exact,
             quantized,
-            alpha: 1.0 / (1.0 - theta),
+            tail: TailPow::new(1.0 / (1.0 - theta)),
             two_threshold: 1.0 + 0.5f64.powf(theta),
         }
     }
@@ -163,10 +208,10 @@ impl ZipfTable {
         self.theta
     }
 
-    /// The tabulated `(ζ, η)` pair for the largest tabulated s' ≤ `space`
+    /// The tabulated parameters of the largest tabulated s' ≤ `space`
     /// (exact when `space ≤ space_max`). `space` must be ≥ 1.
     #[inline]
-    fn params_for(&self, space: u64) -> (f64, f64) {
+    pub fn params(&self, space: u64) -> ZipfParams {
         debug_assert!(space >= 1);
         if space <= self.space_max {
             self.exact[space as usize]
@@ -185,33 +230,40 @@ impl ZipfTable {
     /// `space ≤ space_max`). `space` must be ≥ 1.
     #[inline]
     pub fn zeta_for(&self, space: u64) -> f64 {
-        self.params_for(space).0
+        self.params(space).zeta
     }
 
     /// Draw a Zipf-distributed rank distance in `[1, space]`.
     ///
-    /// One `powf` per call: the normalizer, the `η` coefficient and the
+    /// One power per call: the normalizer, the `η` coefficient and the
     /// small-rank thresholds all come from the table. For spaces within
     /// the exact range this returns bit-identical draws to
     /// [`sample_zipf`]; beyond it, `η` is quantized like ζ.
     #[inline]
     pub fn sample<R: Rng64>(&self, rng: &mut R, space: u64) -> u64 {
+        self.sample_with(rng, space, self.params(space))
+    }
+
+    /// [`ZipfTable::sample`] with the space's parameters already looked
+    /// up: `params` must be [`ZipfTable::params`]`(space)`.
+    #[inline]
+    pub fn sample_with<R: Rng64>(&self, rng: &mut R, space: u64, params: ZipfParams) -> u64 {
         debug_assert!(space >= 1);
         if space == 1 {
             // Still consume one draw so call counts stay layout-independent.
             let _ = rng.next_f64();
             return 1;
         }
-        let (zetan, eta) = self.params_for(space);
+        let ZipfParams { zeta, eta } = params;
         let u = rng.next_f64();
-        let uz = u * zetan;
+        let uz = u * zeta;
         if uz < 1.0 {
             return 1;
         }
         if uz < self.two_threshold {
             return 2;
         }
-        let v = 1 + ((space as f64) * pow_alpha(eta * u - eta + 1.0, self.alpha)) as u64;
+        let v = 1 + ((space as f64) * self.tail.pow(eta * u - eta + 1.0)) as u64;
         v.min(space)
     }
 }
@@ -373,6 +425,32 @@ mod tests {
         }
         let frac = small as f64 / draws as f64;
         assert!((0.2..0.5).contains(&frac), "small-rank mass {frac}");
+    }
+
+    #[test]
+    fn literal_hundredth_power_is_bit_identical_to_a_runtime_exponent() {
+        // The default θ's tail power uses a literal exponent; the draws
+        // keep their bits only if the compiler's expansion matches the
+        // runtime square-and-multiply loop exactly.
+        let mut rng = Xoshiro256Plus::seed_from_u64(100);
+        for _ in 0..1_000_000 {
+            let x = rng.next_f64();
+            assert_eq!(
+                x.powi(100).to_bits(),
+                x.powi(std::hint::black_box(100)).to_bits(),
+                "x = {x:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn default_theta_takes_the_literal_power() {
+        assert!(matches!(
+            TailPow::new(1.0 / (1.0 - DEFAULT_THETA)),
+            TailPow::Hundred
+        ));
+        assert!(matches!(TailPow::new(2.0), TailPow::Int(2)));
+        assert!(matches!(TailPow::new(2.5), TailPow::Real(_)));
     }
 
     #[test]

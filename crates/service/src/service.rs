@@ -59,7 +59,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// Fair-share key used when a spec names no client and the transport
@@ -372,7 +372,7 @@ impl LayoutService {
         }
         let id = content_hash(gfa.as_bytes());
         let (graph, parsed) =
-            intern_gfa_once(&self.shared, id, gfa).map_err(SubmitError::Rejected)?;
+            intern_gfa_once(&self.shared, id, || parse_lean(gfa)).map_err(SubmitError::Rejected)?;
         Ok(GraphUpload {
             id,
             nodes: graph.node_count(),
@@ -528,8 +528,9 @@ impl LayoutService {
             Some(_) => None,
             None => Some(match &spec.graph {
                 GraphSpec::Gfa(text) => {
-                    let (g, parsed) = intern_gfa_once(&self.shared, graph_hash, text)
-                        .map_err(SubmitError::Rejected)?;
+                    let (g, parsed) =
+                        intern_gfa_once(&self.shared, graph_hash, || parse_lean(text))
+                            .map_err(SubmitError::Rejected)?;
                     if parsed {
                         graph_phase = "graph_parse";
                     }
@@ -1053,13 +1054,14 @@ fn with_residency((meta, resident): (GraphMeta, bool)) -> GraphMeta {
 
 /// Intern one GFA document under the parse-once guarantee: memory tier,
 /// then disk tier, then — holding a per-hash in-flight reservation — a
-/// single parse, no matter how many threads submit the same bytes
-/// concurrently. Returns the artifact and whether *this* call parsed.
-/// Parsing and file I/O run outside every lock.
+/// single `parse` (the document's [`parse_lean`]), no matter how many
+/// threads submit the same bytes concurrently. Returns the artifact and
+/// whether *this* call parsed. Parsing and file I/O run outside every
+/// lock.
 fn intern_gfa_once(
     shared: &Shared,
     id: ContentHash,
-    text: &str,
+    parse: impl FnOnce() -> Result<Arc<LeanGraph>, String>,
 ) -> Result<(Arc<LeanGraph>, bool), String> {
     loop {
         if let Some(g) = cache::get(&shared.graphs, id) {
@@ -1073,16 +1075,33 @@ fn intern_gfa_once(
         // store (their insert lands before they clear the reservation).
         let _guard = shared.parsing_cv.wait(parsing).unwrap();
     }
-    let result = parse_lean(text);
+    let _reservation = ParseReservation { shared, id };
+    let result = parse();
     if let Ok(lean) = &result {
         shared.parses.fetch_add(1, Ordering::Relaxed);
         cache::put(&shared.graphs, id, lean);
     }
-    let mut parsing = shared.parsing.lock().unwrap();
-    parsing.remove(&id);
-    shared.parsing_cv.notify_all();
-    drop(parsing);
     result.map(|lean| (lean, true))
+}
+
+/// A hash's in-flight parse reservation. Dropping it — on return, or
+/// while a panic in the parse or the store write unwinds — releases the
+/// hash and wakes the uploads waiting on it, so none waits forever.
+struct ParseReservation<'a> {
+    shared: &'a Shared,
+    id: ContentHash,
+}
+
+impl Drop for ParseReservation<'_> {
+    fn drop(&mut self) {
+        let mut parsing = self
+            .shared
+            .parsing
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        parsing.remove(&self.id);
+        self.shared.parsing_cv.notify_all();
+    }
 }
 
 /// Free a popped job's per-graph quota slot and wake a parked worker.
@@ -1423,6 +1442,31 @@ mod tests {
         assert!(svc.status(first.id).is_none(), "job 0 never evicted");
         assert!(svc.status(hits[0].id).is_some());
         assert!(svc.result(hits[MAX_FINISHED_JOBS - 1].id).is_some());
+    }
+
+    #[test]
+    fn a_panicking_parse_releases_its_reservation() {
+        let svc = service(1);
+        let gfa = small_gfa(77);
+        let id = content_hash(gfa.as_bytes());
+        let shared = Arc::clone(&svc.shared);
+        let panicked = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            intern_gfa_once(&shared, id, || panic!("injected parse panic"))
+        }));
+        assert!(panicked.is_err());
+        // A stale reservation would park this re-intern on `parsing_cv`
+        // for good; run it aside and give it a deadline.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reintern = std::thread::spawn(move || {
+            let parsed = intern_gfa_once(&shared, id, || parse_lean(&gfa)).map(|(_, p)| p);
+            let _ = tx.send(parsed);
+        });
+        let parsed = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("re-intern after a panicking parse never returned");
+        reintern.join().unwrap();
+        assert_eq!(parsed, Ok(true));
+        assert!(svc.shared.parsing.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! multi-threaded Hogwild) against the faithful f64 single-thread
 //! baseline on a bundled workload preset.
 
-use layout_core::{CpuEngine, LayoutConfig, Precision};
+use layout_core::{BatchEngine, CpuEngine, DataLayout, LayoutConfig, Precision};
 use pangraph::layout2d::Layout2D;
 use pangraph::lean::LeanGraph;
+use pangraph::store::content_hash;
+use pgio::write_lay;
 use pgmetrics::{sampled_path_stress, SamplingConfig};
 use workloads::generate;
 
@@ -108,4 +110,51 @@ fn fast_paths_reach_stress_parity_with_the_f64_single_thread_baseline() {
             "{label}: stress {s:.6} exceeds 105% of baseline {baseline:.6}"
         );
     }
+}
+
+#[test]
+fn single_thread_layouts_match_their_golden_digests() {
+    // Pins the random stream end to end: which terms are drawn, in which
+    // order, and their reference distances. HLA-DRB1's paths (~3.2k
+    // steps) are longer than the 1,000-entry exact Zipf table, so the
+    // quantized ζ/η lookup is covered too. The digests were recorded
+    // before the sampler was split into a draw pass and a gather pass;
+    // any change to how terms are sampled changes them.
+    let lean = parity_graph();
+    let base = LayoutConfig {
+        threads: 1,
+        iter_max: 10,
+        ..LayoutConfig::default()
+    };
+    let digest = |layout: &Layout2D| content_hash(&write_lay(layout)).hex();
+    let cpu = |cfg: LayoutConfig| digest(&CpuEngine::new(cfg).run(&lean).0);
+    let got = [
+        ("cpu f64 AoS", cpu(base.clone())),
+        (
+            "cpu f32",
+            cpu(LayoutConfig {
+                precision: Precision::F32,
+                ..base.clone()
+            }),
+        ),
+        (
+            "cpu SoA",
+            cpu(LayoutConfig {
+                data_layout: DataLayout::OriginalSoa,
+                ..base.clone()
+            }),
+        ),
+        (
+            "batch 256",
+            digest(&BatchEngine::new(base, 256).run(&lean).0),
+        ),
+    ];
+    // f64 AoS and SoA run the same arithmetic, so they share a digest.
+    let want = [
+        ("cpu f64 AoS", "992ecc88898b782635103fba3e279f2d"),
+        ("cpu f32", "7b34bce205ec2e4b26f89ecf2081e494"),
+        ("cpu SoA", "992ecc88898b782635103fba3e279f2d"),
+        ("batch 256", "6e694f2fc47435771877c4bad9752a18"),
+    ];
+    assert_eq!(got, want.map(|(label, d)| (label, d.to_string())));
 }

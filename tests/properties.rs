@@ -1,6 +1,7 @@
 //! Property-based integration tests (proptest) on cross-crate invariants.
 
 use proptest::prelude::*;
+use rapid_pangenome_layout::core::PairSampler;
 use rapid_pangenome_layout::graph::layout2d::Layout2D;
 use rapid_pangenome_layout::graph::store::content_hash;
 use rapid_pangenome_layout::io::{read_lay, write_lay};
@@ -112,6 +113,69 @@ proptest! {
         let mut rb = SplitMix64::new(b);
         let same = (0..8).all(|_| ra.next() == rb.next());
         prop_assert!(!same);
+    }
+}
+
+/// `lean` with two more paths: one of a single step, which every draw
+/// that picks it must reject, and one of two steps, whose cooled draws
+/// take the Zipf sampler's one-rank space.
+fn with_short_paths(mut lean: LeanGraph) -> LeanGraph {
+    for nodes in [&[0u32][..], &[0, 1]] {
+        let mut pos = 0u64;
+        for &node in nodes {
+            lean.step_node.push(node);
+            lean.step_rev.push(false);
+            lean.step_pos.push(pos);
+            pos += lean.node_len[node as usize] as u64;
+        }
+        lean.step_offset.push(lean.step_node.len() as u32);
+        lean.path_nuc_len.push(pos);
+    }
+    lean
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The block sampler returns exactly the terms that `want` calls of
+    /// the per-term sampler return, and leaves the generator where they
+    /// leave it: for any graph, block size, both sides of the cooling
+    /// point and both pair-selection schemes. A small exact Zipf table
+    /// puts most path lengths in its quantized range.
+    #[test]
+    fn block_sampling_equals_per_term_sampling(
+        sites in 5usize..120,
+        haps in 1usize..6,
+        seed in 0u64..1000,
+        want in 1usize..601,
+        zipf_space_max in 2u64..200,
+        fixed_hop in any::<bool>(),
+        hop in 1u32..40,
+        short_paths in any::<bool>(),
+    ) {
+        let lean = LeanGraph::from_graph(&gen_graph(&PangenomeSpec::basic("p", sites, haps, seed)));
+        let lean = if short_paths { with_short_paths(lean) } else { lean };
+        let cfg = LayoutConfig {
+            iter_max: 10,
+            zipf_space_max,
+            zipf_quant: 7,
+            pair_selection: if fixed_hop { PairSelection::FixedHop(hop) } else { PairSelection::PgSgd },
+            ..LayoutConfig::default()
+        };
+        let sampler = PairSampler::new(&lean, &cfg);
+        let cooling = sampler.first_cooling_iter();
+        let mut per_term = Xoshiro256Plus::seed_from_u64(seed);
+        let mut block_rng = Xoshiro256Plus::seed_from_u64(seed);
+        let mut block = Vec::new();
+        for iter in [cooling - 1, cooling] {
+            let expect: Vec<_> = (0..want)
+                .filter_map(|_| sampler.sample(&lean, &mut per_term, iter))
+                .collect();
+            let got = sampler.sample_block(&lean, &mut block_rng, iter, want, &mut block);
+            prop_assert_eq!(got, block.len());
+            prop_assert_eq!(&block, &expect, "iter {}", iter);
+            prop_assert_eq!(per_term.next_u64(), block_rng.next_u64());
+        }
     }
 }
 
