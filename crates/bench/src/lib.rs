@@ -506,6 +506,8 @@ struct BaselineRow {
     precision: String,
     layout: String,
     threads: usize,
+    iters: u32,
+    term_block: usize,
     /// Best-of updates/sec (present since `pgl-bench/1`).
     ups_best: f64,
     /// Mean updates/sec (since `pgl-bench/2`).
@@ -516,12 +518,19 @@ struct BaselineRow {
     anchor_ratio: Option<f64>,
 }
 
+/// Whether a row measures the `--ab` anchor configuration itself.
+fn is_anchor_row(r: &BenchRecord) -> bool {
+    r.engine == "cpu" && r.precision == "f64" && r.layout == "aos" && r.threads == 1
+}
+
 /// Compare a fresh run against a committed `BENCH_*.json` baseline and
 /// fail when any matching configuration (same engine, precision, memory
-/// layout, and thread count) has regressed beyond tolerance.
-/// Configurations present on only one side are reported but never fail
-/// the guard — presets and sweeps may legitimately grow between PRs.
-/// Returns a human-readable comparison table on success.
+/// layout, thread count, iterations and term block) has regressed
+/// beyond tolerance. The baseline must measure the same preset as the
+/// run; another preset is an error. Configurations present on only one
+/// side are reported but never fail the guard — sweeps may legitimately
+/// grow between PRs. Returns a human-readable comparison table on
+/// success.
 ///
 /// The comparison is statistics-aware where the documents allow:
 ///
@@ -535,7 +544,10 @@ struct BaselineRow {
 /// * **anchor ratios** (`--ab` runs) — when both sides recorded an
 ///   `anchor_ratio`, the gate compares those ratios instead of raw
 ///   throughput, so a machine-wide performance-regime shift between
-///   baseline time and candidate time cancels out.
+///   baseline time and candidate time cancels out. A change that moves
+///   every row alike, the anchor included, cancels out too; so the
+///   anchor row (cpu / f64 / aos / 1 thread) is also held to its raw
+///   mean rate.
 pub fn guard_against_baseline(
     report: &BenchReport,
     baseline_json: &str,
@@ -543,6 +555,14 @@ pub fn guard_against_baseline(
 ) -> Result<String, String> {
     let doc =
         validate_json(baseline_json).map_err(|e| format!("baseline document invalid: {e}"))?;
+    let preset = doc.get("preset").and_then(Json::str).unwrap_or_default();
+    if preset != report.preset {
+        return Err(format!(
+            "baseline measures preset {preset:?}, this run preset {:?}; \
+             guard against a baseline of the same preset",
+            report.preset
+        ));
+    }
     let baseline: Vec<BaselineRow> = doc
         .get("results")
         .and_then(Json::arr)
@@ -556,6 +576,8 @@ pub fn guard_against_baseline(
                 precision: text("precision")?,
                 layout: text("layout")?,
                 threads: usize::try_from(rec.get("threads")?.u64()?).ok()?,
+                iters: u32::try_from(rec.get("iters")?.u64()?).ok()?,
+                term_block: usize::try_from(rec.get("term_block")?.u64()?).ok()?,
                 ups_best: num("updates_per_sec")?,
                 ups_mean: num("updates_per_sec_mean"),
                 cv: num("cv"),
@@ -572,6 +594,8 @@ pub fn guard_against_baseline(
                 && b.precision == r.precision
                 && b.layout == r.layout
                 && b.threads == r.threads
+                && b.iters == r.iters
+                && b.term_block == r.term_block
         }) else {
             lines.push(format!("  {key:<20} no baseline row (skipped)"));
             continue;
@@ -584,26 +608,32 @@ pub fn guard_against_baseline(
         // Widen the gate by the combined run-to-run noise of both sides.
         let noise = (r.cv.powi(2) + base.cv.unwrap_or(0.0).powi(2)).sqrt();
         let tol_eff = tolerance + 2.0 * noise;
-        let (ratio, mode) = match (r.anchor_ratio, base.anchor_ratio) {
-            (Some(c), Some(b)) if b > 0.0 => (c / b, "anchor-paired"),
-            _ => (cand_val / base_val.max(1e-12), "raw"),
+        let raw = cand_val / base_val.max(1e-12);
+        let checks = match (r.anchor_ratio, base.anchor_ratio) {
+            (Some(c), Some(b)) if b > 0.0 && is_anchor_row(r) => {
+                vec![(c / b, "anchor-paired"), (raw, "raw anchor")]
+            }
+            (Some(c), Some(b)) if b > 0.0 => vec![(c / b, "anchor-paired")],
+            _ => vec![(raw, "raw")],
         };
-        lines.push(format!(
-            "  {key:<20} {:>7.2}M vs {:>7.2}M updates/s  ({:+.1}% {mode}, tol {:.1}%)",
-            cand_val / 1e6,
-            base_val / 1e6,
-            (ratio - 1.0) * 100.0,
-            tol_eff * 100.0
-        ));
-        if ratio < 1.0 - tol_eff {
-            regressions.push(format!(
-                "{key}: {:.2}M vs baseline {:.2}M updates/s \
-                 ({:.1}% below via {mode} comparison, tolerance {:.1}%)",
+        for (ratio, mode) in checks {
+            lines.push(format!(
+                "  {key:<20} {:>7.2}M vs {:>7.2}M updates/s  ({:+.1}% {mode}, tol {:.1}%)",
                 cand_val / 1e6,
                 base_val / 1e6,
-                (1.0 - ratio) * 100.0,
+                (ratio - 1.0) * 100.0,
                 tol_eff * 100.0
             ));
+            if ratio < 1.0 - tol_eff {
+                regressions.push(format!(
+                    "{key}: {:.2}M vs baseline {:.2}M updates/s \
+                     ({:.1}% below via {mode} comparison, tolerance {:.1}%)",
+                    cand_val / 1e6,
+                    base_val / 1e6,
+                    (1.0 - ratio) * 100.0,
+                    tol_eff * 100.0
+                ));
+            }
         }
     }
     if !regressions.is_empty() {
@@ -783,17 +813,18 @@ mod tests {
         // Against its own document the paired ratio is exactly 1.0.
         let summary = guard_against_baseline(&report, &json, GUARD_DEFAULT_TOLERANCE).unwrap();
         assert!(summary.contains("anchor-paired"), "{summary}");
-        // Uniform machine drift: both the row and the anchor slow down
-        // 3x. Raw throughput craters, but the paired ratio is unchanged,
-        // so the gate must still pass.
+        // A row whose raw throughput drifts 3x while its paired ratio
+        // holds passes: only the anchor row is held to its raw rate.
         let mut drifted = report.clone();
-        for r in &mut drifted.results {
+        for r in drifted.results.iter_mut().filter(|r| !is_anchor_row(r)) {
             r.updates_per_sec /= 3.0;
             r.updates_per_sec_mean /= 3.0;
-            // anchor_ratio unchanged: the anchor drifted identically.
+            // anchor_ratio unchanged: the anchor runs interleaved with
+            // this row drifted alike.
         }
         let summary = guard_against_baseline(&drifted, &json, GUARD_DEFAULT_TOLERANCE).unwrap();
         assert!(summary.contains("anchor-paired"), "{summary}");
+        assert!(summary.contains("raw anchor"), "{summary}");
         // A genuine relative regression (ratio drop) still fails even
         // though raw throughput looks fine.
         let mut slower = report.clone();
@@ -802,6 +833,56 @@ mod tests {
         }
         let err = guard_against_baseline(&slower, &json, GUARD_DEFAULT_TOLERANCE).unwrap_err();
         assert!(err.contains("anchor-paired"), "{err}");
+    }
+
+    #[test]
+    fn a_slowdown_of_every_row_alike_fails_on_the_anchor_rows_raw_rate() {
+        let mut opts = quick_opts();
+        opts.ab = true;
+        let mut baseline = run_bench(&opts).unwrap();
+        for r in &mut baseline.results {
+            r.cv = 0.0;
+        }
+        // 30% slower on every row, the anchor included: every
+        // row:anchor ratio is unchanged.
+        let mut slower = baseline.clone();
+        for r in &mut slower.results {
+            r.updates_per_sec *= 0.7;
+            r.updates_per_sec_mean *= 0.7;
+        }
+        let err = guard_against_baseline(&slower, &to_json(&baseline), GUARD_DEFAULT_TOLERANCE)
+            .unwrap_err();
+        assert!(err.contains("cpu/f64/aos/1t"), "{err}");
+        assert!(err.contains("raw anchor"), "{err}");
+        assert!(!err.contains("anchor-paired"), "{err}");
+    }
+
+    #[test]
+    fn the_guard_keys_on_preset_iterations_and_term_block() {
+        let report = run_bench(&quick_opts()).unwrap();
+        // A baseline of another preset is refused outright, naming both.
+        let err = guard_against_baseline(
+            &report,
+            include_str!("../../../BENCH_8.json"),
+            GUARD_DEFAULT_TOLERANCE,
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("\"medium\"") && err.contains("\"quick\""),
+            "{err}"
+        );
+        // Rows of another schedule or term block are not comparable.
+        for change in [
+            |r: &mut BenchRecord| r.iters += 1,
+            |r: &mut BenchRecord| r.term_block *= 2,
+        ] {
+            let mut other = report.clone();
+            other.results.iter_mut().for_each(change);
+            let summary =
+                guard_against_baseline(&report, &to_json(&other), GUARD_DEFAULT_TOLERANCE).unwrap();
+            assert!(!summary.contains("raw"), "{summary}");
+            assert!(summary.contains("no baseline row"), "{summary}");
+        }
     }
 
     #[test]

@@ -174,11 +174,12 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
              updates/sec and adds speedup_vs_baseline to every record. --validate\n\
              parses an existing document, checks its schema and rows, and exits\n\
              (accepts pgl-bench/1, /2 and /3). --guard <bench.json> compares this run's\n\
-             records against a committed baseline per (engine, precision, layout,\n\
-             threads) row and fails on regression beyond --tolerance (default 0.02\n\
-             = 2%) widened by 2 sigma of the two runs' combined cv; with --ab and\n\
-             an --ab baseline the gate compares anchor ratios instead of raw\n\
-             throughput."
+             records against a committed baseline of the same preset (another\n\
+             preset is an error) per (engine, precision, layout, threads, iters,\n\
+             term_block) row and fails on regression beyond --tolerance (default\n\
+             0.02 = 2%) widened by 2 sigma of the two runs' combined cv; with --ab\n\
+             and an --ab baseline the gate compares anchor ratios instead of raw\n\
+             throughput, and holds the anchor row to its raw rate as well."
         }
         "batch" => {
             "pgl batch <dir> -o <outdir> [--engine cpu|batch[,more...]]\n\

@@ -111,7 +111,24 @@ pub fn stream_lines(
     path_and_query: &str,
     on_line: &mut dyn FnMut(&str) -> bool,
 ) -> Result<bool, String> {
-    let mut stream = connect(addr, STREAM_TIMEOUT)?;
+    stream_lines_over(connect_stream(addr)?, addr, path_and_query, on_line)
+}
+
+/// Connect to `addr` for an event stream, under the stream read
+/// deadline. A caller that must be able to end the stream from another
+/// thread keeps a `try_clone` of the socket and shuts it down: the
+/// blocked read then fails at once.
+pub(crate) fn connect_stream(addr: &str) -> Result<TcpStream, String> {
+    connect(addr, STREAM_TIMEOUT)
+}
+
+/// [`stream_lines`] over a socket from [`connect_stream`].
+pub(crate) fn stream_lines_over(
+    mut stream: TcpStream,
+    addr: &str,
+    path_and_query: &str,
+    on_line: &mut dyn FnMut(&str) -> bool,
+) -> Result<bool, String> {
     let head =
         format!("GET {path_and_query} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n");
     stream

@@ -71,15 +71,15 @@ use crate::httpmetrics::HttpMetrics;
 use crate::job::{GraphSpec, JobId};
 use crate::obs;
 use crate::sched::{job_cost, FairScheduler};
-use crate::service::{parse_layout_input, GraphUpload, SubmitTicket};
+use crate::service::{parse_layout_input, GraphUpload, SubmitTicket, MAX_FINISHED_JOBS};
 use crate::spec::{JobSpec, Priority};
 use pangraph::store::{content_hash, evict_dir_to_cap, ContentHash};
 use pgio::{quote, Json};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for a coordinator.
@@ -129,8 +129,8 @@ const MAX_ATTEMPTS: u32 = 5;
 const TERMINAL_STATES: [&str; 4] = ["done", "failed", "cancelled", "expired"];
 
 /// How long parked loops (dispatcher idle, monitor tick ceiling, event
-/// streams between state checks) wait before re-checking shared state
-/// and the stop flag.
+/// streams between state checks) wait before re-checking shared state.
+/// Stopping wakes them at once (see [`CoordShared::park`]).
 const PARK: Duration = Duration::from_millis(250);
 
 /// Idle gap after which a proxied event stream emits its own heartbeat
@@ -216,8 +216,16 @@ struct CoordShared {
     cfg: CoordinatorConfig,
     started: Instant,
     /// Shared with the HTTP server: one flag stops serving, dispatch and
-    /// monitoring.
+    /// monitoring. Set only by [`CoordShared::halt`].
     stop: Arc<AtomicBool>,
+    /// Where the coordinator's own threads wait out their timed pauses
+    /// ([`CoordShared::park`]); `halt` notifies it.
+    park: Mutex<()>,
+    park_cv: Condvar,
+    /// The upstream worker socket of every event stream being relayed,
+    /// keyed by a relay serial, so `halt` can sever blocked reads.
+    relays: Mutex<HashMap<u64, TcpStream>>,
+    next_relay: AtomicU64,
     /// The HTTP server's request metrics, rendered in `/v1/metrics`.
     http: Arc<HttpMetrics>,
     workers: Mutex<HashMap<String, WorkerEntry>>,
@@ -226,10 +234,14 @@ struct CoordShared {
     queue_cv: Condvar,
     jobs: Mutex<HashMap<JobId, CoordJob>>,
     jobs_cv: Condvar,
+    /// Terminal job ids in retirement order, oldest first; drives
+    /// eviction from `jobs` (and the journal) beyond `MAX_FINISHED_JOBS`.
+    finished: Mutex<VecDeque<JobId>>,
     next_id: AtomicU64,
     counters: CoordCounters,
     /// The write-ahead journal; `None` runs the pre-journal in-memory
-    /// mode. Locked after (never while holding) `vault`/`jobs`.
+    /// mode. Locked after (never while holding) `vault`/`jobs`; `retire`
+    /// locks it inside `finished`.
     journal: Option<Mutex<Journal>>,
     /// `<journal-dir>/vault`, where GFA bodies spill.
     vault_dir: Option<PathBuf>,
@@ -265,6 +277,7 @@ impl Coordinator {
         let mut queue = FairScheduler::with_graph_quota(cfg.graph_quota);
         let mut vault = HashMap::new();
         let mut jobs = HashMap::new();
+        let mut finished = VecDeque::new();
         let mut journal_cell = None;
         let mut vault_dir = None;
         let mut epoch = 0u64;
@@ -277,6 +290,7 @@ impl Coordinator {
             std::fs::create_dir_all(&vdir)?;
             epoch = journal.epoch();
             replayed = journal.replayed() as u64;
+            next_id = journal.max_job_id();
             for g in journal.live_graphs() {
                 vault.insert(
                     g.id,
@@ -290,7 +304,6 @@ impl Coordinator {
                 );
             }
             for rec in journal.live_jobs() {
-                next_id = next_id.max(rec.id);
                 let spec = match JobSpec::from_query(&rec.query) {
                     Ok(spec) => spec,
                     Err(e) => {
@@ -344,6 +357,9 @@ impl Coordinator {
                             state: state.clone(),
                             body: local_status(rec.id, &job, state, 0, ",\"recovered\":true"),
                         };
+                        // `live_jobs` lists terminal jobs in retirement
+                        // order, capped as this table will be.
+                        finished.push_back(rec.id);
                     }
                 }
                 jobs.insert(rec.id, job);
@@ -370,12 +386,17 @@ impl Coordinator {
             cfg,
             started: Instant::now(),
             stop,
+            park: Mutex::new(()),
+            park_cv: Condvar::new(),
+            relays: Mutex::new(HashMap::new()),
+            next_relay: AtomicU64::new(0),
             http: server.metrics(),
             workers: Mutex::new(HashMap::new()),
             vault: Mutex::new(vault),
             queue_cv: Condvar::new(),
             jobs: Mutex::new(jobs),
             jobs_cv: Condvar::new(),
+            finished: Mutex::new(finished),
             next_id: AtomicU64::new(next_id),
             counters,
             journal: journal_cell,
@@ -411,8 +432,7 @@ impl Coordinator {
                 .expect("spawn monitor")
         };
         server.serve(Arc::clone(&shared) as Arc<dyn Router>);
-        shared.queue_cv.notify_all();
-        shared.jobs_cv.notify_all();
+        shared.halt();
         let _ = dispatcher.join();
         let _ = monitor.join();
     }
@@ -452,9 +472,7 @@ impl CoordinatorHandle {
     }
 
     fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        self.shared.queue_cv.notify_all();
-        self.shared.jobs_cv.notify_all();
+        self.shared.halt();
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.handle.take() {
@@ -469,6 +487,43 @@ impl Drop for CoordinatorHandle {
     }
 }
 
+impl CoordShared {
+    /// Set the stop flag and wake everything that waits on it: parked
+    /// loops, condvar waiters, and handlers blocked reading a relayed
+    /// worker stream (their upstream sockets are shut down). Idempotent,
+    /// and it never panics (a handle's `Drop` calls it), so a poisoned
+    /// lock is taken as it is.
+    fn halt(&self) {
+        // The flag is set before each waiter's lock is taken, so a
+        // waiter has either seen it or is already waiting when notified.
+        {
+            let _park = self.park.lock().unwrap_or_else(PoisonError::into_inner);
+            self.stop.store(true, Ordering::Relaxed);
+            self.park_cv.notify_all();
+        }
+        drop(self.queue.lock());
+        self.queue_cv.notify_all();
+        drop(self.jobs.lock());
+        self.jobs_cv.notify_all();
+        let relays = self.relays.lock().unwrap_or_else(PoisonError::into_inner);
+        for upstream in relays.values() {
+            let _ = upstream.shutdown(std::net::Shutdown::Both);
+        }
+    }
+
+    /// Wait `timeout`, or less if the coordinator stops; returns whether
+    /// it is stopping. Only stopping ends the wait early, so a periodic
+    /// loop keeps its period exactly.
+    fn park(&self, timeout: Duration) -> bool {
+        let guard = self.park.lock().unwrap();
+        let _ = self
+            .park_cv
+            .wait_timeout_while(guard, timeout, |_| !self.stop.load(Ordering::Relaxed))
+            .unwrap();
+        self.stop.load(Ordering::Relaxed)
+    }
+}
+
 // ─── dispatcher: queue → ring owner ─────────────────────────────────
 
 fn dispatcher(shared: &CoordShared) {
@@ -476,7 +531,7 @@ fn dispatcher(shared: &CoordShared) {
         // Don't pop (and start burning attempts) while the fleet is
         // empty: jobs queued during a total outage just wait.
         if !has_alive_worker(shared) {
-            std::thread::sleep(PARK);
+            shared.park(PARK);
             continue;
         }
         let Some(id) = pop_next(shared) else { continue };
@@ -552,7 +607,7 @@ fn dispatch_one(shared: &CoordShared, id: JobId) {
         .collect();
     if owners.is_empty() {
         requeue(shared, id, false, "no alive workers");
-        std::thread::sleep(PARK);
+        shared.park(PARK);
         return;
     }
     // Rendezvous preference order doubles as the failover order: if the
@@ -666,7 +721,7 @@ fn release_quota(shared: &CoordShared, id: JobId) {
 
 // Journal write hooks: no-ops without `--journal-dir`. Callers invoke
 // these after releasing the `jobs`/`vault` locks (lock order: state
-// locks strictly before the journal lock).
+// locks strictly before the journal lock; `finished` before both).
 
 /// Journal a job accept — fsync'd, so the 202 the caller is about to
 /// send is a durable promise.
@@ -682,25 +737,46 @@ fn journal_forwarded(shared: &CoordShared, id: JobId, worker: &str, remote: JobI
     }
 }
 
-fn journal_terminal(
+/// Bookkeeping once a job has turned terminal: journal the outcome,
+/// then evict the oldest terminal jobs beyond `MAX_FINISHED_JOBS` from
+/// the job table. The journal applies the same cap to the same
+/// retirement order (both are fed under the `finished` lock), so it
+/// drops the same jobs and a restart replays what the table kept.
+fn retire(
     shared: &CoordShared,
     id: JobId,
     state: &str,
     worker: Option<&str>,
     remote: Option<JobId>,
 ) {
-    if let Some(j) = &shared.journal {
-        j.lock().unwrap().terminal(id, state, worker, remote);
+    let evicted: Vec<JobId> = {
+        let mut finished = shared.finished.lock().unwrap();
+        if let Some(j) = &shared.journal {
+            j.lock().unwrap().terminal(id, state, worker, remote);
+        }
+        finished.push_back(id);
+        let excess = finished.len().saturating_sub(MAX_FINISHED_JOBS);
+        finished.drain(..excess).collect()
+    };
+    if !evicted.is_empty() {
+        let mut jobs = shared.jobs.lock().unwrap();
+        for old in evicted {
+            jobs.remove(&old);
+        }
     }
 }
 
 /// Put a job back in the queue (after a worker death or forward
 /// failure); `count` burns one of its attempts. Exhausted jobs fail
-/// loudly instead of looping forever.
+/// loudly instead of looping forever. A job a racing status read
+/// collected as finished stays finished.
 fn requeue(shared: &CoordShared, id: JobId, count: bool, reason: &str) {
     let exhausted = {
         let mut jobs = shared.jobs.lock().unwrap();
-        let Some(job) = jobs.get_mut(&id) else {
+        let Some(job) = jobs
+            .get_mut(&id)
+            .filter(|job| !matches!(job.state, CoordJobState::Terminal { .. }))
+        else {
             release_quota(shared, id);
             return;
         };
@@ -759,7 +835,7 @@ fn finish_local(shared: &CoordShared, id: JobId, state: &str, error: Option<&str
             body,
         };
     }
-    journal_terminal(shared, id, state, None, None);
+    retire(shared, id, state, None, None);
     let counter = match state {
         "cancelled" => &shared.counters.cancelled,
         _ => &shared.counters.failed,
@@ -773,8 +849,7 @@ fn finish_local(shared: &CoordShared, id: JobId, state: &str, error: Option<&str
 
 fn monitor(shared: &CoordShared) {
     let tick = (shared.cfg.heartbeat / 2).clamp(Duration::from_millis(50), PARK);
-    while !shared.stop.load(Ordering::Relaxed) {
-        std::thread::sleep(tick);
+    while !shared.park(tick) {
         death_sweep(shared);
         poll_forwarded(shared);
     }
@@ -917,7 +992,7 @@ fn collect_if_terminal(
             _ => return,
         }
     }
-    journal_terminal(shared, id, &state, Some(worker), Some(remote));
+    retire(shared, id, &state, Some(worker), Some(remote));
     let counter = match state.as_str() {
         "done" => &shared.counters.completed,
         "cancelled" => &shared.counters.cancelled,
@@ -1824,6 +1899,43 @@ impl StreamCursor {
     }
 }
 
+/// A relayed worker stream's upstream socket, listed in
+/// [`CoordShared::relays`] while it lives so that stopping the
+/// coordinator can sever it.
+struct Relay<'a> {
+    shared: &'a CoordShared,
+    serial: u64,
+}
+
+impl<'a> Relay<'a> {
+    /// List `upstream`, unless the coordinator is stopping. The stop
+    /// flag is read under the registry lock `halt` severs under, so a
+    /// socket listed after the sever pass cannot slip through.
+    fn register(shared: &'a CoordShared, upstream: &TcpStream) -> Result<Self, String> {
+        let clone = upstream
+            .try_clone()
+            .map_err(|e| format!("clone relay socket: {e}"))?;
+        let mut relays = shared.relays.lock().unwrap();
+        if shared.stop.load(Ordering::Relaxed) {
+            return Err("coordinator stopping".into());
+        }
+        let serial = shared.next_relay.fetch_add(1, Ordering::Relaxed);
+        relays.insert(serial, clone);
+        Ok(Self { shared, serial })
+    }
+}
+
+impl Drop for Relay<'_> {
+    fn drop(&mut self) {
+        let mut relays = self
+            .shared
+            .relays
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        relays.remove(&self.serial);
+    }
+}
+
 /// `GET /v1/jobs/<id>/events` — chunked NDJSON, transparently proxied.
 /// While the job is queued coordinator-side, synthetic `queued` +
 /// heartbeat lines flow; once forwarded, the worker's stream is piped
@@ -1851,7 +1963,9 @@ fn stream_proxy(out: &mut EventStream<'_>, shared: &CoordShared, id: JobId) -> s
                 }
                 {
                     let jobs = shared.jobs.lock().unwrap();
-                    let _ = shared.jobs_cv.wait_timeout(jobs, PARK).unwrap();
+                    if !shared.stop.load(Ordering::Relaxed) {
+                        let _ = shared.jobs_cv.wait_timeout(jobs, PARK).unwrap();
+                    }
                 }
                 if last_activity.elapsed() >= EVENT_HEARTBEAT {
                     out.send(b"{\"event\":\"heartbeat\"}\n")?;
@@ -1861,23 +1975,27 @@ fn stream_proxy(out: &mut EventStream<'_>, shared: &CoordShared, id: JobId) -> s
             Some(CoordJobState::Forwarded { worker, remote }) => {
                 let mut write_err = None;
                 let from = cursor.attach(&worker, remote);
-                let piped = client::stream_lines(
-                    &worker,
-                    &format!("/v1/jobs/{remote}/events?from={from}"),
-                    &mut |line| {
-                        if !cursor.admit(line) {
-                            return true; // already relayed before the drop
-                        }
-                        let rewritten = rewrite_job_id(line, id);
-                        match out.send(format!("{rewritten}\n").as_bytes()) {
-                            Ok(()) => true,
-                            Err(e) => {
-                                write_err = Some(e);
-                                false
+                let piped = client::connect_stream(&worker).and_then(|upstream| {
+                    let _relay = Relay::register(shared, &upstream)?;
+                    client::stream_lines_over(
+                        upstream,
+                        &worker,
+                        &format!("/v1/jobs/{remote}/events?from={from}"),
+                        &mut |line| {
+                            if !cursor.admit(line) {
+                                return true; // already relayed before the drop
                             }
-                        }
-                    },
-                );
+                            let rewritten = rewrite_job_id(line, id);
+                            match out.send(format!("{rewritten}\n").as_bytes()) {
+                                Ok(()) => true,
+                                Err(e) => {
+                                    write_err = Some(e);
+                                    false
+                                }
+                            }
+                        },
+                    )
+                });
                 if let Some(e) = write_err {
                     return Err(e); // downstream client went away
                 }
@@ -1886,9 +2004,12 @@ fn stream_proxy(out: &mut EventStream<'_>, shared: &CoordShared, id: JobId) -> s
                     // the terminal event; nothing more to say.
                     Ok(true) => break,
                     Ok(false) => break,
-                    // Worker died mid-stream: hold the connection while
-                    // the monitor requeues, then re-attach.
-                    Err(_) => std::thread::sleep(PARK),
+                    // Worker died mid-stream (or stop severed it): hold
+                    // the connection while the monitor requeues, then
+                    // re-attach.
+                    Err(_) => {
+                        shared.park(PARK);
+                    }
                 }
             }
             Some(CoordJobState::Terminal { state, body, .. }) => {

@@ -13,6 +13,7 @@
 //!
 //! ```text
 //! pgl-coord-journal/1 epoch=<n>          header; epoch bumps every open
+//! N <id>                                   highest job id issued (snapshots)
 //! G <hex> <nodes> <paths> <steps> <bytes>  graph vaulted (spill in vault/)
 //! D <hex>                                  graph deleted or evicted
 //! A <id> <query>                           job accepted (JobSpec wire form)
@@ -42,10 +43,21 @@
 //! graphs) so compaction needs no callback into the coordinator: a
 //! snapshot is the header plus one `G` per live graph, one `A` per
 //! journaled job, and the job's latest `F`/`T` if any.
+//!
+//! Terminal jobs are retained up to `MAX_FINISHED_JOBS`, as in the
+//! coordinator's job table: each `T` record, appended or replayed,
+//! evicts the oldest terminal job beyond the cap. Snapshots write the
+//! terminal jobs last, in retirement order, so a replay evicts in the
+//! same order; a log written before the cap existed replays to its
+//! newest `MAX_FINISHED_JOBS` terminal jobs. A terminal job stays
+//! terminal: a later `F` or `T` for it changes nothing. The `N` record
+//! keeps the highest job id issued through evictions, so a restarted
+//! coordinator never hands out an evicted job's id again.
 
 use crate::job::JobId;
+use crate::service::MAX_FINISHED_JOBS;
 use pangraph::store::{write_atomic, ContentHash};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -138,6 +150,10 @@ pub struct Journal {
     /// Shadow of the live state, for compaction and boot replay.
     jobs: HashMap<JobId, JobRecord>,
     graphs: HashMap<ContentHash, GraphRecord>,
+    /// Terminal jobs in `jobs`, in retirement order, oldest first.
+    finished: VecDeque<JobId>,
+    /// Highest job id ever accepted, evicted jobs included.
+    max_id: JobId,
     /// Lines in the on-disk log; drives compaction.
     log_lines: usize,
     /// Approximate on-disk log size.
@@ -162,6 +178,8 @@ impl Journal {
             epoch: 0,
             jobs: HashMap::new(),
             graphs: HashMap::new(),
+            finished: VecDeque::new(),
+            max_id: 0,
             log_lines: 0,
             bytes: 0,
             replayed: 0,
@@ -222,12 +240,18 @@ impl Journal {
                         self.graphs.remove(&id);
                     }
                 }
+                Some("N") => {
+                    if let Some(id) = f.next().and_then(|v| v.parse::<JobId>().ok()) {
+                        self.max_id = self.max_id.max(id);
+                    }
+                }
                 Some("A") => {
                     let (Some(id), Some(query)) =
                         (f.next().and_then(|v| v.parse::<JobId>().ok()), f.next())
                     else {
                         continue;
                     };
+                    self.max_id = self.max_id.max(id);
                     self.jobs.insert(
                         id,
                         JobRecord {
@@ -245,12 +269,7 @@ impl Journal {
                     ) else {
                         continue;
                     };
-                    if let Some(job) = self.jobs.get_mut(&id) {
-                        job.state = JobRecordState::Forwarded {
-                            worker: worker.to_string(),
-                            remote,
-                        };
-                    }
+                    self.set_forwarded(id, worker, remote);
                 }
                 Some("T") => {
                     let (Some(id), Some(state)) =
@@ -260,13 +279,7 @@ impl Journal {
                     };
                     let worker = f.next().map(str::to_string);
                     let remote = f.next().and_then(|v| v.parse::<JobId>().ok());
-                    if let Some(job) = self.jobs.get_mut(&id) {
-                        job.state = JobRecordState::Terminal {
-                            state: state.to_string(),
-                            worker,
-                            remote,
-                        };
-                    }
+                    self.set_terminal(id, state, worker, remote);
                 }
                 _ => {}
             }
@@ -282,6 +295,12 @@ impl Journal {
     /// Jobs found in the log at open (terminal ones included).
     pub fn replayed(&self) -> usize {
         self.replayed
+    }
+
+    /// The highest job id ever journaled, evicted jobs included: new ids
+    /// must start above it.
+    pub fn max_job_id(&self) -> JobId {
+        self.max_id
     }
 
     /// Approximate on-disk size of the log.
@@ -306,16 +325,30 @@ impl Journal {
         v
     }
 
-    /// Every journaled job with its latest state, for boot replay.
+    /// Every journaled job with its latest state, for boot replay: the
+    /// unfinished ones by id, then the terminal ones in retirement
+    /// order (at most `MAX_FINISHED_JOBS` of them).
     pub fn live_jobs(&self) -> Vec<JobRecord> {
-        let mut v: Vec<JobRecord> = self.jobs.values().cloned().collect();
+        let mut v: Vec<JobRecord> = self
+            .jobs
+            .values()
+            .filter(|j| !matches!(j.state, JobRecordState::Terminal { .. }))
+            .cloned()
+            .collect();
         v.sort_by_key(|j| j.id);
+        v.extend(
+            self.finished
+                .iter()
+                .filter_map(|id| self.jobs.get(id))
+                .cloned(),
+        );
         v
     }
 
     /// Journal a job accept: the full wire-form query, fsync'd before
     /// the caller acknowledges the submit.
     pub fn accept(&mut self, id: JobId, query: &str) {
+        self.max_id = self.max_id.max(id);
         self.jobs.insert(
             id,
             JobRecord {
@@ -329,16 +362,12 @@ impl Journal {
 
     /// Journal a forward: `id` is running on `worker` as `remote`.
     pub fn forwarded(&mut self, id: JobId, worker: &str, remote: JobId) {
-        if let Some(job) = self.jobs.get_mut(&id) {
-            job.state = JobRecordState::Forwarded {
-                worker: worker.to_string(),
-                remote,
-            };
-        }
+        self.set_forwarded(id, worker, remote);
         self.append(&format!("F {id} {worker} {remote}\n"), false);
     }
 
-    /// Journal a terminal outcome.
+    /// Journal a terminal outcome, evicting the oldest terminal job
+    /// beyond `MAX_FINISHED_JOBS`.
     pub fn terminal(
         &mut self,
         id: JobId,
@@ -346,18 +375,52 @@ impl Journal {
         worker: Option<&str>,
         remote: Option<JobId>,
     ) {
-        if let Some(job) = self.jobs.get_mut(&id) {
-            job.state = JobRecordState::Terminal {
-                state: state.to_string(),
-                worker: worker.map(str::to_string),
-                remote,
-            };
-        }
+        self.set_terminal(id, state, worker.map(str::to_string), remote);
         let tail = match (worker, remote) {
             (Some(w), Some(r)) => format!(" {w} {r}"),
             _ => String::new(),
         };
         self.append(&format!("T {id} {state}{tail}\n"), false);
+    }
+
+    /// Record a known, unfinished job's forward.
+    fn set_forwarded(&mut self, id: JobId, worker: &str, remote: JobId) {
+        if let Some(job) = self.jobs.get_mut(&id) {
+            if !matches!(job.state, JobRecordState::Terminal { .. }) {
+                job.state = JobRecordState::Forwarded {
+                    worker: worker.to_string(),
+                    remote,
+                };
+            }
+        }
+    }
+
+    /// Record a known, unfinished job's terminal state and evict beyond
+    /// the retention cap.
+    fn set_terminal(
+        &mut self,
+        id: JobId,
+        state: &str,
+        worker: Option<String>,
+        remote: Option<JobId>,
+    ) {
+        let Some(job) = self.jobs.get_mut(&id) else {
+            return;
+        };
+        if matches!(job.state, JobRecordState::Terminal { .. }) {
+            return;
+        }
+        job.state = JobRecordState::Terminal {
+            state: state.to_string(),
+            worker,
+            remote,
+        };
+        self.finished.push_back(id);
+        while self.finished.len() > MAX_FINISHED_JOBS {
+            if let Some(old) = self.finished.pop_front() {
+                self.jobs.remove(&old);
+            }
+        }
     }
 
     /// Journal a graph intern (its GFA spill just landed in the vault
@@ -404,11 +467,16 @@ impl Journal {
     }
 
     /// Rewrite the log as a compact snapshot (temp + rename): header,
-    /// live graphs, then each job's accept plus its latest state.
+    /// live graphs, then each retained job's accept plus its latest
+    /// state, in [`Journal::live_jobs`] order.
     fn snapshot(&mut self) -> std::io::Result<()> {
         self.stats.snapshots += 1;
         let mut text = header(self.epoch);
         let mut lines = 0usize;
+        if self.max_id > 0 {
+            text.push_str(&format!("N {}\n", self.max_id));
+            lines += 1;
+        }
         for g in self.live_graphs() {
             text.push_str(&format!(
                 "G {} {} {} {} {}\n",
@@ -651,6 +719,98 @@ mod tests {
         // A corrupt spill reads as absent, never as a wrong graph.
         std::fs::write(vault_path(&dir.0, id), "S\t9\tTTTT\n").unwrap();
         assert_eq!(read_vault_gfa(&dir.0, id), None);
+    }
+
+    /// The ids of a log's `T` records, in file order.
+    fn terminal_ids(dir: &Path) -> Vec<JobId> {
+        std::fs::read_to_string(dir.join(JOURNAL_FILE))
+            .unwrap()
+            .lines()
+            .filter_map(|l| l.strip_prefix("T ")?.split(' ').next()?.parse().ok())
+            .collect()
+    }
+
+    #[test]
+    fn snapshots_keep_at_most_the_retention_cap_of_terminal_jobs() {
+        let dir = TempDir::new("retention");
+        let total = MAX_FINISHED_JOBS as JobId + 76;
+        {
+            let mut j = Journal::open(&dir.0).unwrap();
+            for id in 1..=total {
+                j.accept(id, "engine=cpu");
+                j.terminal(id, "cancelled", None, None);
+            }
+            j.accept(total + 1, "engine=cpu");
+            let terminal = j
+                .live_jobs()
+                .iter()
+                .filter(|r| matches!(r.state, JobRecordState::Terminal { .. }))
+                .count();
+            assert_eq!(terminal, MAX_FINISHED_JOBS);
+        }
+        // Reopening writes a snapshot: only the newest terminal jobs, in
+        // retirement order, and the queued job.
+        let j = Journal::open(&dir.0).unwrap();
+        let kept = terminal_ids(&dir.0);
+        assert_eq!(kept, (77..=total).collect::<Vec<_>>());
+        let jobs = j.live_jobs();
+        assert_eq!(jobs.len(), MAX_FINISHED_JOBS + 1);
+        assert_eq!(jobs[0].id, total + 1, "unfinished jobs come first");
+        assert_eq!(jobs[0].state, JobRecordState::Queued);
+        assert_eq!(j.max_job_id(), total + 1);
+    }
+
+    #[test]
+    fn an_uncapped_log_replays_its_newest_terminal_jobs() {
+        // A log written before terminal jobs were capped: every job ever
+        // accepted, no `N` record. The newest terminal jobs survive, and
+        // the highest id is remembered past the evictions.
+        let dir = TempDir::new("uncapped");
+        let total = MAX_FINISHED_JOBS as JobId + 100;
+        let mut text = header(3);
+        for id in 1..=total {
+            text.push_str(&format!("A {id} engine=cpu\n"));
+        }
+        // Retire in reverse id order, so retirement order differs from
+        // id order: the lowest ids retired last and are the ones kept.
+        for id in (1..=total).rev() {
+            text.push_str(&format!("T {id} done 127.0.0.1:9 {id}\n"));
+        }
+        std::fs::write(dir.0.join(JOURNAL_FILE), text).unwrap();
+        let j = Journal::open(&dir.0).unwrap();
+        assert_eq!(j.epoch(), 4);
+        let ids: Vec<JobId> = j.live_jobs().iter().map(|r| r.id).collect();
+        assert_eq!(
+            ids,
+            (1..=MAX_FINISHED_JOBS as JobId).rev().collect::<Vec<_>>()
+        );
+        assert_eq!(j.max_job_id(), total);
+        drop(j);
+        let j = Journal::open(&dir.0).unwrap();
+        assert_eq!(j.max_job_id(), total, "the N record survives a snapshot");
+        assert_eq!(j.live_jobs().len(), MAX_FINISHED_JOBS);
+    }
+
+    #[test]
+    fn a_finished_job_stays_finished_on_replay() {
+        // A forward and a second outcome logged after a job finished
+        // (a requeue racing its collection) change nothing on replay.
+        let dir = TempDir::new("refinished");
+        let log = format!(
+            "{}A 1 engine=cpu\nT 1 done 127.0.0.1:9 5\nF 1 127.0.0.1:8 6\nT 1 failed\n",
+            header(1)
+        );
+        std::fs::write(dir.0.join(JOURNAL_FILE), log).unwrap();
+        let j = Journal::open(&dir.0).unwrap();
+        let done = JobRecordState::Terminal {
+            state: "done".into(),
+            worker: Some("127.0.0.1:9".into()),
+            remote: Some(5),
+        };
+        let jobs = j.live_jobs();
+        assert_eq!(jobs.len(), 1);
+        assert_eq!(jobs[0].state, done);
+        assert_eq!(terminal_ids(&dir.0), vec![1]);
     }
 
     #[test]

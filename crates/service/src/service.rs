@@ -73,7 +73,8 @@ const METRICS_EVENT_PERIOD: Duration = Duration::from_millis(200);
 
 /// Terminal jobs retained for status/result queries; the oldest are
 /// evicted beyond this, so the job table cannot grow without bound.
-const MAX_FINISHED_JOBS: usize = 1024;
+/// The coordinator's job table and journal keep the same number.
+pub(crate) const MAX_FINISHED_JOBS: usize = 1024;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]

@@ -13,11 +13,16 @@
 //!   armed, kill the coordinator with jobs still queued, restart it on
 //!   the same `--journal-dir`, and every accepted job replays and
 //!   reaches a terminal state once workers join.
+//! * **A coordinator stops in milliseconds** — its parked loops wake on
+//!   stop, and the worker streams it relays are severed rather than
+//!   waited on.
+//! * **Its memory stays bounded** — finished jobs beyond the retention
+//!   cap are evicted, oldest first.
 
 use rapid_pangenome_layout::io::Json;
 use rapid_pangenome_layout::prelude::*;
 use rapid_pangenome_layout::service::{
-    spawn_heartbeat, ClusterRole, Coordinator, CoordinatorConfig, ServerHandle,
+    spawn_heartbeat, ClusterRole, Coordinator, CoordinatorConfig, CoordinatorHandle, ServerHandle,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -428,4 +433,163 @@ fn concurrent_identical_uploads_to_a_journaled_coordinator_all_succeed() {
     }
     handle.stop();
     let _ = std::fs::remove_dir_all(&journal_dir);
+}
+
+/// Stop a coordinator through its handle; returns how long `stop` took.
+fn timed_stop(handle: CoordinatorHandle) -> Duration {
+    let started = Instant::now();
+    handle.stop();
+    started.elapsed()
+}
+
+#[test]
+fn a_coordinator_stops_in_milliseconds_after_spawn() {
+    // Its dispatcher and monitor park between rounds; stopping must wake
+    // them rather than wait out their pause. Each coordinator answers
+    // one request first, so its loops are running when it stops.
+    let mut stops: Vec<Duration> = (0..5)
+        .map(|_| {
+            let handle = Coordinator::bind("127.0.0.1:0", CoordinatorConfig::default())
+                .expect("bind coordinator")
+                .spawn();
+            let (status, _) = http(handle.addr(), "GET", "/v1/healthz", b"");
+            assert_eq!(status, 200);
+            timed_stop(handle)
+        })
+        .collect();
+    stops.sort();
+    assert!(
+        stops[2] < Duration::from_millis(50),
+        "median stop took {:?} (all: {stops:?})",
+        stops[2]
+    );
+}
+
+#[test]
+fn stopping_a_coordinator_severs_the_worker_streams_it_relays() {
+    let coordinator = Coordinator::bind(
+        "127.0.0.1:0",
+        CoordinatorConfig {
+            heartbeat: Duration::from_millis(100),
+            ..CoordinatorConfig::default()
+        },
+    )
+    .expect("bind coordinator");
+    let coord = coordinator.local_addr();
+    let handle = coordinator.spawn();
+    let _worker = spawn_worker(coord);
+    wait_for("the worker to join", Duration::from_secs(10), || {
+        let (_, body) = http(coord, "GET", "/v1/healthz", b"");
+        (json(&body).get("workers_alive").and_then(Json::u64) == Some(1)).then_some(())
+    });
+    let gfa = write_gfa(&generate(&PangenomeSpec::basic("relay-stop", 60, 3, 11)));
+    let (status, body) = http(coord, "POST", "/v1/graphs", gfa.as_bytes());
+    assert_eq!(status, 201, "{}", body_text(&body));
+    let graph = json(&body)
+        .get("graph_id")
+        .and_then(Json::str)
+        .expect("graph id")
+        .to_string();
+
+    // A long job holds the worker's one engine thread, so the second
+    // job waits in the worker's queue: its event stream says `queued`
+    // and then nothing until the worker's 15 s heartbeat line.
+    let submit = |iters: u32| {
+        let path = format!("/v1/jobs?graph={graph}&engine=cpu&iters={iters}&threads=1");
+        let (status, body) = http(coord, "POST", &path, b"");
+        assert_eq!(status, 202, "{}", body_text(&body));
+        json(&body).get("job").and_then(Json::u64).expect("job id")
+    };
+    let long = submit(1_000_000);
+    let queued = submit(5);
+    wait_for("the long job to run", Duration::from_secs(10), || {
+        let (_, body) = http(coord, "GET", &format!("/v1/jobs/{long}"), b"");
+        (json(&body).get("state").and_then(Json::str) == Some("running")).then_some(())
+    });
+    wait_for("both jobs forwarded", Duration::from_secs(10), || {
+        let (_, body) = http(coord, "GET", "/v1/stats", b"");
+        (json(&body).at("coordinator.forwarded").and_then(Json::u64) == Some(2)).then_some(())
+    });
+
+    // Watch the queued job through the coordinator until its relayed
+    // `queued` line arrives: the relay is now blocked on the worker.
+    let mut watcher = TcpStream::connect(coord).expect("connect");
+    watcher
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write!(
+        watcher,
+        "GET /v1/jobs/{queued}/events HTTP/1.1\r\nHost: localhost\r\n\r\n"
+    )
+    .unwrap();
+    let mut seen = Vec::new();
+    let mut buf = [0u8; 512];
+    while !body_text(&seen).contains("\"state\":\"queued\"") {
+        let n = watcher.read(&mut buf).expect("read the relayed stream");
+        assert!(n > 0, "stream ended early: {}", body_text(&seen));
+        seen.extend_from_slice(&buf[..n]);
+    }
+
+    let took = timed_stop(handle);
+    assert!(
+        took < Duration::from_secs(2),
+        "stop waited {took:?} on a relayed worker stream"
+    );
+}
+
+#[test]
+fn a_coordinator_keeps_a_bounded_number_of_finished_jobs() {
+    let coordinator =
+        Coordinator::bind("127.0.0.1:0", CoordinatorConfig::default()).expect("bind coordinator");
+    let coord = coordinator.local_addr();
+    let _handle = coordinator.spawn();
+    let gfa = write_gfa(&generate(&PangenomeSpec::basic("retention", 20, 2, 3)));
+    let (status, body) = http(coord, "POST", "/v1/graphs", gfa.as_bytes());
+    assert_eq!(status, 201, "{}", body_text(&body));
+    let graph = json(&body)
+        .get("graph_id")
+        .and_then(Json::str)
+        .expect("graph id")
+        .to_string();
+
+    // No workers: every job stays queued until it is cancelled.
+    let jobs: Vec<u64> = (0..1100)
+        .map(|_| {
+            let job = submit_by_ref(coord, &graph);
+            let (status, body) = http(coord, "POST", &format!("/v1/jobs/{job}/cancel"), b"");
+            assert_eq!(status, 200, "{}", body_text(&body));
+            job
+        })
+        .collect();
+    let retained: Vec<u64> = jobs
+        .iter()
+        .copied()
+        .filter(|job| {
+            let (status, body) = http(coord, "GET", &format!("/v1/jobs/{job}"), b"");
+            match status {
+                200 => {
+                    let state = json(&body)
+                        .get("state")
+                        .and_then(Json::str)
+                        .map(String::from);
+                    assert_eq!(state.as_deref(), Some("cancelled"), "job {job}");
+                    true
+                }
+                404 => false,
+                other => panic!("job {job}: {other} {}", body_text(&body)),
+            }
+        })
+        .collect();
+    assert!(
+        retained.len() <= 1024,
+        "{} terminal jobs retained",
+        retained.len()
+    );
+    // The oldest went first: the newest job is still there, and an
+    // evicted id answers 404 on every route, as on a worker.
+    assert_eq!(retained.last(), jobs.last());
+    let (status, _) = http(coord, "GET", &format!("/v1/jobs/{}", jobs[0]), b"");
+    assert_eq!(status, 404);
+    let (status, _) = http(coord, "GET", &format!("/v1/result/{}", jobs[0]), b"");
+    assert_eq!(status, 404);
 }

@@ -110,6 +110,26 @@ fn fast_paths_reach_stress_parity_with_the_f64_single_thread_baseline() {
             "{label}: stress {s:.6} exceeds 105% of baseline {baseline:.6}"
         );
     }
+    // The small-graph row, held to its own 1-thread layout: this 2.2k-node
+    // MHC slice once laid out 4-5x worse at 2 threads than at 1, and the
+    // two now score within about 1.2x of each other. The bar leaves room
+    // for Hogwild's run-to-run spread, not for that loss. It runs last,
+    // so it adds no load while the rows above run.
+    let small = LeanGraph::from_graph(&generate(&workloads::mhc_like(0.01)));
+    let small_stress = |threads| {
+        let layout = CpuEngine::new(full(threads, Precision::F64)).run(&small).0;
+        let config = SamplingConfig {
+            samples_per_node: 100,
+            seed: 0xACCE,
+        };
+        sampled_path_stress(&layout, &small, config).mean
+    };
+    let (one, two) = (small_stress(1), small_stress(2));
+    assert!(one.is_finite() && one > 0.0);
+    assert!(
+        two <= one * 1.5,
+        "small graph: 2-thread stress {two:.6} exceeds 1.5x the 1-thread {one:.6}"
+    );
 }
 
 #[test]
