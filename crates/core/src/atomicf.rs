@@ -160,32 +160,35 @@ mod tests {
         // What the race does guarantee: every store writes a loaded value
         // plus 1.0, and sums of 1.0 stay exact, so the final value is a
         // whole number between 1 and the ideal sum. A lone thread loses
-        // nothing.
+        // nothing. Both cell widths race alike (f32 sums of 1.0 stay exact
+        // far past 80,000).
         use std::sync::Arc;
-        let per_thread = 10_000;
-        for threads in [1, 8] {
-            let cell = Arc::new(AtomicF64::new(0.0));
+        const PER_THREAD: usize = 10_000;
+        fn race<C: Send + Sync + 'static>(threads: usize, cell: &Arc<C>, add: fn(&C)) {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
-                    let c = Arc::clone(&cell);
-                    std::thread::spawn(move || {
-                        for _ in 0..per_thread {
-                            c.hogwild_add(1.0);
-                        }
-                    })
+                    let cell = Arc::clone(cell);
+                    std::thread::spawn(move || (0..PER_THREAD).for_each(|_| add(&cell)))
                 })
                 .collect();
             for h in handles {
                 h.join().unwrap();
             }
-            let v = cell.load();
-            let ideal = (threads * per_thread) as f64;
-            assert!(
-                (1.0..=ideal).contains(&v) && v.fract() == 0.0,
-                "{threads} threads: v = {v}, ideal = {ideal}"
-            );
-            if threads == 1 {
-                assert_eq!(v, ideal, "a lone thread loses no adds");
+        }
+        for threads in [1, 8] {
+            let wide = Arc::new(AtomicF64::new(0.0));
+            let narrow = Arc::new(AtomicF32::new(0.0));
+            race(threads, &wide, |c| c.hogwild_add(1.0));
+            race(threads, &narrow, |c| c.hogwild_add(1.0));
+            let ideal = (threads * PER_THREAD) as f64;
+            for (cell, v) in [("f64", wide.load()), ("f32", narrow.load() as f64)] {
+                assert!(
+                    (1.0..=ideal).contains(&v) && v.fract() == 0.0,
+                    "{cell}, {threads} threads: v = {v}, ideal = {ideal}"
+                );
+                if threads == 1 {
+                    assert_eq!(v, ideal, "a lone thread loses no adds");
+                }
             }
         }
     }

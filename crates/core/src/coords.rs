@@ -518,15 +518,22 @@ mod tests {
     #[test]
     fn to_layout_and_load_from_round_trip() {
         let lean = LeanGraph::from_graph(&fig1_graph());
-        for layout_kind in [DataLayout::OriginalSoa, DataLayout::CacheFriendlyAos] {
-            let store = CoordStore::with_precision(layout_kind, Precision::F64, &lean);
+        for store in all_stores() {
             let mut l = Layout2D::zeros(lean.node_count());
             for node in 0..lean.node_count() as u32 {
                 l.set(node, false, node as f64, 1.0);
                 l.set(node, true, node as f64 + 0.5, -1.0);
             }
             store.load_from(&l);
-            assert_eq!(store.to_layout(), l);
+            assert_eq!(store.to_layout(), l, "{:?}", store.precision());
+            // Values past f32's 24-bit mantissa narrow as `as f32` does.
+            l.set(1, true, 1.0e6 + 0.1, -3.0e-7);
+            store.load_from(&l);
+            let narrow = |v: f64| match store.precision() {
+                Precision::F64 => v,
+                Precision::F32 => v as f32 as f64,
+            };
+            assert_eq!(store.load(1, true), (narrow(1.0e6 + 0.1), narrow(-3.0e-7)));
         }
     }
 

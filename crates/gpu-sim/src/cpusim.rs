@@ -24,7 +24,6 @@ use layout_core::coords::DataLayout;
 use layout_core::sampler::PairSampler;
 use layout_core::schedule::Schedule;
 use layout_core::step::term_deltas;
-use pangraph::layout2d::Layout2D;
 use pangraph::lean::LeanGraph;
 use pgrng::Xoshiro256Plus;
 
@@ -237,11 +236,6 @@ pub fn modeled_cpu_time_s(
 ) -> f64 {
     let total = lcfg.steps_per_iter(lean.total_steps() as u64) * lcfg.iter_max as u64;
     report.modeled_time_s(total, threads)
-}
-
-/// A dummy export so the trace's functional layout is reachable in tests.
-pub fn traced_layout_is_finite(_layout: &Layout2D) -> bool {
-    true
 }
 
 #[cfg(test)]

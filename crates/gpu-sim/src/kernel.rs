@@ -20,13 +20,12 @@
 //! atomics exactly as on the device.
 
 use crate::addrmap::{AddrMap, STATE_BASE};
-use crate::coords32::GpuCoords;
 use crate::device::GpuSpec;
 use crate::memsys::{MemReport, SmMem};
 use crate::timing::TimingModel;
 use crate::warp::{cost, WarpStats};
 use layout_core::config::LayoutConfig;
-use layout_core::coords::DataLayout;
+use layout_core::coords::{CoordStore, DataLayout, Precision};
 use layout_core::init::init_linear;
 use layout_core::schedule::Schedule;
 use layout_core::step::term_deltas;
@@ -227,7 +226,9 @@ impl GpuEngine {
         let lcfg = &self.lcfg;
         let kcfg = &self.kcfg;
         let spec = &self.spec;
-        let coords = GpuCoords::from_layout(&init_linear(lean, lcfg.init_jitter, lcfg.seed));
+        // The device keeps `float` coordinates (paper Sec. V).
+        let coords = CoordStore::with_precision(kcfg.data_layout, Precision::F32, lean);
+        coords.load_from(&init_linear(lean, lcfg.init_jitter, lcfg.seed));
 
         let total_steps = lean.total_steps() as u64;
         if total_steps == 0 || lean.max_path_steps() < 2 {
@@ -387,7 +388,7 @@ fn warp_step(
     sm: &mut SmState,
     warp_idx: usize,
     lean: &LeanGraph,
-    coords: &GpuCoords,
+    coords: &CoordStore,
     alias: &AliasTable,
     zipf: &ZipfTable,
     amap: &AddrMap,
@@ -575,10 +576,8 @@ fn warp_step(
         if !lane.valid {
             continue;
         }
-        let (xi, yi) = coords.load(lane.node_i, lane.end_i);
-        let (xj, yj) = coords.load(lane.node_j, lane.end_j);
-        lane.vi = (xi as f64, yi as f64);
-        lane.vj = (xj as f64, yj as f64);
+        lane.vi = coords.load(lane.node_i, lane.end_i);
+        lane.vj = coords.load(lane.node_j, lane.end_j);
     }
     sm.warp.issue(2 * cost::LDST_OVERHEAD, n_valid);
     if traced {
@@ -608,8 +607,8 @@ fn warp_step(
             continue;
         }
         let (di, dj) = term_deltas(lane.vi, lane.vj, lane.d_ref, eta);
-        coords.add(lane.node_i, lane.end_i, di.0 as f32, di.1 as f32);
-        coords.add(lane.node_j, lane.end_j, dj.0 as f32, dj.1 as f32);
+        coords.add(lane.node_i, lane.end_i, di.0, di.1);
+        coords.add(lane.node_j, lane.end_j, dj.0, dj.1);
         sm.applied += 1;
     }
     sm.warp.issue(cost::UPDATE_MATH, n_valid);
@@ -660,8 +659,8 @@ fn warp_step(
                 // Register-level reuse: stale register copies of both
                 // points, no memory traffic for the new pair.
                 let (di, dj) = term_deltas(lane.vi, partner.vj, d_ref, eta);
-                coords.add(lane.node_i, lane.end_i, di.0 as f32, di.1 as f32);
-                coords.add(partner.node_j, partner.end_j, dj.0 as f32, dj.1 as f32);
+                coords.add(lane.node_i, lane.end_i, di.0, di.1);
+                coords.add(partner.node_j, partner.end_j, dj.0, dj.1);
                 sm.applied += 1;
                 n_reuse += 1;
             }

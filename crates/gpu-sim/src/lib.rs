@@ -25,7 +25,6 @@
 
 pub mod addrmap;
 pub mod cache;
-pub mod coords32;
 pub mod cpusim;
 pub mod device;
 pub mod kernel;
@@ -36,7 +35,6 @@ pub mod warp;
 
 pub use addrmap::{Access, AccessList, AddrMap};
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use coords32::GpuCoords;
 pub use cpusim::{characterize_cpu, modeled_cpu_time_s, CpuMemReport};
 pub use device::GpuSpec;
 pub use kernel::{GpuEngine, GpuReport, KernelConfig, ReuseScheme};

@@ -22,10 +22,10 @@
 //!   density).
 //! * [`store`] — building blocks for content-addressed storage: the
 //!   128-bit [`ContentHash`] identity, a binary codec for the lean
-//!   structure, atomic spill writes, spill-directory eviction and the
-//!   [`DiskIndex`], from which the service's two-tier store lets a
-//!   multi-gigabyte GFA be parsed exactly once no matter how many
-//!   layout requests reference it.
+//!   structure, atomic spill writes and spill-directory eviction, from
+//!   which the service's two-tier store lets a multi-gigabyte GFA be
+//!   parsed exactly once no matter how many layout requests reference
+//!   it.
 
 pub mod gfa;
 pub mod layout2d;
@@ -41,4 +41,4 @@ pub use lean::LeanGraph;
 pub use model::{fig1_graph, GraphBuilder, Handle, NodeId, Path, PathId, VariationGraph};
 pub use pathindex::PathIndex;
 pub use stats::{AggregateStats, GraphStats};
-pub use store::{content_hash, content_hash_parts, evict_dir_to_cap, ContentHash, DiskIndex};
+pub use store::{content_hash, content_hash_parts, evict_dir, ContentHash};

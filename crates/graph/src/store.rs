@@ -15,13 +15,12 @@
 //!   for [`LeanGraph`] (the `.lean` spill format), so a parsed graph
 //!   can be reloaded without ever touching GFA text again.
 //! * [`write_atomic`] — torn-write-free spill files.
-//! * [`evict_dir_to_cap`] / [`evict_dir_to_ttl`] — oldest-first
-//!   size-capped and age-based eviction for spill directories.
-//! * [`DiskIndex`] — in-memory membership of a spill directory, so a
-//!   miss never probes the filesystem.
+//! * [`evict_dir`] — one walk that bounds a spill directory by bytes
+//!   (oldest first) and by age.
 
 use crate::lean::LeanGraph;
 use std::path::{Path, PathBuf};
+use std::time::{Duration, SystemTime};
 
 const FNV_OFFSET_A: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_OFFSET_B: u64 = 0x6c62_272e_07bb_0142;
@@ -245,49 +244,63 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> bool {
     ok
 }
 
-/// Oldest-first eviction of a spill directory down to `max_bytes`:
-/// regular `<stem>.<ext>` files are sized, sorted by modification time,
-/// and the oldest are removed until the directory fits. Hidden files
-/// (in-flight temp spills and the [`DiskIndex`] file start with `.`)
-/// are never touched. Returns the content hashes of the removed spills
-/// (so callers can update their [`DiskIndex`]; files whose stem is not
-/// a content hash are still removed but not reported). A `max_bytes` of
-/// 0 disables the cap.
-pub fn evict_dir_to_cap(dir: &Path, max_bytes: u64, ext: &str) -> Vec<ContentHash> {
-    if max_bytes == 0 {
-        return Vec::new();
+/// The spills one [`evict_dir`] walk removed, by the bound that removed
+/// them. Only spills named by a content hash are listed; other
+/// `<stem>.<ext>` files are removed but not reported.
+#[derive(Debug, Default)]
+pub struct Evicted {
+    /// Removed oldest first to bring the directory under its byte cap.
+    pub capped: Vec<ContentHash>,
+    /// Removed because they outlived the TTL.
+    pub expired: Vec<ContentHash>,
+}
+
+/// Bound a spill directory in one walk: regular `<stem>.<ext>` files
+/// are sized and sorted by modification time, the oldest are removed
+/// until the rest fit in `max_bytes`, and then the remaining files
+/// older than `ttl` are removed. Hidden files (in-flight temp spills
+/// start with `.`) are never touched. A `max_bytes` of 0 disables the
+/// cap and a zero `ttl` the age limit; with both off the directory is
+/// not read.
+///
+/// The cap bounds *space*, the TTL *staleness*: a shared cache
+/// directory stops serving (and storing) month-old layouts even when
+/// it never fills.
+pub fn evict_dir(dir: &Path, max_bytes: u64, ttl: Duration, ext: &str) -> Evicted {
+    let mut evicted = Evicted::default();
+    if max_bytes == 0 && ttl.is_zero() {
+        return evicted;
     }
     let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
+        return evicted;
     };
-    let mut files: Vec<(std::time::SystemTime, u64, PathBuf)> = entries
-        .filter_map(|e| e.ok())
-        .filter(|e| {
-            let p = e.path();
-            p.extension().is_some_and(|x| x == ext)
-                && !p
-                    .file_name()
-                    .is_some_and(|n| n.to_string_lossy().starts_with('.'))
-        })
+    let mut files: Vec<(SystemTime, u64, PathBuf)> = entries
         .filter_map(|e| {
-            let meta = e.metadata().ok()?;
-            if !meta.is_file() {
+            let e = e.ok()?;
+            let path = e.path();
+            let hidden = e.file_name().to_string_lossy().starts_with('.');
+            if hidden || path.extension().is_none_or(|x| x != ext) {
                 return None;
             }
-            let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            Some((mtime, meta.len(), e.path()))
+            let meta = e.metadata().ok().filter(|m| m.is_file())?;
+            let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+            Some((mtime, meta.len(), path))
         })
         .collect();
-    let mut total: u64 = files.iter().map(|(_, len, _)| len).sum();
-    if total <= max_bytes {
-        return Vec::new();
-    }
     files.sort_by_key(|(mtime, _, _)| *mtime);
-    let mut removed = Vec::new();
-    for (_, len, path) in files {
-        if total <= max_bytes {
+    let mut total: u64 = files.iter().map(|(_, len, _)| len).sum();
+    let cutoff = SystemTime::now()
+        .checked_sub(ttl)
+        .filter(|_| !ttl.is_zero());
+    for (mtime, len, path) in files {
+        // Oldest first: once a file is within both bounds, so is the rest.
+        let removed = if max_bytes > 0 && total > max_bytes {
+            &mut evicted.capped
+        } else if cutoff.is_some_and(|cutoff| mtime < cutoff) {
+            &mut evicted.expired
+        } else {
             break;
-        }
+        };
         if std::fs::remove_file(&path).is_ok() {
             total = total.saturating_sub(len);
             if let Some(id) = path
@@ -299,243 +312,7 @@ pub fn evict_dir_to_cap(dir: &Path, max_bytes: u64, ext: &str) -> Vec<ContentHas
             }
         }
     }
-    removed
-}
-
-/// Age-based eviction of a spill directory: regular `<stem>.<ext>`
-/// files whose modification time is older than `ttl` ago are removed.
-/// Hidden files (temp spills, the [`DiskIndex`] log) are never touched.
-/// Returns the content hashes of the removed spills, like
-/// [`evict_dir_to_cap`]. A zero `ttl` disables the sweep.
-///
-/// This complements the byte cap: the cap bounds *space*, the TTL
-/// bounds *staleness* — a shared cache directory stops serving (and
-/// storing) month-old layouts even when it never fills.
-pub fn evict_dir_to_ttl(dir: &Path, ttl: std::time::Duration, ext: &str) -> Vec<ContentHash> {
-    if ttl.is_zero() {
-        return Vec::new();
-    }
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let Some(cutoff) = std::time::SystemTime::now().checked_sub(ttl) else {
-        return Vec::new();
-    };
-    let mut removed = Vec::new();
-    for e in entries.filter_map(|e| e.ok()) {
-        let path = e.path();
-        let named_spill = path.extension().is_some_and(|x| x == ext)
-            && !path
-                .file_name()
-                .is_some_and(|n| n.to_string_lossy().starts_with('.'));
-        if !named_spill {
-            continue;
-        }
-        let Ok(meta) = e.metadata() else { continue };
-        if !meta.is_file() {
-            continue;
-        }
-        let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-        if mtime >= cutoff {
-            continue;
-        }
-        if std::fs::remove_file(&path).is_ok() {
-            if let Some(id) = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(ContentHash::from_hex)
-            {
-                removed.push(id);
-            }
-        }
-    }
-    removed
-}
-
-// ---------------------------------------------------------------------------
-// DiskIndex
-// ---------------------------------------------------------------------------
-
-/// Operation counters for one [`DiskIndex`], exported on `/metrics`:
-/// how often the index appended to its log, compacted it into a
-/// snapshot, and had to rebuild by scanning the directory.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DiskIndexOps {
-    /// Log lines appended (`+`/`-` ops).
-    pub appends: u64,
-    /// Log compactions (snapshot rewrites), including the one after a
-    /// rebuild scan.
-    pub snapshots: u64,
-    /// Full directory scans because no usable log existed at open.
-    pub rebuild_scans: u64,
-}
-
-/// In-memory membership index of a spill directory, persisted as an
-/// append-only ops log (`<dir>/.pgl-index-<ext>`).
-///
-/// Without it, every cache/store **miss** pays a filesystem probe
-/// (`open` → `ENOENT`) against the spill directory — on a huge cache
-/// directory under request load, that is a per-miss metadata round trip
-/// for a question ("is this hash spilled?") whose answer is a hash-set
-/// lookup. The index answers membership from memory; the persisted log
-/// means a restarted process recovers the answer set by replaying one
-/// small file instead of `readdir`-ing millions of spills.
-///
-/// Format: a header line (`pgl-disk-index/1 <ext>`), then one `+<hex>` /
-/// `-<hex>` op per line. The log is compacted (rewritten as a snapshot,
-/// temp + rename) when it grows past a multiple of the live set. If the
-/// file is missing or unreadable, the directory is scanned once and a
-/// fresh snapshot written — so directories created by older versions
-/// (or populated out-of-band) index correctly on first open.
-///
-/// The index is authoritative for *this* process plus whatever existed
-/// at open time. A sibling process writing the same directory
-/// concurrently appends to the same log (its entries land at the next
-/// open); until then its new spills read as absent here — a recompute,
-/// never a correctness failure. A spill the index believes present but
-/// a sibling has evicted surfaces as `ENOENT` on the actual read; the
-/// reader then removes the entry and the index self-heals.
-#[derive(Debug)]
-pub struct DiskIndex {
-    path: PathBuf,
-    ext: String,
-    present: std::collections::HashSet<ContentHash>,
-    /// Ops lines in the on-disk log (replayed + appended); drives
-    /// compaction.
-    log_lines: usize,
-    /// Lifetime operation counters (observability only).
-    ops: DiskIndexOps,
-}
-
-impl DiskIndex {
-    fn header(ext: &str) -> String {
-        format!("pgl-disk-index/1 {ext}\n")
-    }
-
-    /// Open (or build) the index for `<dir>/*.{ext}`. Never fails:
-    /// degraded I/O falls back to an empty index, which only costs
-    /// recomputation.
-    pub fn open(dir: &Path, ext: &str) -> Self {
-        let path = dir.join(format!(".pgl-index-{ext}"));
-        let mut index = Self {
-            path,
-            ext: ext.to_string(),
-            present: std::collections::HashSet::new(),
-            log_lines: 0,
-            ops: DiskIndexOps::default(),
-        };
-        let header = Self::header(ext);
-        match std::fs::read_to_string(&index.path) {
-            Ok(text) if text.starts_with(header.trim_end()) => {
-                for line in text.lines().skip(1) {
-                    index.log_lines += 1;
-                    let (op, hex) = line.split_at(line.len().min(1));
-                    match (op, ContentHash::from_hex(hex)) {
-                        ("+", Some(id)) => {
-                            index.present.insert(id);
-                        }
-                        ("-", Some(id)) => {
-                            index.present.remove(&id);
-                        }
-                        // Torn or foreign line (e.g. a concurrent append
-                        // cut mid-write): skip — worst case a spurious
-                        // recompute or one self-healing ENOENT.
-                        _ => {}
-                    }
-                }
-            }
-            _ => {
-                // No usable index: scan the directory once and snapshot.
-                index.ops.rebuild_scans += 1;
-                if let Ok(entries) = std::fs::read_dir(dir) {
-                    for e in entries.filter_map(|e| e.ok()) {
-                        let p = e.path();
-                        if p.extension().is_some_and(|x| x == ext) {
-                            if let Some(id) = p
-                                .file_stem()
-                                .and_then(|s| s.to_str())
-                                .and_then(ContentHash::from_hex)
-                            {
-                                index.present.insert(id);
-                            }
-                        }
-                    }
-                }
-                index.snapshot();
-            }
-        }
-        index
-    }
-
-    /// Is `id` spilled, as far as the index knows? Pure memory — this is
-    /// the probe that replaces the per-miss `open()`.
-    pub fn contains(&self, id: ContentHash) -> bool {
-        self.present.contains(&id)
-    }
-
-    /// Number of indexed spills.
-    pub fn len(&self) -> usize {
-        self.present.len()
-    }
-
-    /// `true` when nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.present.is_empty()
-    }
-
-    /// Record a spill write.
-    pub fn insert(&mut self, id: ContentHash) {
-        if self.present.insert(id) {
-            self.append('+', id);
-        }
-    }
-
-    /// Record a spill removal (deletion, cap eviction, or an `ENOENT`
-    /// observed by a reader — the self-heal path).
-    pub fn remove(&mut self, id: ContentHash) {
-        if self.present.remove(&id) {
-            self.append('-', id);
-        }
-    }
-
-    /// Lifetime operation counters.
-    pub fn ops(&self) -> DiskIndexOps {
-        self.ops
-    }
-
-    fn append(&mut self, op: char, id: ContentHash) {
-        self.log_lines += 1;
-        self.ops.appends += 1;
-        if self.log_lines > 4 * self.present.len() + 64 {
-            self.snapshot();
-            return;
-        }
-        use std::io::Write;
-        if let Ok(mut f) = std::fs::OpenOptions::new().append(true).open(&self.path) {
-            let _ = writeln!(f, "{op}{}", id.hex());
-        }
-    }
-
-    /// Rewrite the log as a compact snapshot (temp + rename, so readers
-    /// never observe a torn index).
-    fn snapshot(&mut self) {
-        self.ops.snapshots += 1;
-        let mut text = Self::header(&self.ext);
-        for id in &self.present {
-            text.push('+');
-            text.push_str(&id.hex());
-            text.push('\n');
-        }
-        self.log_lines = self.present.len();
-        let tmp = self
-            .path
-            .with_extension(format!("tmp{}", std::process::id()));
-        if std::fs::write(&tmp, text).is_ok() {
-            let _ = std::fs::rename(&tmp, &self.path);
-        } else {
-            let _ = std::fs::remove_file(&tmp);
-        }
-    }
+    evicted
 }
 
 #[cfg(test)]
@@ -605,48 +382,44 @@ mod tests {
         assert!(lean_from_bytes(&oob).is_err(), "node id out of range");
     }
 
+    /// Write `len` zero bytes to `path`, last modified `age_s` seconds ago.
+    fn write_aged(path: &Path, len: usize, age_s: u64) {
+        std::fs::write(path, vec![0u8; len]).unwrap();
+        std::fs::File::options()
+            .append(true)
+            .open(path)
+            .unwrap()
+            .set_modified(SystemTime::now() - Duration::from_secs(age_s))
+            .unwrap();
+    }
+
     #[test]
     fn dir_cap_evicts_oldest_first() {
         let dir = tmp_dir("cap");
         std::fs::create_dir_all(&dir).unwrap();
         for (i, name) in ["old.lean", "mid.lean", "new.lean"].iter().enumerate() {
-            std::fs::write(dir.join(name), vec![0u8; 100]).unwrap();
-            let t =
-                std::time::SystemTime::now() - std::time::Duration::from_secs(300 - i as u64 * 100);
-            std::fs::File::options()
-                .append(true)
-                .open(dir.join(name))
-                .unwrap()
-                .set_modified(t)
-                .unwrap();
+            write_aged(&dir.join(name), 100, 300 - i as u64 * 100);
         }
         std::fs::write(dir.join("other.lay"), vec![0u8; 1000]).unwrap();
         std::fs::write(dir.join(".tmp.lean"), vec![0u8; 1000]).unwrap();
         assert!(
-            evict_dir_to_cap(&dir, 0, "lean").is_empty(),
+            evict_dir(&dir, 0, Duration::ZERO, "lean").capped.is_empty(),
             "0 disables the cap"
         );
-        evict_dir_to_cap(&dir, 250, "lean");
+        evict_dir(&dir, 250, Duration::ZERO, "lean");
         assert!(!dir.join("old.lean").exists(), "oldest went first");
         assert!(dir.join("mid.lean").exists());
         assert!(dir.join("new.lean").exists());
         assert!(dir.join("other.lay").exists(), "other extensions untouched");
         assert!(dir.join(".tmp.lean").exists(), "temp files untouched");
-        evict_dir_to_cap(&dir, 100, "lean");
+        evict_dir(&dir, 100, Duration::ZERO, "lean");
         assert!(!dir.join("mid.lean").exists());
         assert!(dir.join("new.lean").exists());
         // Hash-named spills are reported back for index maintenance;
         // non-hash names (above) are removed but unreported.
         let id = content_hash(b"reported");
-        std::fs::write(dir.join(format!("{}.lean", id.hex())), vec![0u8; 500]).unwrap();
-        let old = std::time::SystemTime::now() - std::time::Duration::from_secs(900);
-        std::fs::File::options()
-            .append(true)
-            .open(dir.join(format!("{}.lean", id.hex())))
-            .unwrap()
-            .set_modified(old)
-            .unwrap();
-        let removed = evict_dir_to_cap(&dir, 100, "lean");
+        write_aged(&dir.join(format!("{}.lean", id.hex())), 500, 900);
+        let removed = evict_dir(&dir, 100, Duration::ZERO, "lean").capped;
         assert_eq!(removed, vec![id], "hash stems come back for the index");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -658,23 +431,17 @@ mod tests {
         let stale = content_hash(b"stale");
         let fresh = content_hash(b"fresh");
         for (id, age_s) in [(stale, 900u64), (fresh, 1)] {
-            let path = dir.join(format!("{}.lean", id.hex()));
-            std::fs::write(&path, vec![0u8; 64]).unwrap();
-            let t = std::time::SystemTime::now() - std::time::Duration::from_secs(age_s);
-            std::fs::File::options()
-                .append(true)
-                .open(&path)
-                .unwrap()
-                .set_modified(t)
-                .unwrap();
+            write_aged(&dir.join(format!("{}.lean", id.hex())), 64, age_s);
         }
         std::fs::write(dir.join(".tmp.lean"), vec![0u8; 64]).unwrap();
         std::fs::write(dir.join("other.lay"), vec![0u8; 64]).unwrap();
         assert!(
-            evict_dir_to_ttl(&dir, std::time::Duration::ZERO, "lean").is_empty(),
+            evict_dir(&dir, 0, Duration::ZERO, "lean")
+                .expired
+                .is_empty(),
             "zero TTL disables the sweep"
         );
-        let removed = evict_dir_to_ttl(&dir, std::time::Duration::from_secs(600), "lean");
+        let removed = evict_dir(&dir, 0, Duration::from_secs(600), "lean").expired;
         assert_eq!(removed, vec![stale], "only the expired spill reported");
         assert!(!dir.join(format!("{}.lean", stale.hex())).exists());
         assert!(dir.join(format!("{}.lean", fresh.hex())).exists());
@@ -684,54 +451,19 @@ mod tests {
     }
 
     #[test]
-    fn disk_index_tracks_membership_and_survives_reopen() {
-        let dir = tmp_dir("index");
+    fn dir_cap_applies_before_the_ttl() {
+        let dir = tmp_dir("both");
         std::fs::create_dir_all(&dir).unwrap();
-        let (a, b, c) = (content_hash(b"a"), content_hash(b"b"), content_hash(b"c"));
-        let mut ix = DiskIndex::open(&dir, "lean");
-        assert!(ix.is_empty());
-        ix.insert(a);
-        ix.insert(b);
-        ix.remove(b);
-        assert!(ix.contains(a) && !ix.contains(b) && !ix.contains(c));
-        assert_eq!(ix.len(), 1);
-        // A fresh open replays the persisted ops log.
-        let ix2 = DiskIndex::open(&dir, "lean");
-        assert!(ix2.contains(a) && !ix2.contains(b));
-        // Without an index file, opening scans the directory: spills
-        // written by older versions (or out-of-band) are found.
-        std::fs::remove_file(dir.join(".pgl-index-lean")).unwrap();
-        std::fs::write(dir.join(format!("{}.lean", c.hex())), b"x").unwrap();
-        std::fs::write(dir.join("not-a-hash.lean"), b"x").unwrap();
-        let ix3 = DiskIndex::open(&dir, "lean");
-        assert!(ix3.contains(c), "scan found the out-of-band spill");
-        assert!(!ix3.contains(a), "a's spill file never existed");
-        assert_eq!(ix3.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_index_compacts_its_log() {
-        let dir = tmp_dir("index_compact");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut ix = DiskIndex::open(&dir, "lay");
-        // Churn one entry far past the compaction threshold.
-        for i in 0..300u64 {
-            let id = content_hash(&i.to_le_bytes());
-            ix.insert(id);
-            ix.remove(id);
+        let ids: Vec<ContentHash> = (0..4u8).map(|i| content_hash(&[i])).collect();
+        for (id, age_s) in ids.iter().zip([900, 800, 700, 10]) {
+            write_aged(&dir.join(format!("{}.lean", id.hex())), 100, age_s);
         }
-        let keep = content_hash(b"keeper");
-        ix.insert(keep);
-        let text = std::fs::read_to_string(dir.join(".pgl-index-lay")).unwrap();
-        assert!(
-            text.lines().count() < 200,
-            "log compacted, not {} lines",
-            text.lines().count()
-        );
-        let ix2 = DiskIndex::open(&dir, "lay");
-        assert!(ix2.contains(keep));
-        assert_eq!(ix2.len(), 1);
+        // The cap takes the two oldest, though both are past the TTL
+        // too; the TTL then takes the one expired spill that is left.
+        let evicted = evict_dir(&dir, 250, Duration::from_secs(600), "lean");
+        assert_eq!(evicted.capped, ids[..2]);
+        assert_eq!(evicted.expired, ids[2..3]);
+        assert!(dir.join(format!("{}.lean", ids[3].hex())).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,10 +17,11 @@
 //! processes, a restarted server — or any sibling pointed at the same
 //! directory — still hits on everything ever spilled there. Eviction
 //! from memory never deletes the disk copy. The directory is bounded by
-//! a byte cap and a TTL ([`pangraph::store::evict_dir_to_cap`],
-//! [`pangraph::store::evict_dir_to_ttl`]), and a [`DiskIndex`] answers
-//! "is this key spilled?" from memory, so a definite miss never touches
-//! the filesystem.
+//! a byte cap and a TTL, both applied by one walk after each spill
+//! ([`pangraph::store::evict_dir`]). The directory is the only record
+//! of what is spilled: the tier scans it once when it opens and then
+//! keeps the set of spilled keys in memory, so a definite miss never
+//! touches the filesystem.
 //!
 //! Every store is used through one pair of functions, [`get`] and
 //! [`put`]. Callers keep a store behind a mutex; decoding, encoding and
@@ -29,12 +30,11 @@
 
 use layout_core::LayoutConfig;
 use pangraph::store::{
-    content_hash_parts, evict_dir_to_cap, evict_dir_to_ttl, lean_from_bytes, lean_to_bytes,
-    write_atomic, ContentHash, DiskIndex, DiskIndexOps,
+    content_hash_parts, evict_dir, lean_from_bytes, lean_to_bytes, write_atomic, ContentHash,
 };
 use pangraph::{Layout2D, LeanGraph};
 use pgio::{read_lay, write_lay};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -93,8 +93,7 @@ pub fn cache_key(
 /// What differs between the values a [`TieredStore`] holds: the spill
 /// format, the resident footprint and the listing metadata.
 pub trait TierValue: Sized {
-    /// Spill file extension (`<key-hex>.<EXT>`), which also names the
-    /// tier's [`DiskIndex`] log.
+    /// Spill file extension (`<key-hex>.<EXT>`).
     const EXT: &'static str;
     /// Listing metadata the store keeps for every key it can produce.
     type Meta: Clone;
@@ -218,7 +217,8 @@ struct Disk {
     max_bytes: u64,
     /// Age cap on the spill files (zero ⇒ kept forever).
     ttl: Duration,
-    index: DiskIndex,
+    /// Keys with a spill file, as far as this process knows.
+    spills: HashSet<ContentHash>,
 }
 
 fn spill_path<V: TierValue>(dir: &Path, key: ContentHash) -> PathBuf {
@@ -234,7 +234,7 @@ fn spill_path<V: TierValue>(dir: &Path, key: ContentHash) -> PathBuf {
 /// O(entries) — fine for the capacities this service runs with. The
 /// catalog keeps listing metadata for every key this process placed, for
 /// as long as the store can still produce it: a key leaves the catalog
-/// once it is neither resident nor in the disk index.
+/// once it is neither resident nor spilled.
 pub struct TieredStore<V: TierValue> {
     capacity: Option<usize>,
     tick: u64,
@@ -260,8 +260,8 @@ impl<V: TierValue> TieredStore<V> {
     /// A store with a disk tier under `dir` (created if absent): every
     /// [`put`] spills to `<dir>/<key-hex>.<ext>`, then evicts the oldest
     /// spills beyond `max_bytes` (0 ⇒ unbounded) and spills older than
-    /// `ttl` (zero ⇒ kept forever). A [`DiskIndex`] over the directory
-    /// is loaded, or built by one scan.
+    /// `ttl` (zero ⇒ kept forever). The spills already in `dir` are
+    /// found by one scan of it.
     pub fn with_disk(
         capacity: Option<usize>,
         dir: &Path,
@@ -269,12 +269,21 @@ impl<V: TierValue> TieredStore<V> {
         ttl: Duration,
     ) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
+        let spills = std::fs::read_dir(dir)?
+            .filter_map(|e| {
+                let path = e.ok()?.path();
+                if path.extension()? != V::EXT {
+                    return None;
+                }
+                ContentHash::from_hex(path.file_stem()?.to_str()?)
+            })
+            .collect();
         Ok(Self {
             disk: Some(Disk {
                 dir: dir.to_path_buf(),
                 max_bytes,
                 ttl,
-                index: DiskIndex::open(dir, V::EXT),
+                spills,
             }),
             ..Self::new(capacity)
         })
@@ -285,14 +294,14 @@ impl<V: TierValue> TieredStore<V> {
         self.disk.as_ref().map(|d| spill_path::<V>(&d.dir, key))
     }
 
-    /// Can the store produce `key`: resident, or spilled per the disk
-    /// index? No filesystem access.
+    /// Can the store produce `key`: resident, or spilled? No filesystem
+    /// access.
     pub fn contains(&self, key: ContentHash) -> bool {
         self.resident.contains_key(&key) || self.spilled(key)
     }
 
     fn spilled(&self, key: ContentHash) -> bool {
-        self.disk.as_ref().is_some_and(|d| d.index.contains(key))
+        self.disk.as_ref().is_some_and(|d| d.spills.contains(&key))
     }
 
     /// Listing metadata for `key`, and whether it is resident.
@@ -318,7 +327,7 @@ impl<V: TierValue> TieredStore<V> {
             .disk_path(key)
             .is_some_and(|path| std::fs::remove_file(path).is_ok());
         if let Some(d) = &mut self.disk {
-            d.index.remove(key);
+            d.spills.remove(&key);
         }
         let removed = had_mem || had_meta || had_disk;
         if removed {
@@ -347,11 +356,6 @@ impl<V: TierValue> TieredStore<V> {
         self.stats
     }
 
-    /// Disk-index operation counters (`None` without a disk tier).
-    pub fn index_ops(&self) -> Option<DiskIndexOps> {
-        self.disk.as_ref().map(|d| d.index.ops())
-    }
-
     /// Catalogue `key` and place it in the memory tier, evicting the
     /// least recently used values beyond the capacity.
     fn place(&mut self, key: ContentHash, value: Arc<V>) {
@@ -377,12 +381,12 @@ impl<V: TierValue> TieredStore<V> {
         self.forget_if_unreachable(key);
     }
 
-    /// The spill files of `keys` are gone: drop them from the index, and
-    /// forget the keys the store can no longer produce.
-    fn unindex(&mut self, keys: &[ContentHash]) {
+    /// The spill files of `keys` are gone: drop them from the spilled
+    /// set, and forget the keys the store can no longer produce.
+    fn unspill(&mut self, keys: &[ContentHash]) {
         for &key in keys {
             if let Some(d) = &mut self.disk {
-                d.index.remove(key);
+                d.spills.remove(&key);
             }
             self.forget_if_unreachable(key);
         }
@@ -397,7 +401,7 @@ impl<V: TierValue> TieredStore<V> {
 
 /// Two-tier lookup: the memory tier, then — outside the lock — the disk
 /// tier, promoting a disk hit into memory. A spill that reads back
-/// `ENOENT` (a sibling process evicted it) heals the index; one that
+/// `ENOENT` (a sibling process evicted it) leaves the spilled set; one that
 /// fails otherwise or does not decode is a counted disk error. Both are
 /// misses, so the caller recomputes.
 pub fn get<V: TierValue>(store: &Mutex<TieredStore<V>>, key: ContentHash) -> Option<Arc<V>> {
@@ -410,7 +414,7 @@ pub fn get<V: TierValue>(store: &Mutex<TieredStore<V>>, key: ContentHash) -> Opt
             s.stats.hits += 1;
             return Some(Arc::clone(&entry.value));
         }
-        // Index-gated: a definite miss never touches the spill directory.
+        // A definite miss never touches the spill directory.
         if s.spilled(key) {
             s.disk_path(key)
         } else {
@@ -426,7 +430,7 @@ pub fn get<V: TierValue>(store: &Mutex<TieredStore<V>>, key: ContentHash) -> Opt
             s.place(key, Arc::clone(&value));
             return Some(value);
         }
-        Some(Err(e)) if e.kind() == std::io::ErrorKind::NotFound => s.unindex(&[key]),
+        Some(Err(e)) if e.kind() == std::io::ErrorKind::NotFound => s.unspill(&[key]),
         Some(Err(_)) => s.stats.disk_errors += 1,
         None => {}
     }
@@ -434,8 +438,8 @@ pub fn get<V: TierValue>(store: &Mutex<TieredStore<V>>, key: ContentHash) -> Opt
     None
 }
 
-/// Insert `value` under `key`: spill it and run the disk tier's byte-cap
-/// and TTL passes outside the lock, then place it in the memory tier.
+/// Insert `value` under `key`: spill it and bound the disk tier outside
+/// the lock, then place it in the memory tier.
 pub fn put<V: TierValue>(store: &Mutex<TieredStore<V>>, key: ContentHash, value: &Arc<V>) {
     let disk = {
         let s = store.lock().unwrap();
@@ -443,24 +447,22 @@ pub fn put<V: TierValue>(store: &Mutex<TieredStore<V>>, key: ContentHash, value:
     };
     let spilled = disk.map(|(dir, max_bytes, ttl)| {
         let ok = write_atomic(&spill_path::<V>(&dir, key), value.encode().as_ref());
-        let capped = evict_dir_to_cap(&dir, max_bytes, V::EXT);
-        let expired = evict_dir_to_ttl(&dir, ttl, V::EXT);
-        (ok, capped, expired)
+        (ok, evict_dir(&dir, max_bytes, ttl, V::EXT))
     });
     let mut s = store.lock().unwrap();
-    if let Some((ok, capped, expired)) = spilled {
+    if let Some((ok, evicted)) = spilled {
         if ok {
             s.stats.disk_writes += 1;
             if let Some(d) = &mut s.disk {
-                d.index.insert(key);
+                d.spills.insert(key);
             }
         } else {
             s.stats.disk_errors += 1;
         }
-        s.stats.disk_cap_evictions += capped.len() as u64;
-        s.stats.disk_ttl_evictions += expired.len() as u64;
-        s.unindex(&capped);
-        s.unindex(&expired);
+        s.stats.disk_cap_evictions += evicted.capped.len() as u64;
+        s.stats.disk_ttl_evictions += evicted.expired.len() as u64;
+        s.unspill(&evicted.capped);
+        s.unspill(&evicted.expired);
     }
     s.place(key, Arc::clone(value));
 }
@@ -731,6 +733,27 @@ mod tests {
         assert!(get(&c, key("a")).is_none());
         let s = stats(&c);
         assert_eq!((s.disk_errors, s.misses), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn spills_beside_a_stale_index_log_are_found() {
+        let dir = tmp_dir("stalelog");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A header-only membership log, as older versions kept beside
+        // their spills and trusted over the directory, so spill files
+        // copied in next to it stayed invisible.
+        std::fs::write(dir.join(".pgl-index-lay"), "pgl-disk-index/1 lay\n").unwrap();
+        let keys = [key("a"), key("b"), key("c")];
+        for (n, &k) in keys.iter().enumerate() {
+            let bytes = write_lay(&Layout2D::zeros(n + 1));
+            std::fs::write(spill_path::<Layout2D>(&dir, k), bytes).unwrap();
+        }
+        let c = on_disk::<Layout2D>(Some(4), &dir, 0);
+        for (n, &k) in keys.iter().enumerate() {
+            assert_eq!(get(&c, k).expect("spill found").node_count(), n + 1);
+        }
+        assert_eq!(stats(&c).disk_hits, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

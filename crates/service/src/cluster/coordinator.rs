@@ -71,11 +71,11 @@ use crate::httpmetrics::HttpMetrics;
 use crate::job::{GraphSpec, JobId};
 use crate::obs;
 use crate::sched::{job_cost, FairScheduler};
-use crate::service::{parse_layout_input, GraphUpload, SubmitTicket, MAX_FINISHED_JOBS};
+use crate::service::{parse_layout_input, FinishedJobs, GraphUpload, SubmitTicket};
 use crate::spec::{JobSpec, Priority};
-use pangraph::store::{content_hash, evict_dir_to_cap, ContentHash};
+use pangraph::store::{content_hash, evict_dir, ContentHash};
 use pgio::{quote, Json};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -234,9 +234,9 @@ struct CoordShared {
     queue_cv: Condvar,
     jobs: Mutex<HashMap<JobId, CoordJob>>,
     jobs_cv: Condvar,
-    /// Terminal job ids in retirement order, oldest first; drives
-    /// eviction from `jobs` (and the journal) beyond `MAX_FINISHED_JOBS`.
-    finished: Mutex<VecDeque<JobId>>,
+    /// Drives eviction from `jobs` (and the journal) beyond
+    /// `MAX_FINISHED_JOBS`.
+    finished: Mutex<FinishedJobs>,
     next_id: AtomicU64,
     counters: CoordCounters,
     /// The write-ahead journal; `None` runs the pre-journal in-memory
@@ -277,7 +277,7 @@ impl Coordinator {
         let mut queue = FairScheduler::with_graph_quota(cfg.graph_quota);
         let mut vault = HashMap::new();
         let mut jobs = HashMap::new();
-        let mut finished = VecDeque::new();
+        let mut finished = FinishedJobs::default();
         let mut journal_cell = None;
         let mut vault_dir = None;
         let mut epoch = 0u64;
@@ -359,7 +359,7 @@ impl Coordinator {
                         };
                         // `live_jobs` lists terminal jobs in retirement
                         // order, capped as this table will be.
-                        finished.push_back(rec.id);
+                        finished.retire(rec.id);
                     }
                 }
                 jobs.insert(rec.id, job);
@@ -749,14 +749,12 @@ fn retire(
     worker: Option<&str>,
     remote: Option<JobId>,
 ) {
-    let evicted: Vec<JobId> = {
+    let evicted = {
         let mut finished = shared.finished.lock().unwrap();
         if let Some(j) = &shared.journal {
             j.lock().unwrap().terminal(id, state, worker, remote);
         }
-        finished.push_back(id);
-        let excess = finished.len().saturating_sub(MAX_FINISHED_JOBS);
-        finished.drain(..excess).collect()
+        finished.retire(id)
     };
     if !evicted.is_empty() {
         let mut jobs = shared.jobs.lock().unwrap();
@@ -1194,7 +1192,7 @@ fn enforce_vault_cap(shared: &CoordShared) {
     if shared.cfg.vault_max_bytes == 0 {
         return;
     }
-    for id in evict_dir_to_cap(dir, shared.cfg.vault_max_bytes, "gfa") {
+    for id in evict_dir(dir, shared.cfg.vault_max_bytes, Duration::ZERO, "gfa").capped {
         if shared.vault.lock().unwrap().remove(&id).is_some() {
             shared
                 .counters

@@ -2,8 +2,7 @@
 //!
 //! PR 9 left the coordinator's accepted-job state entirely in memory —
 //! a restart silently forgot every queued job. This module gives the
-//! coordinator a crash-safe spine following the same append-only-log
-//! pattern as the graph store's `DiskIndex`: one small ops log,
+//! coordinator a crash-safe spine: one small append-only ops log,
 //! replayed at boot, compacted into a snapshot (temp + rename) when it
 //! outgrows the live state.
 //!
@@ -25,7 +24,7 @@
 //! worker addresses are validated against whitespace at registration,
 //! job queries are percent-encoded, and states are single words — so
 //! records split on spaces unambiguously. Torn trailing lines (a crash
-//! mid-append) are skipped on replay, exactly like `DiskIndex`.
+//! mid-append) are skipped on replay.
 //!
 //! ## Durability contract
 //!
@@ -55,9 +54,9 @@
 //! coordinator never hands out an evicted job's id again.
 
 use crate::job::JobId;
-use crate::service::MAX_FINISHED_JOBS;
+use crate::service::FinishedJobs;
 use pangraph::store::{write_atomic, ContentHash};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -66,8 +65,9 @@ use std::time::Instant;
 /// Log file name inside `--journal-dir`.
 const JOURNAL_FILE: &str = "coord-journal.log";
 
-/// Compaction threshold, the `DiskIndex` rule: snapshot when the log
-/// holds more than `4 * live + SLACK` lines.
+/// Compaction threshold: snapshot when the log holds more than
+/// `4 * live + SLACK` lines, so it stays within a constant factor of
+/// the live state.
 const COMPACT_SLACK: usize = 64;
 
 fn header(epoch: u64) -> String {
@@ -151,7 +151,7 @@ pub struct Journal {
     jobs: HashMap<JobId, JobRecord>,
     graphs: HashMap<ContentHash, GraphRecord>,
     /// Terminal jobs in `jobs`, in retirement order, oldest first.
-    finished: VecDeque<JobId>,
+    finished: FinishedJobs,
     /// Highest job id ever accepted, evicted jobs included.
     max_id: JobId,
     /// Lines in the on-disk log; drives compaction.
@@ -178,7 +178,7 @@ impl Journal {
             epoch: 0,
             jobs: HashMap::new(),
             graphs: HashMap::new(),
-            finished: VecDeque::new(),
+            finished: FinishedJobs::default(),
             max_id: 0,
             log_lines: 0,
             bytes: 0,
@@ -415,11 +415,8 @@ impl Journal {
             worker,
             remote,
         };
-        self.finished.push_back(id);
-        while self.finished.len() > MAX_FINISHED_JOBS {
-            if let Some(old) = self.finished.pop_front() {
-                self.jobs.remove(&old);
-            }
+        for old in self.finished.retire(id) {
+            self.jobs.remove(&old);
         }
     }
 
@@ -560,6 +557,7 @@ pub fn read_vault_gfa(dir: &Path, id: ContentHash) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::MAX_FINISHED_JOBS;
     use pangraph::store::content_hash;
 
     struct TempDir(PathBuf);

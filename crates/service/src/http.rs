@@ -176,6 +176,10 @@ pub(crate) trait Router: Send + Sync + 'static {
         out: &mut EventStream<'_>,
         stop: &AtomicBool,
     ) -> std::io::Result<()>;
+
+    /// Wake the streams parked in [`Router::stream_events`], so they see
+    /// the stop flag the server has just set.
+    fn wake_streams(&self) {}
 }
 
 /// One `/v1` endpoint, its path ids already parsed (see [`resolve`]).
@@ -460,6 +464,7 @@ impl Server {
             }
         }
         pool.queue.close();
+        pool.router.wake_streams();
         for slot in pool.active.iter() {
             if let Some(stream) = slot.lock().unwrap().as_ref() {
                 let _ = stream.shutdown(std::net::Shutdown::Both);
@@ -1179,7 +1184,8 @@ impl Router for LayoutRoutes {
         while !stop.load(Ordering::Relaxed) {
             // Job evicted from the retention window mid-stream: its log
             // is gone, so the stream honestly ends.
-            let Some((events, terminal)) = self.service.wait_events(job, from, STREAM_STOP_CHECK)
+            let Some((events, terminal)) =
+                self.service.wait_events(job, from, EVENT_HEARTBEAT, stop)
             else {
                 break;
             };
@@ -1201,13 +1207,13 @@ impl Router for LayoutRoutes {
         }
         Ok(())
     }
-}
 
-/// How often a parked event stream re-checks the server stop flag. A
-/// stream waits on the *service's* condvar, which severing its socket
-/// cannot interrupt, so this slice — not the heartbeat interval — is
-/// what bounds shutdown latency.
-const STREAM_STOP_CHECK: Duration = Duration::from_millis(250);
+    /// A stream parks on the service's condvar, which severing its
+    /// socket cannot interrupt.
+    fn wake_streams(&self) {
+        self.service.wake_event_waiters();
+    }
+}
 
 /// One NDJSON line for a job event. Failed-state events carry the
 /// job's error message when it is still available.

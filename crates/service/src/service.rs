@@ -76,6 +76,32 @@ const METRICS_EVENT_PERIOD: Duration = Duration::from_millis(200);
 /// The coordinator's job table and journal keep the same number.
 pub(crate) const MAX_FINISHED_JOBS: usize = 1024;
 
+/// Terminal job ids in retirement order, oldest first: the retention
+/// rule of the service's job table, the coordinator's and the journal's.
+#[derive(Debug, Default)]
+pub(crate) struct FinishedJobs(VecDeque<JobId>);
+
+impl FinishedJobs {
+    /// Record `id` as finished; returns the ids evicted past
+    /// `MAX_FINISHED_JOBS`, oldest first.
+    pub(crate) fn retire(&mut self, id: JobId) -> Vec<JobId> {
+        self.0.push_back(id);
+        let excess = self.0.len().saturating_sub(MAX_FINISHED_JOBS);
+        self.0.drain(..excess).collect()
+    }
+
+    /// The retained ids, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &JobId> {
+        self.0.iter()
+    }
+
+    /// `true` before any job has finished.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -274,9 +300,8 @@ struct Shared {
     /// parse instead of each running their own.
     parsing: Mutex<std::collections::HashSet<ContentHash>>,
     parsing_cv: Condvar,
-    /// Terminal job ids in completion order, oldest first; drives
-    /// eviction from `jobs` beyond `MAX_FINISHED_JOBS`.
-    finished: Mutex<VecDeque<JobId>>,
+    /// Drives eviction from `jobs` beyond `MAX_FINISHED_JOBS`.
+    finished: Mutex<FinishedJobs>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
     /// Phase/queue-wait histograms and engine-level counters for
@@ -319,7 +344,7 @@ impl LayoutService {
             graphs: Mutex::new(graphs),
             parsing: Mutex::new(std::collections::HashSet::new()),
             parsing_cv: Condvar::new(),
-            finished: Mutex::new(VecDeque::new()),
+            finished: Mutex::default(),
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             metrics: ServiceMetrics::new(),
@@ -697,13 +722,15 @@ impl LayoutService {
     }
 
     /// Block until the job's event log grows past `from` (or the job is
-    /// terminal), up to `timeout`; returns whatever is available then.
-    /// `None` = unknown job (including evicted mid-wait).
+    /// terminal), up to `timeout` or until `stop` is set; returns
+    /// whatever is available then. `None` = unknown job (including
+    /// evicted mid-wait).
     pub fn wait_events(
         &self,
         id: JobId,
         from: u64,
         timeout: Duration,
+        stop: &AtomicBool,
     ) -> Option<(Vec<JobEvent>, bool)> {
         let deadline = Instant::now() + timeout;
         loop {
@@ -715,6 +742,11 @@ impl LayoutService {
                 return Some((events, terminal));
             };
             let jobs = self.shared.jobs.lock().unwrap();
+            // `wake_event_waiters` takes this lock before it notifies, so
+            // a stop is either seen here or wakes the wait below.
+            if stop.load(Ordering::Relaxed) {
+                return Some((events, terminal));
+            }
             // Chunked waits bound the latency of a notify that lands
             // between the probe above and this wait.
             let _ = self
@@ -723,6 +755,13 @@ impl LayoutService {
                 .wait_timeout(jobs, remaining.min(Duration::from_millis(50)))
                 .unwrap();
         }
+    }
+
+    /// Wake every [`LayoutService::wait_events`] caller, so those whose
+    /// `stop` flag is set return at once.
+    pub(crate) fn wake_event_waiters(&self) {
+        drop(self.shared.jobs.lock());
+        self.shared.done_cv.notify_all();
     }
 
     /// Request cancellation. Queued jobs cancel immediately (and leave
@@ -885,21 +924,19 @@ impl LayoutService {
         }
 
         // One line per tier in every cache family: (label, entries,
-        // bytes, counters, disk-index ops).
+        // bytes, counters).
         let tiers = [
             (
                 "layout",
                 stats.cache_entries,
                 stats.cache_bytes,
                 stats.cache,
-                self.shared.cache.lock().unwrap().index_ops(),
             ),
             (
                 "graph",
                 stats.graph_entries,
                 stats.graph_bytes,
                 stats.graphs,
-                self.shared.graphs.lock().unwrap().index_ops(),
             ),
         ];
         // Hit ratio over every lookup that reached the tier (memory or
@@ -932,26 +969,6 @@ impl LayoutService {
             family(&mut out, name, "gauge", help);
             for (tier, value) in tiers.iter().zip(values) {
                 let _ = writeln!(out, "{name}{{tier=\"{}\"}} {value}", tier.0);
-            }
-        }
-
-        family(
-            &mut out,
-            "pgl_disk_index_ops_total",
-            "counter",
-            "Disk-tier index operations, by tier and op.",
-        );
-        for (tier, _, _, _, ops) in tiers {
-            let Some(ops) = ops else { continue };
-            for (op, n) in [
-                ("append", ops.appends),
-                ("snapshot", ops.snapshots),
-                ("rebuild_scan", ops.rebuild_scans),
-            ] {
-                let _ = writeln!(
-                    out,
-                    "pgl_disk_index_ops_total{{tier=\"{tier}\",op=\"{op}\"}} {n}"
-                );
             }
         }
         out
@@ -1120,12 +1137,7 @@ fn release_quota(shared: &Shared, id: JobId) {
 /// cap, so the job table (and the layout data its entries hold) cannot
 /// grow without bound. Never called while a job mutex is held.
 fn retire_job(shared: &Shared, id: JobId) {
-    let evicted: Vec<JobId> = {
-        let mut finished = shared.finished.lock().unwrap();
-        finished.push_back(id);
-        let excess = finished.len().saturating_sub(MAX_FINISHED_JOBS);
-        finished.drain(..excess).collect()
-    };
+    let evicted = shared.finished.lock().unwrap().retire(id);
     if !evicted.is_empty() {
         let mut jobs = shared.jobs.lock().unwrap();
         for old in evicted {
@@ -2068,7 +2080,9 @@ mod tests {
         let (tail, _) = svc.events_since(t.id, events.len() as u64 - 1).unwrap();
         assert_eq!(tail.len(), 1);
         // wait_events returns immediately on a terminal log.
-        let (all, terminal) = svc.wait_events(t.id, 0, Duration::from_secs(5)).unwrap();
+        let (all, terminal) = svc
+            .wait_events(t.id, 0, Duration::from_secs(5), &AtomicBool::new(false))
+            .unwrap();
         assert_eq!(all.len(), events.len());
         assert!(terminal);
         assert!(svc.events_since(9999, 0).is_none(), "unknown job is None");

@@ -12,6 +12,7 @@ use rapid_pangenome_layout::service::{
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -278,7 +279,12 @@ fn long_jobs_stream_periodic_metrics_events() {
     assert_eq!(status.state, JobState::Done);
 
     let (events, terminal) = service
-        .wait_events(ticket.id, 0, Duration::from_secs(5))
+        .wait_events(
+            ticket.id,
+            0,
+            Duration::from_secs(5),
+            &AtomicBool::new(false),
+        )
         .expect("event log");
     assert!(terminal);
     let metrics: Vec<_> = events

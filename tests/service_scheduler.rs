@@ -147,6 +147,25 @@ fn no_client_exceeds_its_fair_share_of_workers_by_more_than_one() {
     let fair_share = workers / clients.len(); // 1
     let svc = service(workers);
     let gfa = small_gfa(3);
+    // Occupy every worker with a long job first, so all three clients'
+    // jobs are queued before any of them can start: otherwise the
+    // workers take a's jobs while b's and c's are still being submitted,
+    // and those dispatches were never contended.
+    let blockers: Vec<u64> = (0..workers as u64)
+        .map(|i| {
+            let mut spec = spec_for("cpu", &gfa, 90 + i, 1_000_000);
+            spec.client = Some("blocker".into());
+            svc.submit(spec).unwrap().id
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !blockers
+        .iter()
+        .all(|&id| svc.status(id).unwrap().state == JobState::Running)
+    {
+        assert!(Instant::now() < deadline, "blockers never all ran");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let mut jobs: Vec<(usize, u64)> = Vec::new();
     for (ci, client) in clients.iter().enumerate() {
         for j in 0..6 {
@@ -154,6 +173,9 @@ fn no_client_exceeds_its_fair_share_of_workers_by_more_than_one() {
             spec.client = Some(client.to_string());
             jobs.push((ci, svc.submit(spec).unwrap().id));
         }
+    }
+    for id in blockers {
+        svc.cancel(id).unwrap();
     }
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {

@@ -471,13 +471,10 @@ fn excess_concurrent_streams_are_shed_with_503() {
     handle.stop();
 }
 
-/// Stopping the server is prompt even while an event stream is parked
-/// waiting for a quiet job — the stream notices the stop flag instead
-/// of waiting out its heartbeat interval.
-#[test]
-fn stop_is_prompt_with_an_active_event_stream() {
-    let (_svc, handle) = spawn_http(1);
-    let addr = handle.addr();
+/// Open an event stream for a job queued behind a long one: the queued
+/// job generates no events, so its stream parks. Returns once the
+/// stream is admitted (its 200 head read); the reader holds it open.
+fn park_an_event_stream(addr: SocketAddr) -> BufReader<TcpStream> {
     let gfa = small_gfa(7);
     // A long job occupies the worker; a second queued job generates no
     // events, so its watcher parks.
@@ -512,6 +509,16 @@ fn stop_is_prompt_with_an_active_event_stream() {
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
     assert!(line.contains("200"), "{line}");
+    reader
+}
+
+/// Stopping the server is prompt even while an event stream is parked
+/// waiting for a quiet job — the stream notices the stop flag instead
+/// of waiting out its heartbeat interval.
+#[test]
+fn stop_is_prompt_with_an_active_event_stream() {
+    let (_svc, handle) = spawn_http(1);
+    let _stream = park_an_event_stream(handle.addr());
 
     let t0 = Instant::now();
     handle.stop();
@@ -520,6 +527,24 @@ fn stop_is_prompt_with_an_active_event_stream() {
         "stop() blocked {:?} behind a parked event stream",
         t0.elapsed()
     );
+}
+
+/// Stopping a server wakes a parked event stream at once, rather than
+/// at the end of a wait slice: five servers, each stopped with one
+/// stream parked, each stop well under the slice it used to wait.
+#[test]
+fn stop_wakes_a_parked_event_stream_within_100_ms() {
+    for round in 0..5 {
+        let (_svc, handle) = spawn_http(1);
+        let _stream = park_an_event_stream(handle.addr());
+        let t0 = Instant::now();
+        handle.stop();
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(100),
+            "round {round}: stop() took {took:?} with a parked event stream"
+        );
+    }
 }
 
 /// The retired unversioned alias `GET /jobs/<id>/events` is gone: only
