@@ -1,142 +1,117 @@
-//! Single-precision atomic coordinate store for the GPU kernels.
+//! The device's single-precision coordinates.
 //!
 //! The paper's CUDA implementation keeps layout coordinates as `float`s
-//! and updates them Hogwild-style from thousands of threads; this mirrors
-//! that with relaxed `AtomicU32` bit-cast cells. (The CPU engine uses
-//! `f64` like odgi; the quality comparison between the two is part of the
-//! Table VIII reproduction.)
+//! and updates them Hogwild-style from thousands of threads. The simulated
+//! device keeps them in core's [`CoordStore`] with [`Precision::F32`]
+//! (relaxed bit-cast atomic cells). The CPU engine uses `f64` like odgi;
+//! the quality comparison between the two is part of the Table VIII
+//! reproduction.
 
+use layout_core::coords::{CoordStore, DataLayout, Precision};
 use pangraph::layout2d::Layout2D;
-use std::sync::atomic::{AtomicU32, Ordering};
+use pangraph::lean::LeanGraph;
 
-/// Flat 2×N-endpoint f32 coordinate store.
-pub struct GpuCoords {
-    xs: Vec<AtomicU32>,
-    ys: Vec<AtomicU32>,
-}
-
-impl GpuCoords {
-    /// Zeroed store for `n_nodes` nodes.
-    pub fn zeros(n_nodes: usize) -> Self {
-        let mk = || {
-            std::iter::repeat_with(|| AtomicU32::new(0f32.to_bits()))
-                .take(2 * n_nodes)
-                .collect()
-        };
-        Self { xs: mk(), ys: mk() }
-    }
-
-    /// Initialize from a double-precision layout (host-to-device copy).
-    pub fn from_layout(layout: &Layout2D) -> Self {
-        let s = Self::zeros(layout.node_count());
-        for node in 0..layout.node_count() as u32 {
-            for end in [false, true] {
-                let (x, y) = layout.get(node, end);
-                s.store(node, end, x as f32, y as f32);
-            }
-        }
-        s
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.xs.len() / 2
-    }
-
-    /// Relaxed load of one endpoint.
-    #[inline]
-    pub fn load(&self, node: u32, end: bool) -> (f32, f32) {
-        let i = 2 * node as usize + end as usize;
-        (
-            f32::from_bits(self.xs[i].load(Ordering::Relaxed)),
-            f32::from_bits(self.ys[i].load(Ordering::Relaxed)),
-        )
-    }
-
-    /// Relaxed store of one endpoint.
-    #[inline]
-    pub fn store(&self, node: u32, end: bool, x: f32, y: f32) {
-        let i = 2 * node as usize + end as usize;
-        self.xs[i].store(x.to_bits(), Ordering::Relaxed);
-        self.ys[i].store(y.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Hogwild add (load + store, racy by design).
-    #[inline]
-    pub fn add(&self, node: u32, end: bool, dx: f32, dy: f32) {
-        let (x, y) = self.load(node, end);
-        self.store(node, end, x + dx, y + dy);
-    }
-
-    /// Device-to-host copy into a double-precision layout.
-    pub fn to_layout(&self) -> Layout2D {
-        let n = self.node_count();
-        let mut out = Layout2D::zeros(n);
-        for node in 0..n as u32 {
-            for end in [false, true] {
-                let (x, y) = self.load(node, end);
-                out.set(node, end, x as f64, y as f64);
-            }
-        }
-        out
-    }
+/// Allocate the device store for `lean` in `data_layout` and copy `init`
+/// into it (the host-to-device copy). Coordinates narrow as `as f32` does.
+pub fn device_coords(data_layout: DataLayout, lean: &LeanGraph, init: &Layout2D) -> CoordStore {
+    let coords = CoordStore::with_precision(data_layout, Precision::F32, lean);
+    coords.load_from(init);
+    coords
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::{generate, PangenomeSpec};
+
+    const LAYOUTS: [DataLayout; 2] = [DataLayout::OriginalSoa, DataLayout::CacheFriendlyAos];
+
+    fn lean() -> LeanGraph {
+        let lean = LeanGraph::from_graph(&generate(&PangenomeSpec::basic("c32", 8, 3, 1)));
+        assert!(lean.node_count() >= 2);
+        lean
+    }
+
+    fn zeroed(data_layout: DataLayout, lean: &LeanGraph) -> CoordStore {
+        device_coords(data_layout, lean, &Layout2D::zeros(lean.node_count()))
+    }
 
     #[test]
     fn round_trip_through_f32() {
-        let c = GpuCoords::zeros(3);
-        c.store(1, true, 1.5, -2.25);
-        assert_eq!(c.load(1, true), (1.5, -2.25));
-        assert_eq!(c.load(1, false), (0.0, 0.0));
+        let lean = lean();
+        for dl in LAYOUTS {
+            let c = zeroed(dl, &lean);
+            assert_eq!(c.precision(), Precision::F32);
+            c.store(1, true, 1.5, -2.25);
+            assert_eq!(c.load(1, true), (1.5, -2.25), "{dl:?}");
+            assert_eq!(c.load(1, false), (0.0, 0.0), "{dl:?}");
+            c.store(0, false, 0.1, 1.0e6 + 0.1);
+            let narrow = |v: f64| v as f32 as f64;
+            assert_eq!(
+                c.load(0, false),
+                (narrow(0.1), narrow(1.0e6 + 0.1)),
+                "{dl:?}"
+            );
+        }
     }
 
     #[test]
     fn add_accumulates() {
-        let c = GpuCoords::zeros(1);
-        c.add(0, false, 1.0, 2.0);
-        c.add(0, false, 0.5, -1.0);
-        assert_eq!(c.load(0, false), (1.5, 1.0));
+        let lean = lean();
+        for dl in LAYOUTS {
+            let c = zeroed(dl, &lean);
+            c.add(0, false, 1.0, 2.0);
+            c.add(0, false, 0.5, -1.0);
+            assert_eq!(c.load(0, false), (1.5, 1.0), "{dl:?}");
+        }
     }
 
     #[test]
     fn layout_round_trip_loses_only_f32_precision() {
-        let mut l = Layout2D::zeros(2);
+        let lean = lean();
+        let mut l = Layout2D::zeros(lean.node_count());
         l.set(0, false, 1.0e6 + 0.25, -3.0);
         l.set(1, true, 7.125, 9.5);
-        let c = GpuCoords::from_layout(&l);
-        let back = c.to_layout();
-        for node in 0..2u32 {
-            for end in [false, true] {
-                let (x0, y0) = l.get(node, end);
-                let (x1, y1) = back.get(node, end);
-                assert!((x0 - x1).abs() <= (x0.abs() * 1e-6).max(1e-6));
-                assert!((y0 - y1).abs() <= (y0.abs() * 1e-6).max(1e-6));
+        l.set(1, false, 0.1, -1.0e-7);
+        for dl in LAYOUTS {
+            let back = device_coords(dl, &lean, &l).to_layout();
+            for node in 0..lean.node_count() as u32 {
+                for end in [false, true] {
+                    let (x0, y0) = l.get(node, end);
+                    let (x1, y1) = back.get(node, end);
+                    assert!((x0 - x1).abs() <= (x0.abs() * 1e-6).max(1e-6), "{dl:?}");
+                    assert!((y0 - y1).abs() <= (y0.abs() * 1e-6).max(1e-6), "{dl:?}");
+                }
             }
         }
     }
 
     #[test]
     fn concurrent_hogwild_updates_survive() {
-        use std::sync::Arc;
-        let c = Arc::new(GpuCoords::zeros(1));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..10_000 {
-                        c.add(0, false, 1.0, 0.0);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+        // Hogwild rests on sparse updates: threads that race through one
+        // store on different endpoints lose none of their adds. (Racing
+        // adds to a single cell are checked in core's `atomicf` tests.)
+        let lean = lean();
+        let ends = [(0, false), (0, true), (1, false), (1, true)];
+        for dl in LAYOUTS {
+            let c = zeroed(dl, &lean);
+            std::thread::scope(|s| {
+                for (node, end) in ends {
+                    let c = &c;
+                    s.spawn(move || {
+                        for _ in 0..10_000 {
+                            c.add(node, end, 1.0, -1.0);
+                        }
+                    });
+                }
+            });
+            for (node, end) in ends {
+                assert_eq!(
+                    c.load(node, end),
+                    (10_000.0, -10_000.0),
+                    "{dl:?} {node}/{end}"
+                );
+            }
         }
-        let (x, _) = c.load(0, false);
-        assert!((10_000.0..=40_000.0).contains(&x), "x = {x}");
     }
 }

@@ -20,12 +20,13 @@
 //! atomics exactly as on the device.
 
 use crate::addrmap::{AddrMap, STATE_BASE};
+use crate::coords32::device_coords;
 use crate::device::GpuSpec;
 use crate::memsys::{MemReport, SmMem};
 use crate::timing::TimingModel;
 use crate::warp::{cost, WarpStats};
 use layout_core::config::LayoutConfig;
-use layout_core::coords::{CoordStore, DataLayout, Precision};
+use layout_core::coords::{CoordStore, DataLayout};
 use layout_core::init::init_linear;
 use layout_core::schedule::Schedule;
 use layout_core::step::term_deltas;
@@ -226,9 +227,8 @@ impl GpuEngine {
         let lcfg = &self.lcfg;
         let kcfg = &self.kcfg;
         let spec = &self.spec;
-        // The device keeps `float` coordinates (paper Sec. V).
-        let coords = CoordStore::with_precision(kcfg.data_layout, Precision::F32, lean);
-        coords.load_from(&init_linear(lean, lcfg.init_jitter, lcfg.seed));
+        let init = init_linear(lean, lcfg.init_jitter, lcfg.seed);
+        let coords = device_coords(kcfg.data_layout, lean, &init);
 
         let total_steps = lean.total_steps() as u64;
         if total_steps == 0 || lean.max_path_steps() < 2 {

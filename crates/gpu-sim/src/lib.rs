@@ -10,6 +10,8 @@
 //!
 //! * [`cache`] / [`memsys`] — sectored L1/L2 caches, per-warp coalescing,
 //!   DRAM sector counters (Tables IX & X);
+//! * [`coords32`] — the device's `float` coordinates, held in core's
+//!   coordinate store;
 //! * [`warp`] — issued warp instructions and active-lane divergence
 //!   accounting (Table XI);
 //! * [`device`] — RTX A6000 / A100 specs and a calibrated
@@ -25,6 +27,7 @@
 
 pub mod addrmap;
 pub mod cache;
+pub mod coords32;
 pub mod cpusim;
 pub mod device;
 pub mod kernel;
