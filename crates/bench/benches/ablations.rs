@@ -1,4 +1,5 @@
-//! Design-choice ablation benchmarks — the alternatives DESIGN.md weighs.
+//! Design-choice ablation benchmarks — the alternatives this
+//! repository's data structures were chosen over.
 //!
 //! * O(1) alias-table path selection vs the naive O(P) cumulative scan
 //!   (Alg. 1 line 5 runs billions of times; this is why the alias table

@@ -1,11 +1,12 @@
 //! The GPU evaluation: Tables VII–XI, Figs. 14–17.
 //!
-//! CPU columns come in two flavours per DESIGN.md: *measured* wall time
-//! of this repo's lean Rust Hogwild engine on this machine, and *modeled*
-//! time of the paper's odgi baseline (32-thread Xeon, succinct
-//! structures, full memory hierarchy) from the CPU cache simulation. GPU
-//! columns are modeled from simulator-counted events. Speedup columns
-//! compare modeled-to-modeled, the apples-to-apples pairing.
+//! CPU columns come in two flavours (README, *Substitutions*):
+//! *measured* wall time of this repo's lean Rust Hogwild engine on the
+//! host that runs it, and *modeled* time of the paper's odgi baseline
+//! (32-thread Xeon, succinct structures, full memory hierarchy) from the
+//! CPU cache simulation. GPU columns are modeled from simulator-counted
+//! events. Speedup columns compare modeled-to-modeled, the
+//! apples-to-apples pairing.
 
 use crate::common::{build, catalog_run, emit, geomean, hms, layout_cfg, secs, Ctx};
 use draw::rasterize;

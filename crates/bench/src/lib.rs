@@ -30,7 +30,7 @@
 //!   drift (VM performance regimes, thermal state) cancel between a
 //!   baseline recorded yesterday and a candidate run today.
 
-use layout_core::{BatchEngine, CpuEngine, DataLayout, LayoutConfig, Precision};
+use layout_core::{BatchEngine, CpuEngine, DataLayout, LayoutConfig, Precision, TERM_BLOCK};
 use pangraph::lean::LeanGraph;
 use pgio::{quote, Json};
 use workloads::{generate, PangenomeSpec};
@@ -96,7 +96,8 @@ pub struct BenchRecord {
     pub layout: String,
     /// Worker threads used.
     pub threads: usize,
-    /// Term-block size of the hot loop.
+    /// Term-block size of the hot loop ([`TERM_BLOCK`] for `cpu` rows;
+    /// the batch size for `batch` rows).
     pub term_block: usize,
     /// Mini-batch size (batch engine only; 0 otherwise).
     pub batch: usize,
@@ -302,7 +303,7 @@ pub fn run_bench(opts: &BenchOptions) -> Result<BenchReport, String> {
                     precision: precision.label().into(),
                     layout: layout_label(data_layout).into(),
                     threads: cfg.resolved_threads(),
-                    term_block: cfg.resolved_term_block(),
+                    term_block: TERM_BLOCK,
                     batch: 0,
                     iters,
                     terms_applied: terms,

@@ -23,7 +23,6 @@ const BOOL_FLAGS: &[&str] = &[
     "--exact",
     "--links",
     "--ppm",
-    "--soa",
     "--f32",
     "--tsv",
     "--resume",
@@ -63,7 +62,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--ttl-ms",
     "--preload-graphs",
     "--from",
-    "--term-block",
     "--threads-sweep",
     "--baseline",
     "--repeat",
@@ -300,11 +298,10 @@ mod tests {
 
     #[test]
     fn hot_path_and_bench_flags_parse() {
-        let p = parse("--f32 --term-block 128 --quick --baseline 8.2e6 --repeat 3");
+        let p = parse("--f32 --quick --baseline 8.2e6 --repeat 3");
         p.validate().unwrap();
         assert!(p.has("--f32"));
         assert!(p.has("--quick"));
-        assert_eq!(p.parse_or("--term-block", 256usize).unwrap(), 128);
         assert_eq!(p.parse_or("--baseline", 0.0f64).unwrap(), 8.2e6);
         assert_eq!(p.parse_or("--repeat", 1usize).unwrap(), 3);
     }

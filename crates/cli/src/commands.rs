@@ -4,7 +4,7 @@ use crate::args::ArgParser;
 use draw::{rasterize, to_svg, DrawOptions};
 use gpu_sim::{GpuEngine, GpuSpec, KernelConfig};
 use layout_core::batch::BatchEngine;
-use layout_core::coords::{DataLayout, Precision};
+use layout_core::coords::Precision;
 use layout_core::cpu::CpuEngine;
 use layout_core::LayoutConfig;
 use pangraph::lean::LeanGraph;
@@ -39,15 +39,11 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
         }
         "layout" => {
             "pgl layout <in.gfa> -o <out.lay> [--gpu | --gpu-a100 | --batch <size>]\n\
-             \u{20}          [--threads N] [--iters N] [--seed N] [--soa] [--f32] [--term-block N]\n\
+             \u{20}          [--threads N] [--iters N] [--seed N] [--f32]\n\
              Run path-guided SGD layout with the chosen engine.\n\
              --f32 stores and computes coordinates in single precision (the paper's\n\
              GPU coordinate format; half the memory traffic, stress parity within\n\
-             5%). --soa uses odgi's struct-of-arrays memory layout instead of the\n\
-             cache-friendly AoS default. --term-block N sets how many terms each\n\
-             worker samples before applying them in one batched pass (default 256;\n\
-             purely a performance knob — single-threaded results are bit-identical\n\
-             across block sizes)."
+             5%)."
         }
         "stress" => {
             "pgl stress <in.gfa> <in.lay> [--exact] [--samples-per-node N] [--seed N]\n\
@@ -69,9 +65,8 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
              path answers 404). Upload-once workflow: POST\n\
              /v1/graphs (GFA body) parses the graph once and returns {graph_id,...};\n\
              then POST /v1/jobs?graph=<id> lays it out by reference (engine=cpu|\n\
-             batch, iters, threads, seed, batch, soa, precision=f32|f64,\n\
-             term_block=N) with no re-upload\n\
-             or re-parse — plus scheduling params priority=interactive|normal|bulk,\n\
+             batch, iters, threads, seed, batch, precision=f32|f64) with no\n\
+             re-upload or re-parse — plus scheduling params priority=interactive|normal|bulk,\n\
              client=<key> (fair-share identity, default: peer IP), ttl_ms=<n> (fail\n\
              if still queued after n ms). Jobs are scheduled by priority band with\n\
              deficit round-robin across clients inside each band, so one client's\n\
@@ -195,8 +190,7 @@ pub fn usage(cmd: &str) -> Option<&'static str> {
         }
         "submit" => {
             "pgl submit <in.gfa> [--addr HOST] [--port N] [--engine E] [--iters N]\n\
-             \u{20}          [--threads N] [--seed N] [--batch N] [--soa] [--f32]\n\
-             \u{20}          [--term-block N]\n\
+             \u{20}          [--threads N] [--seed N] [--batch N] [--f32]\n\
              \u{20}          [--priority interactive|normal|bulk] [--client KEY]\n\
              \u{20}          [--ttl-ms N] [--watch]\n\
              Submit one layout job to a running `pgl serve` (POST /v1/jobs) and print\n\
@@ -300,17 +294,11 @@ pub fn layout(p: ArgParser) -> CmdResult {
         iter_max: p.parse_or("--iters", 30u32)?,
         threads: p.parse_or("--threads", 0usize)?,
         seed: p.parse_or("--seed", LayoutConfig::default().seed)?,
-        data_layout: if p.has("--soa") {
-            DataLayout::OriginalSoa
-        } else {
-            DataLayout::CacheFriendlyAos
-        },
         precision: if p.has("--f32") {
             Precision::F32
         } else {
             Precision::F64
         },
-        term_block: p.parse_or("--term-block", LayoutConfig::default().term_block)?,
         ..LayoutConfig::default()
     };
 
@@ -599,12 +587,6 @@ pub fn submit(p: ArgParser) -> CmdResult {
             query.push(format!("{}={}", &flag[2..], percent_encode(v)));
         }
     }
-    if let Some(v) = p.value("--term-block") {
-        query.push(format!("term_block={}", percent_encode(v)));
-    }
-    if p.has("--soa") {
-        query.push("soa=1".into());
-    }
     if p.has("--f32") {
         query.push("precision=f32".into());
     }
@@ -701,7 +683,6 @@ pub fn batch_cmd(p: ArgParser) -> CmdResult {
             } else {
                 Precision::F64
             },
-            term_block: p.parse_or("--term-block", LayoutConfig::default().term_block)?,
             ..LayoutConfig::default()
         },
         batch_size: p.parse_or("--batch", 1024usize)?,

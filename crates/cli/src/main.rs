@@ -84,8 +84,7 @@ fn print_usage() {
          \u{20}  stats   <in.gfa>\n\
          \u{20}  sort    <in.gfa> -o <out.gfa> [--iters N] [--seed N]   (1D path-SGD sort)\n\
          \u{20}  layout  <in.gfa> -o <out.lay> [--gpu] [--gpu-a100] [--batch <size>]\n\
-         \u{20}          [--threads N] [--iters N] [--seed N] [--soa] [--f32]\n\
-         \u{20}          [--term-block N]\n\
+         \u{20}          [--threads N] [--iters N] [--seed N] [--f32]\n\
          \u{20}  bench   [-o <out.json>] [--preset small|medium|large] [--threads N]\n\
          \u{20}          [--iters N] [--repeat N] [--quick] [--baseline UPS]\n\
          \u{20}          [--validate <bench.json>] [--guard <bench.json>] [--tolerance F]\n\

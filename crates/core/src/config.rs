@@ -2,11 +2,11 @@
 
 use crate::coords::{DataLayout, Precision};
 
-/// Ceiling on [`LayoutConfig::term_block`]: each worker thread keeps a
-/// term buffer of this many entries (40 B each ⇒ ≤ 40 MiB/thread at the
-/// cap), so a hostile or fat-fingered block size cannot turn into a
-/// terabyte allocation.
-pub const MAX_TERM_BLOCK: usize = 1 << 20;
+/// Terms sampled per hot-loop block: a worker thread draws this many
+/// terms, then applies them in one monomorphized straight-line pass.
+/// Sampling never reads coordinates, so a single-thread layout is the
+/// same at any block size; no measured regime favoured another size.
+pub const TERM_BLOCK: usize = 256;
 
 /// How node pairs are selected within a path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,11 +50,6 @@ pub struct LayoutConfig {
     /// Coordinate precision: `f64` (odgi's CPU baseline) or `f32` (the
     /// paper's GPU coordinates; half the memory traffic per update).
     pub precision: Precision,
-    /// Terms sampled per hot-loop block: worker threads draw this many
-    /// terms, then apply them in one monomorphized straight-line pass.
-    /// Amortizes sampler dispatch; larger blocks coarsen Hogwild
-    /// interleaving but do not change the objective.
-    pub term_block: usize,
     /// Pair-selection scheme.
     pub pair_selection: PairSelection,
     /// Initial-placement jitter amplitude relative to graph length.
@@ -76,7 +71,6 @@ impl Default for LayoutConfig {
             seed: 93_992_202,
             data_layout: DataLayout::CacheFriendlyAos,
             precision: Precision::F64,
-            term_block: 256,
             pair_selection: PairSelection::PgSgd,
             init_jitter: 0.01,
         }
@@ -115,14 +109,6 @@ impl LayoutConfig {
     /// Steps per iteration for a graph with `total_path_steps` path nodes.
     pub fn steps_per_iter(&self, total_path_steps: u64) -> u64 {
         (self.steps_per_path_node * total_path_steps as f64).ceil() as u64
-    }
-
-    /// The term-block size, clamped to `1..=`[`MAX_TERM_BLOCK`]: a zero
-    /// block would stall the hot loop, and an absurd one is a per-thread
-    /// allocation request (the service accepts this field from the
-    /// network).
-    pub fn resolved_term_block(&self) -> usize {
-        self.term_block.clamp(1, MAX_TERM_BLOCK)
     }
 }
 
@@ -168,21 +154,5 @@ mod tests {
     fn hot_path_axes_default_to_the_faithful_baseline() {
         let c = LayoutConfig::default();
         assert_eq!(c.precision, Precision::F64);
-        assert!(c.term_block >= 1);
-        assert_eq!(c.resolved_term_block(), c.term_block);
-        let zero = LayoutConfig {
-            term_block: 0,
-            ..LayoutConfig::default()
-        };
-        assert_eq!(zero.resolved_term_block(), 1);
-        let huge = LayoutConfig {
-            term_block: usize::MAX,
-            ..LayoutConfig::default()
-        };
-        assert_eq!(
-            huge.resolved_term_block(),
-            MAX_TERM_BLOCK,
-            "network-supplied block sizes must not become giant allocations"
-        );
     }
 }

@@ -9,7 +9,7 @@
 //! iteration, worker threads perform steps independently:
 //!
 //! * each thread owns a Xoshiro256+ stream placed 2¹²⁸ draws apart,
-//! * steps are processed in *term blocks* (`LayoutConfig::term_block`):
+//! * steps are processed in *term blocks* of [`TERM_BLOCK`] terms:
 //!   a thread samples a block of terms, then applies it through one
 //!   monomorphized straight-line pass
 //!   ([`CoordStore::apply_block`]) — the block hoists the layout ×
@@ -21,10 +21,9 @@
 //! * the shared [`PairSampler`] and [`LeanGraph`] are read-only.
 //!
 //! Because sampling never reads coordinates, block application is
-//! bit-identical to interleaved sample/apply on a single thread — block
-//! size is purely a performance knob.
+//! bit-identical to interleaved sample/apply on a single thread.
 
-use crate::config::LayoutConfig;
+use crate::config::{LayoutConfig, TERM_BLOCK};
 use crate::control::LayoutControl;
 use crate::coords::CoordStore;
 use crate::init::init_linear;
@@ -185,14 +184,13 @@ impl CpuEngine {
                 };
                 let iters_done = &iters_done;
                 let stop = &stop;
-                let term_block = cfg.resolved_term_block();
                 scope.spawn(move || {
                     let mut my_applied = 0u64;
                     // Applied terms already flushed to the control's
                     // telemetry counters (controlled runs only).
                     let mut my_flushed = 0u64;
                     let mut block: Vec<Term> =
-                        Vec::with_capacity(term_block.min(my_steps as usize));
+                        Vec::with_capacity(TERM_BLOCK.min(my_steps as usize));
                     for iter in 0..cfg.iter_max {
                         let eta = schedule.eta(iter);
                         // Sample a block of terms, then apply it in one
@@ -200,7 +198,7 @@ impl CpuEngine {
                         // dispatch runs once per block, not per term.
                         let mut left = my_steps;
                         while left > 0 {
-                            let want = left.min(term_block as u64) as usize;
+                            let want = left.min(TERM_BLOCK as u64) as usize;
                             left -= want as u64;
                             let got = sampler.sample_block(lean, &mut rng, iter, want, &mut block);
                             store.apply_block(&block, eta);
@@ -355,25 +353,6 @@ mod tests {
             q4 < q1 * 3.0 + 0.05,
             "4-thread quality {q4} should be comparable to 1-thread {q1}"
         );
-    }
-
-    #[test]
-    fn term_block_size_does_not_change_single_thread_results() {
-        // Sampling never reads coordinates, so block application is
-        // bit-identical to interleaved sample/apply on one thread: the
-        // block size is purely a performance knob.
-        let lean = test_graph(150, 4, 13);
-        let mk = |term_block| LayoutConfig {
-            threads: 1,
-            iter_max: 6,
-            term_block,
-            ..LayoutConfig::default()
-        };
-        let one = CpuEngine::new(mk(1)).run(&lean).0;
-        let small = CpuEngine::new(mk(7)).run(&lean).0;
-        let big = CpuEngine::new(mk(1024)).run(&lean).0;
-        assert_eq!(one, small, "block=7 must match block=1 bitwise");
-        assert_eq!(one, big, "block=1024 must match block=1 bitwise");
     }
 
     #[test]

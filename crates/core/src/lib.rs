@@ -37,7 +37,7 @@ pub mod sort1d;
 pub mod step;
 
 pub use batch::{BatchEngine, BatchReport, KernelOp};
-pub use config::{LayoutConfig, PairSelection};
+pub use config::{LayoutConfig, PairSelection, TERM_BLOCK};
 pub use control::{EngineTelemetry, LayoutControl};
 pub use coords::{CoordStore, DataLayout, Precision};
 pub use cpu::{CpuEngine, RunReport};

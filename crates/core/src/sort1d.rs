@@ -13,7 +13,7 @@
 //! term selection and learning-rate [`Schedule`], with scalar positions
 //! and the 1D update `x ← x ∓ μ·(|Δ| − d)/2`.
 
-use crate::config::LayoutConfig;
+use crate::config::{LayoutConfig, TERM_BLOCK};
 use crate::sampler::PairSampler;
 use crate::schedule::Schedule;
 use pangraph::lean::LeanGraph;
@@ -42,8 +42,7 @@ pub fn path_sgd_order(lean: &LeanGraph, cfg: &LayoutConfig) -> Vec<NodeId> {
         let schedule = Schedule::new(cfg, (lean.max_path_nuc_len() as f64).max(1.0));
         let mut rng = Xoshiro256Plus::seed_from_u64(cfg.seed ^ 0x1D50);
         let steps_per_iter = cfg.steps_per_iter(lean.total_steps() as u64);
-        let term_block = cfg.resolved_term_block();
-        let mut block = Vec::with_capacity(term_block.min(steps_per_iter as usize));
+        let mut block = Vec::with_capacity(TERM_BLOCK.min(steps_per_iter as usize));
         for iter in 0..cfg.iter_max {
             let eta = schedule.eta(iter);
             // Sampling never reads positions, so sampling a block before
@@ -51,7 +50,7 @@ pub fn path_sgd_order(lean: &LeanGraph, cfg: &LayoutConfig) -> Vec<NodeId> {
             // order as interleaving them.
             let mut left = steps_per_iter;
             while left > 0 {
-                let want = left.min(term_block as u64) as usize;
+                let want = left.min(TERM_BLOCK as u64) as usize;
                 left -= want as u64;
                 sampler.sample_block(lean, &mut rng, iter, want, &mut block);
                 for t in &block {

@@ -12,7 +12,7 @@
 //! * **memory stall cycle percentage** and the top-down **memory-bound
 //!   fraction** (Fig. 5) via a documented latency model,
 //! * a **modeled CPU run time**, used for the modeled-vs-modeled speedup
-//!   columns of Table VII (see DESIGN.md on calibration).
+//!   columns of Table VII (see README, *Substitutions*, on calibration).
 //!
 //! Cache capacities are scaled with the dataset (the same
 //! ratio-preserving substitution as the GPU side).

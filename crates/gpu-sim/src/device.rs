@@ -5,7 +5,8 @@
 //! handful of published figures per device. Cache capacities are scaled
 //! together with the dataset (see `mem_scale`) so that the *ratio* of
 //! working set to cache — which drives all locality effects — matches the
-//! full-size system, per the substitution documented in DESIGN.md.
+//! full-size system, per the substitution README's *Substitutions*
+//! paragraph documents.
 
 /// A GPU model for simulation + timing.
 #[derive(Debug, Clone, Copy)]
@@ -66,7 +67,7 @@ impl GpuSpec {
             // Solved from the paper's two Chr.1 anchors (base 569 s,
             // optimized 299 s) against this simulator's counted traffic:
             // 206 GB/s sustained on scattered sectors, 42 ps per L1
-            // wavefront. See DESIGN.md §"calibration".
+            // wavefront. See README, *Substitutions*.
             random_bw_frac: 0.268,
             l1_sector_cost_s: 4.19e-11,
         }

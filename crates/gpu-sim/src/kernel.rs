@@ -59,8 +59,8 @@ pub struct KernelConfig {
     pub warp_merging: bool,
     /// Optional DRF/SRF data-reuse scheme.
     pub reuse: Option<ReuseScheme>,
-    /// Dataset scale, used to shrink the L2 with the data (DESIGN.md's
-    /// capacity-ratio-preserving substitution).
+    /// Dataset scale, used to shrink the L2 with the data (the
+    /// capacity-ratio-preserving substitution in README, *Substitutions*).
     pub mem_scale: f64,
     /// Fraction of each thread's steps that are memory-traced; counts are
     /// extrapolated. 1.0 = trace everything.

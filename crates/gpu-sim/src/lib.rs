@@ -4,7 +4,7 @@
 //! path-guided SGD whose performance comes from three memory-system and
 //! control-flow optimizations. With no GPU in this environment, this
 //! crate substitutes a **functional, instrumented GPU simulator** (see
-//! DESIGN.md): the paper's kernels run lane-by-lane in 32-wide lockstep
+//! README, *Substitutions*): the paper's kernels run lane-by-lane in 32-wide lockstep
 //! warps across simulated SMs, producing *real layouts* while counting
 //! exactly the events NVIDIA Nsight would report:
 //!

@@ -59,20 +59,19 @@ fn config_fingerprint(cfg: &LayoutConfig) -> String {
         seed,
         data_layout,
         precision,
-        term_block,
         pair_selection,
         init_jitter,
     } = cfg;
-    // The fixed `simd`/`shard` suffix once named two removed kernel
-    // knobs. Keeping the text keeps every key, so a cache directory
-    // written before their removal still hits: single-thread layouts
-    // are bit-identical, and Hogwild runs above one thread were never
-    // bit-pinned.
+    // The fixed `block=256;…;simd=Auto;shard=Auto` text once named three
+    // removed knobs (256 is `TERM_BLOCK`). Keeping the text keeps every
+    // key, so a cache directory written before their removal still hits:
+    // single-thread layouts are bit-identical, and Hogwild runs above
+    // one thread were never bit-pinned.
     format!(
         "iter_max={iter_max};steps={steps_per_path_node};eps={eps};eta_max={eta_max:?};\
          cool={cooling_start};theta={zipf_theta};zmax={zipf_space_max};zq={zipf_quant};\
          threads={threads};seed={seed};layout={data_layout:?};prec={precision:?};\
-         block={term_block};pairs={pair_selection:?};jitter={init_jitter};\
+         block=256;pairs={pair_selection:?};jitter={init_jitter};\
          simd=Auto;shard=Auto"
     )
 }
@@ -544,11 +543,10 @@ mod tests {
             threads: 2,
             precision: Precision::F32,
             data_layout: DataLayout::OriginalSoa,
-            term_block: 64,
             ..Default::default()
         };
         let tuned = cache_key("batch", &cfg, 512, graph);
-        assert_eq!(tuned.hex(), "0c5b90a441858c99890a076d90280a0c");
+        assert_eq!(tuned.hex(), "64a3e953c1618c09417aa19d2787959e");
     }
 
     #[test]

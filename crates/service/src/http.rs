@@ -30,7 +30,7 @@
 //!
 //! Submission query parameters (parsed into one validated
 //! [`crate::spec::JobSpec`]): `engine` (default `cpu`), `iters`,
-//! `threads`, `seed`, `batch`, `soa`, `graph=<id>` (lay out a stored
+//! `threads`, `seed`, `batch`, `precision`, `graph=<id>` (lay out a stored
 //! graph by reference — the **upload-once** flow), plus the scheduling
 //! dimensions `priority=interactive|normal|bulk`, `client=<key>` (the
 //! fair-share identity; defaults to the peer IP the rate limiter also

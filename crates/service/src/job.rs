@@ -258,6 +258,25 @@ impl Job {
         }
     }
 
+    /// Fail the job if it is still queued past its queue TTL: set the
+    /// state, the expiry error and the finish time, drop the graph and
+    /// log the state event. Returns whether it expired.
+    pub(crate) fn expire_if_overdue(&mut self, now: Instant) -> bool {
+        let overdue =
+            self.state == JobState::Queued && self.deadline.is_some_and(|deadline| now > deadline);
+        if overdue {
+            self.state = JobState::Failed;
+            self.error = Some(format!(
+                "expired in queue after {} ms (queue TTL exceeded)",
+                now.duration_since(self.submitted).as_millis()
+            ));
+            self.finished = Some(now);
+            self.graph = None;
+            self.push_state_event(JobState::Failed);
+        }
+        overdue
+    }
+
     /// Append a state-transition event.
     pub(crate) fn push_state_event(&mut self, state: JobState) {
         let seq = self.events.len() as u64;

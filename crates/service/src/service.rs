@@ -669,28 +669,14 @@ impl LayoutService {
     fn expire_if_overdue(&self, id: JobId, job: &Arc<Mutex<Job>>) {
         let expired = {
             let mut guard = job.lock().unwrap();
-            let overdue = guard.state == JobState::Queued
-                && guard
-                    .deadline
-                    .is_some_and(|deadline| Instant::now() > deadline);
-            if overdue {
-                guard.state = JobState::Failed;
-                guard.error = Some(format!(
-                    "expired in queue after {} ms (queue TTL exceeded)",
-                    guard.submitted.elapsed().as_millis()
-                ));
-                guard.finished = Some(Instant::now());
-                guard.graph = None;
-                guard.push_state_event(JobState::Failed);
+            let expired = guard.expire_if_overdue(Instant::now());
+            if expired {
                 self.shared.queue.lock().unwrap().remove(id);
             }
-            overdue
+            expired
         };
         if expired {
-            self.shared.failed.fetch_add(1, Ordering::Relaxed);
-            self.shared.expired.fetch_add(1, Ordering::Relaxed);
-            retire_job(&self.shared, id);
-            self.shared.done_cv.notify_all();
+            retire_expired(&self.shared, id);
         }
     }
 
@@ -1146,6 +1132,16 @@ fn retire_job(shared: &Shared, id: JobId) {
     }
 }
 
+/// Bookkeeping once [`Job::expire_if_overdue`] has failed a job: count
+/// it as failed and expired, retire it and wake waiters. Never called
+/// while a job mutex is held.
+fn retire_expired(shared: &Shared, id: JobId) {
+    shared.failed.fetch_add(1, Ordering::Relaxed);
+    shared.expired.fetch_add(1, Ordering::Relaxed);
+    retire_job(shared, id);
+    shared.done_cv.notify_all();
+}
+
 /// What the claim step decided about a popped job id. The run payload
 /// is boxed: it dwarfs the unit variants, and one allocation per
 /// claimed job is noise next to the layout it precedes.
@@ -1199,18 +1195,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             let mut guard = job.lock().unwrap();
             if guard.state != JobState::Queued {
                 Claim::Skip
-            } else if guard
-                .deadline
-                .is_some_and(|deadline| Instant::now() > deadline)
-            {
-                guard.state = JobState::Failed;
-                guard.error = Some(format!(
-                    "expired in queue after {} ms (queue TTL exceeded)",
-                    guard.submitted.elapsed().as_millis()
-                ));
-                guard.finished = Some(Instant::now());
-                guard.graph = None;
-                guard.push_state_event(JobState::Failed);
+            } else if guard.expire_if_overdue(Instant::now()) {
                 Claim::Expired
             } else {
                 match guard.graph.clone() {
@@ -1238,10 +1223,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         };
         let Claim::Run(run) = claim else {
             if matches!(claim, Claim::Expired) {
-                shared.failed.fetch_add(1, Ordering::Relaxed);
-                shared.expired.fetch_add(1, Ordering::Relaxed);
-                retire_job(shared, id);
-                shared.done_cv.notify_all();
+                retire_expired(shared, id);
             }
             release_quota(shared, id);
             continue;
@@ -2036,6 +2018,30 @@ mod tests {
             svc.wait(fresh.id, Duration::from_secs(60)).unwrap().state,
             JobState::Done
         );
+    }
+
+    #[test]
+    fn the_worker_expires_a_stale_job_that_no_one_polls() {
+        let svc = service(1);
+        let mut blocker = quick_spec("cpu", small_gfa(73));
+        blocker.config.iter_max = 50_000;
+        let blocker = svc.submit(blocker).unwrap();
+        let mut stale = quick_spec("cpu", small_gfa(74));
+        stale.queue_ttl = Some(Duration::from_millis(50));
+        let stale = svc.submit(stale).unwrap();
+        let later = svc.submit(quick_spec("cpu", small_gfa(75))).unwrap();
+        // Let the TTL lapse without reading the stale job's status, so
+        // only the worker's claim can see that it is overdue.
+        std::thread::sleep(Duration::from_millis(120));
+        svc.cancel(blocker.id).unwrap();
+        let done = svc.wait(later.id, Duration::from_secs(60)).unwrap();
+        assert_eq!(done.state, JobState::Done);
+        let stats = svc.stats();
+        assert_eq!((stats.expired, stats.failed), (1, 1));
+        let status = svc.status(stale.id).unwrap();
+        assert_eq!(status.state, JobState::Failed);
+        let err = status.error.expect("expiry carries an error message");
+        assert!(err.contains("expired in queue"), "{err}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::http::{percent_encode, split_query};
 use crate::job::GraphSpec;
-use layout_core::{DataLayout, LayoutConfig, Precision};
+use layout_core::{LayoutConfig, Precision};
 use pangraph::store::ContentHash;
 use std::fmt;
 use std::sync::Arc;
@@ -176,11 +176,7 @@ impl JobSpec {
         push("iters", &self.config.iter_max.to_string());
         push("threads", &self.config.threads.to_string());
         push("seed", &self.config.seed.to_string());
-        if self.config.data_layout == DataLayout::OriginalSoa {
-            push("soa", "1");
-        }
         push("precision", self.config.precision.label());
-        push("term_block", &self.config.term_block.to_string());
         push("batch", &self.batch_size.to_string());
         push("priority", self.priority.as_str());
         if let Some(client) = &self.client {
@@ -201,15 +197,15 @@ impl JobSpec {
     /// a `+` reads back as a space; [`JobSpec::to_query`] has always
     /// escaped every `+`, so older journals replay unchanged.
     ///
-    /// Journals written before the CPU engine lost its `simd` and
-    /// `write_shard` knobs carry both keys in every record (for example
-    /// `simd=auto&write_shard=auto`). They are dropped here, and only
-    /// here, so those records still replay instead of being skipped as
-    /// unreplayable; a `/v1/jobs` request that sends them is still a
-    /// [`SpecError::UnknownParam`].
+    /// Journals written before `/v1` lost its `simd`, `write_shard`,
+    /// `soa` and `term_block` knobs carry some of those keys (for
+    /// example `term_block=256&simd=auto&write_shard=auto`). They are
+    /// dropped here, and only here, so those records still replay
+    /// instead of being skipped as unreplayable; a `/v1/jobs` request
+    /// that sends them is still a [`SpecError::UnknownParam`].
     pub fn from_query(query: &str) -> Result<Self, SpecError> {
         let mut params = split_query(query);
-        params.retain(|(k, _)| k != "simd" && k != "write_shard");
+        params.retain(|(k, _)| !RETIRED_PARAMS.contains(&k.as_str()));
         parse_job_spec(&params, Vec::new())
     }
 }
@@ -261,20 +257,23 @@ impl std::error::Error for SpecError {}
 
 /// Query parameters the job-submission route defines. Anything else is
 /// a [`SpecError::UnknownParam`].
-const KNOWN_PARAMS: [&str; 12] = [
+const KNOWN_PARAMS: [&str; 10] = [
     "engine",
     "iters",
     "threads",
     "seed",
     "batch",
-    "soa",
     "precision",
-    "term_block",
     "graph",
     "priority",
     "client",
     "ttl_ms",
 ];
+
+/// Knobs `/v1` no longer defines that older journal records carry; only
+/// [`JobSpec::from_query`] drops them. `soa` and `term_block` changed
+/// no single-thread layout.
+const RETIRED_PARAMS: [&str; 4] = ["simd", "write_shard", "soa", "term_block"];
 
 /// Build a validated [`JobSpec`] from a request's query parameters and
 /// body. A parameter outside `KNOWN_PARAMS` is rejected.
@@ -328,26 +327,12 @@ pub fn parse_job_spec(params: &[(String, String)], body: Vec<u8>) -> Result<JobS
     parse_param!("iters", config.iter_max, "a non-negative integer");
     parse_param!("threads", config.threads, "a non-negative integer");
     parse_param!("seed", config.seed, "a non-negative integer");
-    if get("soa").is_some() {
-        config.data_layout = DataLayout::OriginalSoa;
-    }
     if let Some(v) = get("precision") {
         config.precision = Precision::parse_name(v).ok_or(SpecError::BadValue {
             param: "precision",
             value: v.to_string(),
             expected: "f32 | f64",
         })?;
-    }
-    parse_param!("term_block", config.term_block, "a non-negative integer");
-    if config.term_block > layout_core::config::MAX_TERM_BLOCK {
-        // The engine clamps anyway (resolved_term_block), but a client
-        // asking for a terabyte-scale per-thread buffer should hear a
-        // 400, not be silently corrected.
-        return Err(SpecError::BadValue {
-            param: "term_block",
-            value: config.term_block.to_string(),
-            expected: "at most 1048576 terms per block",
-        });
     }
     let mut batch_size = 1024usize;
     parse_param!("batch", batch_size, "a positive integer");
@@ -388,6 +373,7 @@ pub fn parse_job_spec(params: &[(String, String)], body: Vec<u8>) -> Result<JobS
 #[cfg(test)]
 mod tests {
     use super::*;
+    use layout_core::DataLayout;
 
     fn q(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
         pairs
@@ -419,7 +405,6 @@ mod tests {
             ("seed", "7"),
             ("batch", "256"),
             ("precision", "f32"),
-            ("term_block", "64"),
             ("graph", &id.hex()),
             ("priority", "interactive"),
             ("client", "alice"),
@@ -431,7 +416,6 @@ mod tests {
         assert_eq!(spec.config.threads, 2);
         assert_eq!(spec.config.seed, 7);
         assert_eq!(spec.config.precision, Precision::F32);
-        assert_eq!(spec.config.term_block, 64);
         assert_eq!(spec.batch_size, 256);
         assert!(matches!(spec.graph, GraphSpec::Stored(h) if h == id));
         assert_eq!(spec.priority, Priority::Interactive);
@@ -468,8 +452,6 @@ mod tests {
             ("ttl_ms", "-4"),
             ("batch", "x"),
             ("precision", "f16"),
-            ("term_block", "many"),
-            ("term_block", "99999999999"),
         ] {
             let err = parse_job_spec(&q(&[(name, value)]), Vec::new()).unwrap_err();
             match err {
@@ -510,8 +492,6 @@ mod tests {
         spec.config.threads = 3;
         spec.config.seed = 99;
         spec.config.precision = Precision::F32;
-        spec.config.data_layout = DataLayout::OriginalSoa;
-        spec.config.term_block = 2048;
         spec.batch_size = 512;
         spec.queue_ttl = Some(Duration::from_millis(2500));
         let back = JobSpec::from_query(&spec.to_query()).unwrap();
@@ -521,8 +501,6 @@ mod tests {
         assert_eq!(back.config.threads, 3);
         assert_eq!(back.config.seed, 99);
         assert_eq!(back.config.precision, Precision::F32);
-        assert_eq!(back.config.data_layout, DataLayout::OriginalSoa);
-        assert_eq!(back.config.term_block, 2048);
         assert_eq!(back.batch_size, 512);
         assert_eq!(back.priority, Priority::Bulk);
         assert_eq!(back.client.as_deref(), Some("team a&b=c/…"));
@@ -542,7 +520,6 @@ mod tests {
         assert_eq!(back.batch_size, spec.batch_size);
         assert_eq!(back.priority, Priority::Normal);
         assert_eq!(back.config.iter_max, spec.config.iter_max);
-        assert_eq!(back.config.term_block, spec.config.term_block);
     }
 
     #[test]
@@ -572,7 +549,6 @@ mod tests {
         let spec = JobSpec::from_query(old).expect("a parent-format journal record replays");
         assert_eq!(spec.config.iter_max, 30);
         assert_eq!(spec.config.threads, 2);
-        assert_eq!(spec.config.term_block, 256);
         assert!(!spec.to_query().contains("simd"), "{}", spec.to_query());
         // The submission API still rejects both keys.
         for key in ["simd", "write_shard"] {
@@ -581,6 +557,22 @@ mod tests {
                 SpecError::UnknownParam(key.into())
             );
         }
+    }
+
+    #[test]
+    fn retired_layout_knobs_are_unknown_params_but_journals_replay() {
+        for (key, value) in [("soa", "1"), ("term_block", "64")] {
+            assert_eq!(
+                parse_job_spec(&q(&[(key, value)]), Vec::new()).unwrap_err(),
+                SpecError::UnknownParam(key.into())
+            );
+        }
+        let old = "engine=cpu&graph=7a0ede822d68d9254c8d4222300ed296&iters=30&threads=1&seed=93992202&soa=1&precision=f64&term_block=64&batch=1024&priority=normal";
+        let spec = JobSpec::from_query(old).expect("a parent-format journal record replays");
+        assert_eq!(spec.config.data_layout, DataLayout::CacheFriendlyAos);
+        assert_eq!(spec.config.threads, 1);
+        let q = spec.to_query();
+        assert!(!q.contains("soa") && !q.contains("term_block"), "{q}");
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!
 //! Layout cost is Θ(total path length) per iteration (paper Fig. 15), so
 //! scaling every graph by a factor `s` scales all runtimes by `s` without
-//! changing who wins — the substitution DESIGN.md documents.
+//! changing who wins — the substitution README's *Substitutions*
+//! paragraph documents.
 
 pub mod generator;
 pub mod hprc;

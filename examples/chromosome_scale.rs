@@ -39,10 +39,11 @@ fn main() {
     };
 
     // --- CPU baseline ----------------------------------------------------
-    // Two numbers, per DESIGN.md: the *measured* wall time of this repo's
-    // lean Rust port on this machine, and the *modeled* time of the
-    // paper's odgi baseline (32-thread Xeon, succinct data structures,
-    // full-scale memory hierarchy) from the CPU cache simulation.
+    // Two numbers (README, *Substitutions*): the *measured* wall time
+    // of this repo's lean Rust port on the host that runs it, and the
+    // *modeled* time of the paper's odgi baseline (32-thread Xeon,
+    // succinct data structures, full-scale memory hierarchy) from the
+    // CPU cache simulation.
     let cpu = CpuEngine::new(lcfg.clone());
     let (cpu_layout, cpu_report) = cpu.run(&lean);
     let trace = characterize_cpu(&lean, &lcfg, DataLayout::OriginalSoa, scale, 200_000);

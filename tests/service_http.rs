@@ -2,8 +2,10 @@
 //! and cache hits, plus the traffic-hardening behaviors — overload
 //! shedding (503 + Retry-After from the bounded connection queue),
 //! HTTP/1.1 keep-alive reuse, request metrics, duplicate-Content-Length
-//! rejection, and disk-tier cache hits across a server restart.
+//! rejection, disk-tier cache hits across a server restart, and a
+//! request-head parser that survives arbitrary bytes.
 
+use proptest::prelude::*;
 use rapid_pangenome_layout::io::Json;
 use rapid_pangenome_layout::prelude::*;
 use rapid_pangenome_layout::service::{
@@ -592,4 +594,110 @@ fn conflicting_content_length_headers_are_rejected() {
     assert_eq!(status, 400);
 
     handle.stop();
+}
+
+/// Send `soup` as a whole connection (write it, then close the write
+/// half) to a server with one handler, let the server finish with it,
+/// then require `GET /v1/healthz` on a fresh connection to answer
+/// within 10 s: a soup that kills the handler leaves no one to answer.
+fn server_survives(soup: &[u8]) -> Result<(), TestCaseError> {
+    let one_handler = HttpConfig {
+        max_conns: 1,
+        ..HttpConfig::default()
+    };
+    let handle = spawn_server(&small_service(1), one_handler);
+    let mut conn = TcpStream::connect(handle.addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // The server may answer and close before reading it all.
+    let _ = conn.write_all(soup);
+    let _ = conn.shutdown(std::net::Shutdown::Write);
+    let _ = conn.read_to_end(&mut Vec::new());
+    let mut probe = TcpStream::connect(handle.addr()).expect("connect");
+    probe
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    send_request(
+        &mut probe,
+        "GET",
+        "/v1/healthz",
+        "Connection: close\r\n",
+        b"",
+    );
+    let mut answer = Vec::new();
+    let read = probe.read_to_end(&mut answer);
+    handle.stop();
+    prop_assert!(
+        read.is_ok() && answer.starts_with(b"HTTP/1.1 200"),
+        "no healthz answer after soup {:?}: {read:?} {:?}",
+        body_text(soup),
+        body_text(&answer)
+    );
+    Ok(())
+}
+
+/// Request tokens the head parser branches on, for soups that get past
+/// the request line more often than uniform bytes do.
+const TOKENS: [&[u8]; 30] = [
+    b"GET ",
+    b"POST ",
+    b"DELETE ",
+    b"PUT ",
+    b"/v1/jobs",
+    b"/v1/jobs/1",
+    b"/v1/jobs/1/events",
+    b"/v1/graphs",
+    b"/v1/healthz",
+    b"/v1/result/1",
+    b"?from=",
+    b"&",
+    b"=",
+    b"%",
+    b" HTTP/1.1",
+    b" HTTP/1.0",
+    b"Content-Length:",
+    b"Transfer-Encoding:",
+    b"Connection:",
+    b" keep-alive",
+    b" close",
+    b"0",
+    b"7",
+    b"18446744073709551616",
+    b",",
+    b" ",
+    b"\r\n",
+    b"\n",
+    b":",
+    b"\xFF",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Uniform bytes never cost the server its handler thread.
+    #[test]
+    fn request_heads_of_arbitrary_bytes_never_kill_a_handler(
+        soup in prop::collection::vec(any::<u8>(), 0..512)
+    ) {
+        server_survives(&soup)?;
+    }
+}
+
+proptest! {
+    // About one soup in 80 reaches a malformed Content-Length value, so
+    // many cases are needed; each costs well under a millisecond.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Neither do lines of request tokens. Each line starts a header
+    /// name afresh; an empty line ends the head.
+    #[test]
+    fn request_heads_of_token_soup_never_kill_a_handler(
+        lines in prop::collection::vec(
+            prop::collection::vec(prop::sample::select(TOKENS.to_vec()), 0..6),
+            0..12,
+        )
+    ) {
+        let lines: Vec<Vec<u8>> = lines.iter().map(|line| line.concat()).collect();
+        server_survives(&lines.join(&b"\r\n"[..]))?;
+    }
 }
